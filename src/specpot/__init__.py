@@ -39,7 +39,6 @@ from .perturbation import (
     make_direction,
     one_sided_derivatives,
     sample_probes,
-    simple_derivative,
 )
 from .certificates import (
     CertificateStatus,
@@ -83,7 +82,6 @@ __all__ = [
     "DirectionalDerivative",
     "ClusterDerivativeMatrix",
     "make_direction",
-    "simple_derivative",
     "cluster_matrix",
     "one_sided_derivatives",
     "is_critical_probe",

@@ -135,12 +135,13 @@ class _AffineLeastSquares:
         return self.b - self.A @ s
 
 
-def _dykstra(flat: _AffineLeastSquares, psd_project, sup_residual, max_iter: int,
-             tol: float) -> tuple[str, np.ndarray, float, int]:
+def _dykstra(flat: _AffineLeastSquares, psd_project, sup_residual,
+             max_iter: int) -> tuple[str, np.ndarray, float, int]:
     """Two-set Dykstra iteration; returns (outcome, psd iterate, residual, iters).
 
     Outcome is "feasible" when the psd iterate meets the node equations within
-    tol, "stalled" when the best residual stops improving, else "exhausted".
+    FEASIBILITY_TOL, "stalled" when the best residual stops improving, else
+    "exhausted".
     """
     x = flat.project(np.zeros(flat.A.shape[1]))
     p = np.zeros_like(x)
@@ -155,7 +156,7 @@ def _dykstra(flat: _AffineLeastSquares, psd_project, sup_residual, max_iter: int
         q = y + q - xn
         x = xn
         res = sup_residual(y)
-        if res <= tol:
+        if res <= FEASIBILITY_TOL:
             return "feasible", y, res, it
         best = min(best, res)
         if it % STALL_WINDOW == 0:
@@ -167,7 +168,6 @@ def _dykstra(flat: _AffineLeastSquares, psd_project, sup_residual, max_iter: int
 
 
 def criticality_certificate(spec: SpectralData, cluster: Cluster, *,
-                            feasibility_tol: float = FEASIBILITY_TOL,
                             max_iter: int = MAX_ITERATIONS) -> GramCertificate:
     """Decide whether 1 lies in the sum-of-squares cone of the cluster's
     eigenspace, returning a psd Gram witness or a separating direction."""
@@ -182,8 +182,7 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster, *,
     def sup_res(s: np.ndarray) -> float:
         return float(np.max(np.abs(flat.residual(s))))
 
-    outcome, y, res, iters = _dykstra(flat, lambda s: _psd_project(s, m), sup_res,
-                                      max_iter, feasibility_tol)
+    outcome, y, res, iters = _dykstra(flat, lambda s: _psd_project(s, m), sup_res, max_iter)
     if outcome == "feasible":
         G = _unsvec(y, m)
         if float(np.linalg.eigvalsh(G)[0]) >= PSD_TOL:
@@ -238,7 +237,6 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
 
 
 def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster, *,
-                    feasibility_tol: float = FEASIBILITY_TOL,
                     max_iter: int = MAX_ITERATIONS) -> GapCertificate:
     """Decide whether the sum-of-squares cones of two eigenspaces intersect
     nontrivially (pointwise-equal psd Gram forms, i-side trace normalized)."""
@@ -277,7 +275,7 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster, 
         r = flat.residual(s)
         return float(np.max(np.abs(r[:n])))  # node equations; trace row handled by flat
 
-    outcome, y, res, iters = _dykstra(flat, psd_project, sup_res, max_iter, feasibility_tol)
+    outcome, y, res, iters = _dykstra(flat, psd_project, sup_res, max_iter)
     if outcome == "feasible":
         Gi = _unsvec(y[:di], mi)
         Gj = _unsvec(y[di:], mj)

@@ -36,10 +36,8 @@ from .reports import (
     gap_certificate_payload,
     new_report,
     write_csv,
-    write_direction_csv,
-    write_eigenvectors_csv,
     write_json,
-    write_potential_csv,
+    write_node_csv,
 )
 from .spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 from .verify import run_suite
@@ -187,7 +185,8 @@ def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     report["eigenvalues"] = eigenvalues_payload(spec)
     write_json(outdir / "eigenvalues.json", {"eigenvalues": report["eigenvalues"]})
     if _wants_csv(cfg):
-        write_eigenvectors_csv(grid, spec, outdir / "eigenvectors.csv")
+        modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
+        write_node_csv(grid, outdir / "eigenvectors.csv", {"w": grid.weights, **modes})
         report["artifacts"]["eigenvectors_csv"] = "eigenvectors.csv"
     report["artifacts"]["eigenvalues_json"] = "eigenvalues.json"
     return report, 0
@@ -247,7 +246,7 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     cert = crit.certificate
     if cert.status is CertificateStatus.INFEASIBLE and _wants_csv(cfg):
         direction_csv = "separating_direction.csv"
-        write_direction_csv(grid, cert.separating_direction.values, outdir / direction_csv)
+        write_node_csv(grid, outdir / direction_csv, {"u": cert.separating_direction.values})
         report["artifacts"]["separating_direction_csv"] = direction_csv
     write_json(outdir / "certificate.json", certificate_payload(cert, direction_csv))
     report["artifacts"]["certificate_json"] = "certificate.json"
@@ -256,15 +255,10 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         from .spectral import recover_potential
 
         frame = extract_frame(cert, spec, cluster)
-        header = (["x"] if grid.ndim == 1 else ["x", "y"]) + [f"g{p+1}" for p in range(len(frame))]
-        rows = []
-        for idx in range(grid.n_nodes):
-            coords = [grid.coords[idx]] if grid.ndim == 1 else list(grid.coords[idx])
-            rows.append([fmt(c) for c in coords] + [fmt(f[idx]) for f in frame])
-        write_csv(outdir / "frame.csv", header, rows)
+        write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(frame)})
         report["artifacts"]["frame_csv"] = "frame.csv"
         recovered = recover_potential(grid, frame, cluster.value)
-        write_potential_csv(grid, recovered.values, outdir / "recovered_potential.csv")
+        write_node_csv(grid, outdir / "recovered_potential.csv", {"q": recovered.values})
         report["artifacts"]["recovered_potential_csv"] = "recovered_potential.csv"
     return report, 0
 
@@ -289,7 +283,7 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     direction_csv = None
     if cert.status is CertificateStatus.INFEASIBLE and _wants_csv(cfg):
         direction_csv = "separating_direction.csv"
-        write_direction_csv(grid, cert.separating_direction.values, outdir / direction_csv)
+        write_node_csv(grid, outdir / direction_csv, {"u": cert.separating_direction.values})
         report["artifacts"]["separating_direction_csv"] = direction_csv
     write_json(outdir / "gap_certificate.json", gap_certificate_payload(cert, direction_csv))
     report["artifacts"]["gap_certificate_json"] = "gap_certificate.json"
@@ -302,8 +296,7 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
                 d = gap_one_sided_derivatives(spec, i, j, u)
             except DegenerateGapError:
                 break
-            scale = max(abs(d.left), abs(d.right), 1.0)
-            critical = d.left * d.right <= 1e-12 * scale**2
+            critical = d.opposite_signs
             rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(critical)])
             table.append({"u_id": f"u{u_id}", "left": d.left, "right": d.right,
                           "critical": bool(critical)})
@@ -352,7 +345,7 @@ def cmd_optimize(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     }
     if _wants_csv(cfg):
         result.log.write_csv(outdir / "iterates.csv")
-        write_potential_csv(grid, result.potential.values, outdir / "final_potential.csv")
+        write_node_csv(grid, outdir / "final_potential.csv", {"q": result.potential.values})
         report["artifacts"]["iterates_csv"] = "iterates.csv"
         report["artifacts"]["final_potential_csv"] = "final_potential.csv"
     code = 1 if result.aborted else 0

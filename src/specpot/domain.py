@@ -12,7 +12,6 @@ exactly preserved constant kernel.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -262,32 +261,3 @@ def grid_from_mapping(mapping: dict[str, str]) -> DomainGrid:
         raise ConfigError(f"unknown domain kind {mapping['kind']!r}")
     return build_grid(kind, nodes, bc)
 
-
-def parse_grid_spec(text: str) -> DomainGrid:
-    """Parse a plain-text grid spec of key=value lines (kind, length, nodes, bc)."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in mapping:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        mapping[key] = value
-    return grid_from_mapping(mapping)
-
-
-def export_nodes_csv(grid: DomainGrid, path) -> None:
-    """Write node coordinates and quadrature weights as CSV columns (x[, y], w)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if grid.ndim == 1:
-            writer.writerow(["x", "w"])
-            for x, w in zip(grid.coords, grid.weights):
-                writer.writerow([repr(float(x)), repr(float(w))])
-        else:
-            writer.writerow(["x", "y", "w"])
-            for (x, y), w in zip(grid.coords, grid.weights):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(w))])

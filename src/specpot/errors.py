@@ -9,10 +9,6 @@ class DimensionError(ValueError):
     """A node-vector does not match the grid it is used with."""
 
 
-class MultiplicityError(ValueError):
-    """A simple-eigenvalue operation was invoked on a degenerate eigenvalue."""
-
-
 class DegenerateGapError(ValueError):
     """A gap operation was invoked on two indices sharing one eigenvalue cluster."""
 

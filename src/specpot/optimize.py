@@ -33,10 +33,12 @@ from .spectral import (
     spectrum_with_complete_cluster,
 )
 
-FEASIBILITY_TOL = 1e-10
 STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-10
 BACKTRACK_TOL = 1e-12
+CERT_ITER_BUDGET = 2000      # Dykstra iterations for the optimizer's certificate stop
+DESCENT_THRESHOLD = 1e-6     # one-sided derivative a descent witness must beat
+LINE_SEARCH_STEP = 1e-3      # step of the line search confirming a witness
 
 
 @dataclass(frozen=True)
@@ -151,23 +153,18 @@ class OptimizeResult:
     aborted: bool = False
 
 
-def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec,
-                     max_rounds: int = 100, tol: float = FEASIBILITY_TOL) -> Potential:
-    """Projection onto the box [-B, B] intersected with the mean-c hyperplane.
+def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec) -> Potential:
+    """Exact projection onto the box [-B, B] intersected with the mean-c hyperplane.
 
-    Runs alternating projections (clip, recenter) and finishes with the exact
-    form of the projection, clip(v + mu, -B, B) with the scalar mu chosen by
-    bisection so the mean lands on c; both constraints then hold to roundoff.
+    With uniform weights the projection of v is clip(v + mu, -B, B) for the
+    one scalar mu that puts the mean on c (the continuous quadratic knapsack,
+    Kiwiel 2008). That mean is continuous and nondecreasing in mu, equal to -B
+    at mu = -B - max v and to B at mu = B - min v, so bisection on this
+    bracket finds mu; both constraints then hold to roundoff.
     """
     values = q.values if isinstance(q, Potential) else grid.check_vector(q)
-    values = np.asarray(values, dtype=float).copy()
     B, c = constraint.bound_B, constraint.mean_c
-    for _ in range(max_rounds):
-        clipped = np.clip(values, -B, B)
-        values = clipped + (c - mean_value(grid, clipped))
-        if np.max(np.abs(values)) <= B + tol:
-            break
-    lo, hi = -2.0 * B - np.max(np.abs(values)), 2.0 * B + np.max(np.abs(values))
+    lo, hi = -B - np.max(values), B - np.min(values)
     for _ in range(200):
         mu = 0.5 * (lo + hi)
         if mean_value(grid, np.clip(values + mu, -B, B)) < c:
@@ -176,11 +173,7 @@ def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec,
             hi = mu
         if hi - lo <= 1e-16 * max(1.0, B):
             break
-    out = np.clip(values + 0.5 * (lo + hi), -B, B)
-    shift = c - mean_value(grid, out)
-    if abs(shift) <= tol:
-        out = np.clip(out + shift, -B, B)
-    return Potential.from_values(grid, out)
+    return Potential.from_values(grid, np.clip(values + 0.5 * (lo + hi), -B, B))
 
 
 def _objective_value(spec: SpectralData, objective: ObjectiveSpec) -> float:
@@ -239,8 +232,7 @@ def _gap_merged(spec: SpectralData, objective: ObjectiveSpec, tol_rel: float) ->
 
 def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: ConstraintSpec,
                   q0: Potential, schedule: Schedule | None = None, max_iters: int = 500, *,
-                  tol_rel: float = CLUSTER_TOL_REL, cert_every: int = 25,
-                  cert_iter_budget: int = 2000, backtrack: bool = True) -> OptimizeResult:
+                  tol_rel: float = CLUSTER_TOL_REL, cert_every: int = 25) -> OptimizeResult:
     """Projected subgradient iteration with certificate-based stopping.
 
     Stops on max_iters, on objective stagnation, on a feasible criticality
@@ -281,7 +273,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             stop_reason = "gap_degenerate"
             break
         if cert_every and it % cert_every == 0:
-            feasible, cert_residual = _certificate_stop(spec, objective, tol_rel, cert_iter_budget)
+            feasible, cert_residual = _certificate_stop(spec, objective, tol_rel)
             if feasible:
                 log.append(_record(grid, constraint, it, obj, last_step, mult, cert_residual, q))
                 stop_reason = "certificate"
@@ -325,7 +317,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 break
             cand_obj = _objective_value(cand_spec, objective)
             improved = objective.sigma * (cand_obj - obj) >= -BACKTRACK_TOL
-            if improved or not (backtrack and simple_here):
+            if improved or not simple_here:
                 q, spec, obj = candidate, cand_spec, cand_obj
                 last_step = step
                 accepted = True
@@ -360,20 +352,20 @@ def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
     return float(np.mean(np.abs(np.abs(q.values) - constraint.bound_B) <= 1e-9))
 
 
-def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec, tol_rel: float,
-                      iter_budget: int) -> tuple[bool, float | None]:
+def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec,
+                      tol_rel: float) -> tuple[bool, float | None]:
     """Budget-limited certificate solve at the current cluster: (feasible,
     residual). Residual is None only when the attempt is not applicable."""
     ci = detect_cluster(spec, objective.i, tol_rel)
     if ci.truncated:
         return False, None
     if objective.target == "eigenvalue":
-        cert = criticality_certificate(spec, ci, max_iter=iter_budget)
+        cert = criticality_certificate(spec, ci, max_iter=CERT_ITER_BUDGET)
     else:
         cj = detect_cluster(spec, objective.j, tol_rel)
         if cj.truncated:
             return False, None
-        cert = gap_certificate(spec, ci, cj, max_iter=iter_budget)
+        cert = gap_certificate(spec, ci, cj, max_iter=CERT_ITER_BUDGET)
     return cert.status is CertificateStatus.FEASIBLE, cert.residual
 
 
@@ -390,8 +382,7 @@ class RefuteResult:
 
 
 def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int = 200,
-                     seed: int = 0, *, tol_rel: float = CLUSTER_TOL_REL,
-                     threshold: float = 1e-6, ls_step: float = 1e-3) -> RefuteResult:
+                     seed: int = 0, *, tol_rel: float = CLUSTER_TOL_REL) -> RefuteResult:
     """Search for a strict one-sided descent direction of lambda_i at q.
 
     Tries the certificate's separating direction first, then a randomized
@@ -404,7 +395,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
     tried = 0
 
     def confirmed_descent(u: ProbeDirection, derivative: float) -> RefuteResult | None:
-        if _confirm_descent(grid, q, i, u, ls_step):
+        if _confirm_descent(grid, q, i, u):
             return RefuteResult(u, derivative, True, tried)
         return None
 
@@ -413,7 +404,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
         u = make_direction(grid, -cert.separating_direction.values, normalize=True)
         tried += 1
         d = one_sided_derivatives(spec, i, u, tol_rel)
-        if d.right < -threshold:
+        if d.right < -DESCENT_THRESHOLD:
             res = confirmed_descent(u, d.right)
             if res:
                 return res
@@ -421,11 +412,11 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
     for u in mixed_probe_suite(grid, probe_budget, seed):
         tried += 1
         d = one_sided_derivatives(spec, i, u, tol_rel)
-        if d.right < -threshold:
+        if d.right < -DESCENT_THRESHOLD:
             res = confirmed_descent(u, d.right)
             if res:
                 return res
-        if d.left > threshold:
+        if d.left > DESCENT_THRESHOLD:
             flipped = make_direction(grid, -u.values, normalize=True)
             res = confirmed_descent(flipped, -d.left)
             if res:
@@ -445,7 +436,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
                 u = make_direction(grid, candidate_values, normalize=True)
                 tried += 1
                 d = one_sided_derivatives(spec, i, u, tol_rel)
-                if d.right < -threshold:
+                if d.right < -DESCENT_THRESHOLD:
                     res = confirmed_descent(u, d.right)
                     if res:
                         return res
@@ -453,12 +444,12 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
 
 
 def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                     step: float, points: int = 3) -> bool:
-    """Strictly decreasing lambda_i(q + t u) over t = step, 2*step, ..."""
+                     points: int = 3) -> bool:
+    """Strictly decreasing lambda_i(q + t u) over t = s, 2s, ... with s = LINE_SEARCH_STEP."""
     k = i + 6
     prev = solve_spectrum(grid, q, k).eigenvalue(i)
     for p in range(1, points + 1):
-        shifted = Potential.from_values(grid, q.values + p * step * u.values)
+        shifted = Potential.from_values(grid, q.values + p * LINE_SEARCH_STEP * u.values)
         value = solve_spectrum(grid, shifted, k).eigenvalue(i)
         if value >= prev - 1e-12:
             return False

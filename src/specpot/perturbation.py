@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Circle, DomainGrid, Potential, Torus2D, fourier_mode, project_mean_zero
-from .errors import DegenerateGapError, IncompleteClusterError, MultiplicityError
+from .errors import DegenerateGapError, IncompleteClusterError
 from .spectral import CLUSTER_TOL_REL, Cluster, SpectralData, detect_cluster, solve_spectrum
 
 SIGN_PRODUCT_TOL = 1e-12
@@ -39,6 +39,12 @@ class ProbeDirection:
 class DirectionalDerivative:
     left: float
     right: float
+
+    @property
+    def opposite_signs(self) -> bool:
+        """True when the one-sided derivatives have opposite signs (or vanish)."""
+        scale = max(abs(self.left), abs(self.right), 1.0)
+        return self.left * self.right <= SIGN_PRODUCT_TOL * scale**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +76,6 @@ def make_direction(grid: DomainGrid, values, normalize: bool = False) -> ProbeDi
     return ProbeDirection(u, sup)
 
 
-def simple_derivative(spec: SpectralData, i: int, u: ProbeDirection,
-                      tol_rel: float = CLUSTER_TOL_REL) -> float:
-    """Derivative <u f_i, f_i>_w of a simple eigenvalue."""
-    cluster = detect_cluster(spec, i, tol_rel)
-    if cluster.multiplicity != 1:
-        raise MultiplicityError(
-            f"eigenvalue {i} has multiplicity {cluster.multiplicity}; use the cluster path"
-        )
-    f = spec.eigenvector(i)
-    return spec.grid.inner(u.values * f, f)
-
-
 def cluster_matrix(spec: SpectralData, cluster: Cluster, u: ProbeDirection) -> ClusterDerivativeMatrix:
     """Restricted multiplication-by-u matrix on the cluster's eigenspace."""
     if cluster.truncated:
@@ -111,9 +105,7 @@ def one_sided_derivatives(spec: SpectralData, i: int, u: ProbeDirection,
 def is_critical_probe(spec: SpectralData, i: int, u: ProbeDirection,
                       tol_rel: float = CLUSTER_TOL_REL) -> bool:
     """True when the one-sided derivatives have opposite signs (or vanish)."""
-    d = one_sided_derivatives(spec, i, u, tol_rel)
-    scale = max(abs(d.left), abs(d.right), 1.0)
-    return d.left * d.right <= SIGN_PRODUCT_TOL * scale**2
+    return one_sided_derivatives(spec, i, u, tol_rel).opposite_signs
 
 
 def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int, u: ProbeDirection,
@@ -231,12 +223,3 @@ def fd_richardson_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDir
     fine = fd_eigenvalue_derivative(grid, q, i, u, t / 2.0, k)
     return (4.0 * fine - coarse) / 3.0
 
-
-def fd_gap_derivative(grid: DomainGrid, q: Potential, i: int, j: int, u: ProbeDirection,
-                      t: float = 1e-4, k: int | None = None) -> float:
-    k = k or j + 6
-    plus = solve_spectrum(grid, Potential.from_values(grid, q.values + t * u.values), k)
-    minus = solve_spectrum(grid, Potential.from_values(grid, q.values - t * u.values), k)
-    gp = plus.eigenvalue(j) - plus.eigenvalue(i)
-    gm = minus.eigenvalue(j) - minus.eigenvalue(i)
-    return (gp - gm) / (2.0 * t)

@@ -49,31 +49,12 @@ def eigenvalues_payload(spec: SpectralData) -> list[float]:
     return [float(v) for v in spec.eigenvalues]
 
 
-def write_eigenvectors_csv(grid: DomainGrid, spec: SpectralData, path) -> None:
-    modes = spec.eigenvectors.shape[1]
-    header = (["x"] if grid.ndim == 1 else ["x", "y"]) + ["w"] + [f"f{i+1}" for i in range(modes)]
-    rows = []
-    for idx in range(grid.n_nodes):
-        coords = [grid.coords[idx]] if grid.ndim == 1 else list(grid.coords[idx])
-        rows.append([fmt(c) for c in coords] + [fmt(grid.weights[idx])]
-                    + [fmt(spec.eigenvectors[idx, j]) for j in range(modes)])
-    write_csv(path, header, rows)
-
-
-def write_potential_csv(grid: DomainGrid, values: np.ndarray, path) -> None:
-    if grid.ndim == 1:
-        write_csv(path, ["x", "q"], ([fmt(x), fmt(v)] for x, v in zip(grid.coords, values)))
-    else:
-        write_csv(path, ["x", "y", "q"],
-                  ([fmt(c[0]), fmt(c[1]), fmt(v)] for c, v in zip(grid.coords, values)))
-
-
-def write_direction_csv(grid: DomainGrid, values: np.ndarray, path) -> None:
-    if grid.ndim == 1:
-        write_csv(path, ["x", "u"], ([fmt(x), fmt(v)] for x, v in zip(grid.coords, values)))
-    else:
-        write_csv(path, ["x", "y", "u"],
-                  ([fmt(c[0]), fmt(c[1]), fmt(v)] for c, v in zip(grid.coords, values)))
+def write_node_csv(grid: DomainGrid, path, columns: dict[str, np.ndarray]) -> None:
+    """One row per node: the coordinates (x, or x and y on the torus), then the
+    named value columns in the order given."""
+    coord_names = ["x"] if grid.ndim == 1 else ["x", "y"]
+    table = np.column_stack([grid.coords.reshape(grid.n_nodes, -1), *columns.values()])
+    write_csv(path, coord_names + list(columns), ([fmt(v) for v in row] for row in table))
 
 
 def gram_to_list(G: np.ndarray | None) -> list[float] | None:

@@ -88,9 +88,8 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray) -> np.ndarray:
 def eigensolve(grid: DomainGrid, H: np.ndarray, k: int, potential: Potential | None = None) -> SpectralData:
     """Lowest k eigenpairs of a symmetric operator matrix, w-orthonormalized.
 
-    Degenerate blocks come out in whatever basis the dense solver picks; the
-    block is then re-orthonormalized in the w-inner product and each column's
-    sign is fixed so the largest-magnitude entry is positive.
+    Degenerate blocks come out in whatever basis the dense solver picks; each
+    column's sign is fixed so the largest-magnitude entry is positive.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -105,32 +104,15 @@ def eigensolve(grid: DomainGrid, H: np.ndarray, k: int, potential: Potential | N
     # Uniform weights: Euclidean-orthonormal columns become w-orthonormal
     # after scaling by 1/sqrt(w).
     vecs = evecs[:, :k] / np.sqrt(grid.weights[0])
-    vecs = _gram_schmidt_w(grid, vecs)
-    for j in range(k):
-        col = vecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, j] = -col
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+    vecs *= np.where(peaks < 0, -1.0, 1.0)
 
-    worst = 0.0
-    for j in range(k):
-        res = grid.norm(H @ vecs[:, j] - evals[j] * vecs[:, j]) / (1.0 + abs(evals[j]))
-        worst = max(worst, res)
+    residuals = H @ vecs - vecs * evals
+    norms = np.sqrt(np.sum(grid.weights[:, None] * residuals**2, axis=0))
+    worst = float(np.max(norms / (1.0 + np.abs(evals))))
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return SpectralData(evals.copy(), vecs, grid, potential)
-
-
-def _gram_schmidt_w(grid: DomainGrid, vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for p in range(j):
-            v = v - grid.inner(v, out[:, p]) * out[:, p]
-        nrm = grid.norm(v)
-        if nrm == 0.0:
-            raise SolverError("eigenvector block is numerically rank deficient")
-        out[:, j] = v / nrm
-    return out
 
 
 def solve_spectrum(grid: DomainGrid, q: Potential, k: int) -> SpectralData:

@@ -25,7 +25,7 @@ from .optimize import (
     refute_local_min,
     run_optimizer,
 )
-from .perturbation import make_direction, mixed_probe_suite, simple_derivative
+from .perturbation import make_direction, mixed_probe_suite, one_sided_derivatives
 from .reports import verdict
 from .spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 
@@ -117,7 +117,7 @@ def suite_thm12(seed: int) -> dict:
         spec = solve_spectrum(grid, q, 8)
         f1 = spec.eigenvector(1)
         explicit = make_direction(grid, grid.volume * f1**2 - 1.0)
-        derivative = simple_derivative(spec, 1, explicit)
+        derivative = one_sided_derivatives(spec, 1, explicit).right
         checks.append(verdict(f"explicit ascent direction positive at i=1 ({label})",
                               derivative > 1e-6, derivative, 1e-6))
     checks.append(verdict("all 20 certificates infeasible", all_infeasible, None, None))

@@ -11,11 +11,9 @@ from specpot.domain import (
     Potential,
     Torus2D,
     build_grid,
-    export_nodes_csv,
     fourier_mode,
     grid_from_mapping,
     mean_value,
-    parse_grid_spec,
     project_mean_zero,
 )
 from specpot.errors import ConfigError, DimensionError
@@ -205,18 +203,14 @@ class TestPotential:
 
 
 class TestGridConfig:
-    def test_parse_grid_spec(self):
-        g = parse_grid_spec("kind=circle\nlength=6.283185307179586\nnodes=64\nbc=closed\n")
-        assert isinstance(g.kind, Circle)
-        assert g.n_nodes == 64
-
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="boundry"):
-            parse_grid_spec("kind=circle\nlength=6.28\nnodes=64\nboundry=closed\n")
+            grid_from_mapping({"kind": "circle", "length": "6.28", "nodes": "64",
+                               "boundry": "closed"})
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="bc"):
-            parse_grid_spec("kind=circle\nlength=6.28\nnodes=64\n")
+            grid_from_mapping({"kind": "circle", "length": "6.28", "nodes": "64"})
 
     def test_torus_mapping(self):
         g = grid_from_mapping({"kind": "torus", "length": "6.28,3.14", "nodes": "8", "bc": "closed"})
@@ -224,12 +218,3 @@ class TestGridConfig:
         assert g.n_nodes == 64
         assert g.spacing[0] != g.spacing[1]
 
-    def test_nodes_csv_roundtrip(self, tmp_path, neumann_grid):
-        path = tmp_path / "nodes.csv"
-        export_nodes_csv(neumann_grid, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,w"
-        assert len(rows) == 1 + neumann_grid.n_nodes
-        x0, w0 = (float(v) for v in rows[1].split(","))
-        assert x0 == pytest.approx(neumann_grid.coords[0])
-        assert w0 == pytest.approx(neumann_grid.weights[0])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from specpot.domain import BoundaryCondition, Interval, Potential, build_grid, mean_value
+from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
 from specpot.errors import ConfigError
 from specpot.optimize import (
     ConstraintSpec,
@@ -15,6 +18,8 @@ from specpot.optimize import (
     subgradient_direction,
 )
 from specpot.spectral import solve_spectrum
+
+SMALL_CIRCLE = build_grid(Circle(), 32, BoundaryCondition.CLOSED)
 
 
 class TestSpecs:
@@ -62,6 +67,29 @@ class TestProjectFeasible:
         out = project_feasible(circle_grid, Potential.from_values(circle_grid, rng.uniform(-3, 3, 256)), con)
         assert np.max(np.abs(out.values - 1.0)) <= 1e-7
         assert abs(out.mean - 1.0) <= 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        v=arrays(np.float64, 32, elements=st.floats(-10, 10)),
+        c_frac=st.floats(-1, 1),
+        B=st.floats(0.1, 5),
+    )
+    @example(v=0.3 + 2.0 * np.cos(SMALL_CIRCLE.coords), c_frac=0.3, B=1.0)
+    def test_exact_projection(self, v, c_frac, B):
+        # KKT conditions of the projection onto {mean = c, |q| <= B}: one
+        # shift mu for every entry left strictly inside the box
+        g = SMALL_CIRCLE
+        c = c_frac * B
+        con = ConstraintSpec(c, B)
+        out = project_feasible(g, v, con).values
+        assert abs(mean_value(g, out) - c) <= 1e-12
+        assert np.max(np.abs(out)) <= B
+        inside = np.abs(out) < B
+        if inside.any():
+            shifts = (out - v)[inside]
+            assert np.max(shifts) - np.min(shifts) <= 1e-12
+        again = project_feasible(g, out, con).values
+        assert np.max(np.abs(again - out)) <= 1e-12
 
 
 class TestSubgradientDirection:

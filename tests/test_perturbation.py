@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from specpot.domain import Potential, mean_value
-from specpot.errors import DegenerateGapError, MultiplicityError
+from specpot.errors import DegenerateGapError
 from specpot.perturbation import (
     cluster_matrix,
     fd_eigenvalue_derivative,
-    fd_gap_derivative,
     gap_one_sided_derivatives,
     is_critical_probe,
     make_direction,
     mixed_probe_suite,
     one_sided_derivatives,
     sample_probes,
-    simple_derivative,
 )
 from specpot.spectral import detect_cluster, solve_spectrum
 
@@ -23,6 +21,12 @@ def central_fd(grid, q, i, u, t):
     plus = solve_spectrum(grid, Potential.from_values(grid, q.values + t * u.values), i + 6)
     minus = solve_spectrum(grid, Potential.from_values(grid, q.values - t * u.values), i + 6)
     return (plus.eigenvalue(i) - minus.eigenvalue(i)) / (2 * t)
+
+
+def first_variation(spec, i, u):
+    """Simple-eigenvalue derivative <u f_i, f_i>_w, written out independently."""
+    f = spec.eigenvector(i)
+    return spec.grid.inner(u.values * f, f)
 
 
 class TestMakeDirection:
@@ -44,19 +48,14 @@ class TestMakeDirection:
 class TestSimpleDerivative:
     def test_constant_eigenfunction_zero(self, circle_zero_spec, circle_grid):
         u = make_direction(circle_grid, np.cos(2 * circle_grid.coords))
-        assert abs(simple_derivative(circle_zero_spec, 1, u)) <= 1e-10
-
-    def test_multiplicity_guard(self, circle_zero_spec, circle_grid):
-        u = make_direction(circle_grid, np.cos(2 * circle_grid.coords))
-        with pytest.raises(MultiplicityError):
-            simple_derivative(circle_zero_spec, 2, u)
+        assert abs(one_sided_derivatives(circle_zero_spec, 1, u).right) <= 1e-10
 
     def test_dirichlet_explicit_direction(self, dirichlet_zero_spec, dirichlet_grid):
         # V * integral(f1^4) - 1 = 3/2 - 1 = 1/2 from the closed form
         # integral of sin^4 over [0, pi] = 3 pi / 8 with f1 = sqrt(2/pi) sin
         f1 = dirichlet_zero_spec.eigenvector(1)
         u = make_direction(dirichlet_grid, dirichlet_grid.volume * f1**2 - 1.0)
-        d = simple_derivative(dirichlet_zero_spec, 1, u)
+        d = one_sided_derivatives(dirichlet_zero_spec, 1, u).right
         assert d > 0
         assert d == pytest.approx(0.5, abs=1e-3)
 
@@ -67,7 +66,7 @@ class TestSimpleDerivative:
             q = Potential.fourier(circle_grid, rng.standard_normal(3), rng.standard_normal(3))
             u = sample_probes(circle_grid, 1, int(rng.integers(1e9)), "fourier")[0]
             spec = solve_spectrum(circle_grid, q, 7)
-            d = simple_derivative(spec, 1, u)
+            d = one_sided_derivatives(spec, 1, u).right
             if abs(d) < 0.05:
                 continue
             fd = central_fd(circle_grid, q, 1, u, 1e-4)
@@ -107,7 +106,7 @@ class TestClusterMatrix:
         M = cluster_matrix(dirichlet_zero_spec, cl, u)
         assert M.entries.shape == (1, 1)
         assert M.entries[0, 0] == pytest.approx(
-            simple_derivative(dirichlet_zero_spec, 1, u), abs=1e-14
+            first_variation(dirichlet_zero_spec, 1, u), abs=1e-14
         )
 
     def test_branch_basis_diagonalizes(self, circle_grid):
@@ -142,7 +141,7 @@ class TestOneSidedDerivatives:
         u = sample_probes(dirichlet_grid, 1, 8, "fourier")[0]
         d = one_sided_derivatives(dirichlet_zero_spec, 2, u)
         assert d.left == d.right
-        assert d.left == pytest.approx(simple_derivative(dirichlet_zero_spec, 2, u), abs=1e-14)
+        assert d.left == pytest.approx(first_variation(dirichlet_zero_spec, 2, u), abs=1e-14)
 
     def test_branch_prediction_quadratic_error(self, circle_grid, circle_zero_spec):
         # lambda_2(q + t u) = lambda_2 + t * (side derivative) + O(t^2) with a
@@ -226,11 +225,12 @@ class TestGapDerivatives:
             spec = solve_spectrum(dirichlet_grid, q, 9)
             d = gap_one_sided_derivatives(spec, 1, 2, u)
             assert d.left == pytest.approx(d.right, abs=1e-12)
-            expected = simple_derivative(spec, 2, u) - simple_derivative(spec, 1, u)
+            expected = first_variation(spec, 2, u) - first_variation(spec, 1, u)
             assert d.right == pytest.approx(expected, abs=1e-12)
             if abs(d.right) < 0.05:
                 continue
-            fd = fd_gap_derivative(dirichlet_grid, q, 1, 2, u, t=1e-4)
+            fd = (fd_eigenvalue_derivative(dirichlet_grid, q, 2, u, t=1e-4)
+                  - fd_eigenvalue_derivative(dirichlet_grid, q, 1, u, t=1e-4))
             assert abs(d.right - fd) <= 1e-6 * abs(d.right)
             checked += 1
             if checked == 5:
