@@ -8,13 +8,15 @@ criticality becomes a feasibility problem, linear in the Gram matrix G:
     find G >= 0  with  sum_ab G_ab f_a(x) f_b(x) = 1 at every node x.
 
 The gap analogue asks for two psd Grams with matching pointwise sums, plus a
-trace normalization that rules out the zero pair. Both problems are solved by
-Dykstra's alternating projections between the psd cone (eigenvalue clipping)
-and the affine set of least-squares solutions of the node equations. When the
-iteration stalls at a positive residual, the unattained residual itself is
-projected to a mean-zero direction and kept only if it verifiably makes the
-restricted quadratic form definite; failing that the instance is Undecided,
-since non-convergence alone proves nothing.
+trace normalization that rules out the zero pair. Both problems are decided
+in closed form from one least-squares solve. The psd projection (eigenvalue
+clipping) of the min-norm least-squares point s* is the witness when it meets
+the node equations. Otherwise a candidate direction is built: the residual
+r = b - A s* when it is nonzero (its restricted form is a negative multiple
+of the identity once centered), else, when s* meets the equations but is not
+psd, the node values A pinv svec(v v^T) of the bottom eigenvector v of s*.
+The candidate is kept only if it verifiably makes the restricted quadratic
+form definite; failing that the instance is Undecided.
 """
 from __future__ import annotations
 
@@ -41,11 +43,7 @@ from .spectral import (
 )
 
 FEASIBILITY_TOL = 1e-8
-PSD_TOL = -1e-10
 DEFINITENESS_MARGIN = 1e-8
-MAX_ITERATIONS = 50_000
-STALL_WINDOW = 500
-STALL_REL_IMPROVEMENT = 1e-6
 
 
 class CertificateStatus(str, Enum):
@@ -59,7 +57,7 @@ class GramCertificate:
     status: CertificateStatus
     gram: np.ndarray | None
     residual: float
-    iterations: int
+    iterations: int                  # least-squares solves (1 per decision)
     separating_direction: ProbeDirection | None = None
     margin: float | None = None
 
@@ -70,7 +68,7 @@ class GapCertificate:
     gram_i: np.ndarray | None
     gram_j: np.ndarray | None
     residual: float
-    iterations: int
+    iterations: int                  # least-squares solves (0 for the degenerate shortcut)
     separating_direction: ProbeDirection | None = None
     margin: float | None = None
     degenerate: bool = False
@@ -112,63 +110,44 @@ def _psd_project(s: np.ndarray, m: int) -> np.ndarray:
     return _svec((V * w) @ V.T)
 
 
-class _AffineLeastSquares:
-    """Orthogonal projector onto the affine flat of least-squares solutions
-    of A s = b (the set { s : A^T A s = A^T b }, never empty)."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        self.A = A
-        self.b = b
-        N = A.T @ A
-        rhs = A.T @ b
-        w, V = np.linalg.eigh(N)
-        cutoff = max(w[-1], 0.0) * 1e-13
-        inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-        self._pinv = (V * inv) @ V.T
-        self._N = N
-        self._rhs = rhs
-
-    def project(self, s: np.ndarray) -> np.ndarray:
-        return s + self._pinv @ (self._rhs - self._N @ s)
-
-    def residual(self, s: np.ndarray) -> np.ndarray:
-        return self.b - self.A @ s
+def _blocks(sizes: tuple[int, ...]):
+    """(slice, m) of each svec block of a stacked Gram vector."""
+    start = 0
+    for m in sizes:
+        d = m * (m + 1) // 2
+        yield slice(start, start + d), m
+        start += d
 
 
-def _dykstra(flat: _AffineLeastSquares, psd_project, sup_residual,
-             max_iter: int) -> tuple[str, np.ndarray, float, int]:
-    """Two-set Dykstra iteration; returns (outcome, psd iterate, residual, iters).
-
-    Outcome is "feasible" when the psd iterate meets the node equations within
-    FEASIBILITY_TOL, "stalled" when the best residual stops improving, else
-    "exhausted".
-    """
-    x = flat.project(np.zeros(flat.A.shape[1]))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    y = psd_project(x)
-    best = np.inf
-    best_at_checkpoint = np.inf
-    for it in range(1, max_iter + 1):
-        y = psd_project(x + p)
-        p = x + p - y
-        xn = flat.project(y + q)
-        q = y + q - xn
-        x = xn
-        res = sup_residual(y)
-        if res <= FEASIBILITY_TOL:
-            return "feasible", y, res, it
-        best = min(best, res)
-        if it % STALL_WINDOW == 0:
-            improvement = best_at_checkpoint - best
-            if improvement <= STALL_REL_IMPROVEMENT * best + 1e-14:
-                return "stalled", y, res, it
-            best_at_checkpoint = best
-    return "exhausted", y, sup_residual(y), max_iter
+def _decide(A: np.ndarray, b: np.ndarray,
+            sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form decision data for: find s with A s = b and every Gram
+    block of s psd. Returns the block-wise psd projection y of the min-norm
+    least-squares point s* (the witness when it meets the equations) and a
+    separating candidate for when it does not: the residual r = b - A s*
+    when it is nonzero, else A pinv svec(v v^T) for the bottom eigenvector v
+    of the block of s* holding the most negative eigenvalue."""
+    w, V = np.linalg.eigh(A.T @ A)
+    cutoff = max(w[-1], 0.0) * 1e-13  # eigenvalues of A^T A at or below count as null
+    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    pinv = (V * inv) @ V.T
+    s = pinv @ (A.T @ b)
+    y = np.concatenate([_psd_project(s[sl], m) for sl, m in _blocks(sizes)])
+    r = b - A @ s
+    if float(np.max(np.abs(r))) > FEASIBILITY_TOL:
+        return y, r
+    lowest = np.inf
+    e = np.zeros_like(s)
+    for sl, m in _blocks(sizes):
+        vals, vecs = np.linalg.eigh(_unsvec(s[sl], m))
+        if vals[0] < lowest:
+            lowest = vals[0]
+            e[:] = 0.0
+            e[sl] = _svec(np.outer(vecs[:, 0], vecs[:, 0]))
+    return y, A @ (pinv @ e)
 
 
-def criticality_certificate(spec: SpectralData, cluster: Cluster, *,
-                            max_iter: int = MAX_ITERATIONS) -> GramCertificate:
+def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertificate:
     """Decide whether 1 lies in the sum-of-squares cone of the cluster's
     eigenspace, returning a psd Gram witness or a separating direction."""
     if cluster.truncated:
@@ -177,31 +156,24 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster, *,
     m = cluster.multiplicity
     A = _basis_rows(F)
     b = np.ones(F.shape[0])
-    flat = _AffineLeastSquares(A, b)
-
-    def sup_res(s: np.ndarray) -> float:
-        return float(np.max(np.abs(flat.residual(s))))
-
-    outcome, y, res, iters = _dykstra(flat, lambda s: _psd_project(s, m), sup_res, max_iter)
-    if outcome == "feasible":
-        G = _unsvec(y, m)
-        if float(np.linalg.eigvalsh(G)[0]) >= PSD_TOL:
-            return GramCertificate(CertificateStatus.FEASIBLE, G, res, iters)
-    residual_values = flat.residual(y)
+    y, candidate = _decide(A, b, (m,))
+    res = float(np.max(np.abs(b - A @ y)))
+    if res <= FEASIBILITY_TOL:
+        return GramCertificate(CertificateStatus.FEASIBLE, _unsvec(y, m), res, 1)
     try:
-        u = separating_direction(spec, cluster, residual_values)
+        u = separating_direction(spec, cluster, candidate)
     except SeparationError:
-        return GramCertificate(CertificateStatus.UNDECIDED, None, res, iters)
+        return GramCertificate(CertificateStatus.UNDECIDED, None, res, 1)
     slopes = cluster_matrix(spec, cluster, u).branch_slopes()
     margin = float(np.min(np.abs(slopes)))
-    return GramCertificate(CertificateStatus.INFEASIBLE, None, res, iters,
+    return GramCertificate(CertificateStatus.INFEASIBLE, None, res, 1,
                            separating_direction=u, margin=margin)
 
 
 def separating_direction(spec: SpectralData, cluster: Cluster,
                          residual_values: np.ndarray) -> ProbeDirection:
-    """Turn an unattained feasibility residual into a verified separating
-    direction: project it mean-zero, rescale to sup-norm 1, and keep it only
+    """Turn a candidate (the unattained feasibility residual, or the dual
+    candidate) into a verified separating direction: project it mean-zero, rescale to sup-norm 1, and keep it only
     if the restricted quadratic form it induces is definite on the eigenspace
     (oriented positive definite). Raises SeparationError otherwise."""
     grid = spec.grid
@@ -236,8 +208,7 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
     return frame
 
 
-def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster, *,
-                    max_iter: int = MAX_ITERATIONS) -> GapCertificate:
+def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) -> GapCertificate:
     """Decide whether the sum-of-squares cones of two eigenspaces intersect
     nontrivially (pointwise-equal psd Gram forms, i-side trace normalized)."""
     if cluster_i.truncated or cluster_j.truncated:
@@ -266,33 +237,20 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster, 
     A[n, :di] = _svec(np.eye(mi))
     b = np.zeros(n + 1)
     b[n] = 1.0
-    flat = _AffineLeastSquares(A, b)
-
-    def psd_project(s: np.ndarray) -> np.ndarray:
-        return np.concatenate([_psd_project(s[:di], mi), _psd_project(s[di:], mj)])
-
-    def sup_res(s: np.ndarray) -> float:
-        r = flat.residual(s)
-        return float(np.max(np.abs(r[:n])))  # node equations; trace row handled by flat
-
-    outcome, y, res, iters = _dykstra(flat, psd_project, sup_res, max_iter)
-    if outcome == "feasible":
-        Gi = _unsvec(y[:di], mi)
-        Gj = _unsvec(y[di:], mj)
-        psd_ok = (float(np.linalg.eigvalsh(Gi)[0]) >= PSD_TOL
-                  and float(np.linalg.eigvalsh(Gj)[0]) >= PSD_TOL)
-        nontrivial = np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8
-        if psd_ok and nontrivial:
-            return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, iters)
-    node_residual = (A[:n] @ y) - b[:n]
+    y, candidate = _decide(A, b, (mi, mj))
+    res = float(np.max(np.abs((b - A @ y)[:n])))  # node equations; the trace row only normalizes
+    Gi = _unsvec(y[:di], mi)
+    Gj = _unsvec(y[di:], mj)
+    if res <= FEASIBILITY_TOL and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8:
+        return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, 1)
     try:
-        u = _gap_separating_direction(spec, cluster_i, cluster_j, node_residual)
+        u = _gap_separating_direction(spec, cluster_i, cluster_j, candidate[:n])
     except SeparationError:
-        return GapCertificate(CertificateStatus.UNDECIDED, None, None, res, iters)
+        return GapCertificate(CertificateStatus.UNDECIDED, None, None, res, 1)
     mu = cluster_matrix(spec, cluster_i, u).branch_slopes()
     nu = cluster_matrix(spec, cluster_j, u).branch_slopes()
     margin = float(min(abs(nu[0] - mu[-1]), abs(nu[-1] - mu[0])))
-    return GapCertificate(CertificateStatus.INFEASIBLE, None, None, res, iters,
+    return GapCertificate(CertificateStatus.INFEASIBLE, None, None, res, 1,
                           separating_direction=u, margin=margin)
 
 

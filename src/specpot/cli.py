@@ -143,13 +143,20 @@ def _read_column_csv(path: str, n: int) -> np.ndarray:
                     header = row
                     continue
                 header = []
-            rows.append(row)
+            rows.append((reader.line_num, row))
     if not rows:
         raise ConfigError(f"no data rows in {path!r}")
     col = -1
     if header and "q" in header:
         col = header.index("q")
-    values = np.array([float(r[col]) for r in rows])
+    values = np.empty(len(rows))
+    for k, (line, row) in enumerate(rows):
+        try:
+            values[k] = float(row[col])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path!r} line {line}: expected a number in {row!r}") from exc
+        if not np.isfinite(values[k]):
+            raise ConfigError(f"{path!r} line {line}: non-finite value {row[col]!r}")
     if len(values) != n:
         raise ConfigError(f"{path!r} has {len(values)} rows, expected {n}")
     return values

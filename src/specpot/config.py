@@ -6,6 +6,7 @@ offending key and its line number.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -76,9 +77,12 @@ def get_float(section: dict[str, str], key: str, default: float | None = None) -
     if key not in section:
         return default
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected a number, got {section[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {section[key]!r}")
+    return value
 
 
 def get_int(section: dict[str, str], key: str, default: int | None = None) -> int | None:
@@ -94,6 +98,9 @@ def get_floats(section: dict[str, str], key: str) -> tuple[float, ...]:
     if key not in section or not section[key].strip():
         return ()
     try:
-        return tuple(float(s) for s in section[key].split(","))
+        values = tuple(float(s) for s in section[key].split(","))
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected comma-separated numbers") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: expected finite numbers, got {section[key]!r}")
+    return values

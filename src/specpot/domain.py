@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 MIN_NODES = 8
+MAX_NODES = 4096   # total nodes (64x64 on the torus); the Laplacian is dense
 
 
 class BoundaryCondition(str, Enum):
@@ -112,8 +113,9 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     """Build a uniform grid with its quadrature weights and discrete Laplacian.
 
     ``n_nodes`` is the node count in 1-D and the per-axis node count on the
-    torus. The boundary condition must match the domain: closed for circle
-    and torus, Dirichlet or Neumann for the interval.
+    torus; the total may not exceed MAX_NODES. The boundary condition must
+    match the domain: closed for circle and torus, Dirichlet or Neumann for
+    the interval.
     """
     bc = BoundaryCondition(bc)
     if isinstance(kind, (Circle, Torus2D)) and bc is not BoundaryCondition.CLOSED:
@@ -123,6 +125,9 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     if int(n_nodes) != n_nodes or n_nodes < MIN_NODES:
         raise ConfigError(f"n_nodes must be an integer >= {MIN_NODES}, got {n_nodes}")
     n = int(n_nodes)
+    total = n * n if isinstance(kind, Torus2D) else n
+    if total > MAX_NODES:
+        raise ConfigError(f"grid has {total} nodes, above the limit of {MAX_NODES}")
 
     if isinstance(kind, Circle):
         ell = float(kind.circumference)
@@ -154,7 +159,6 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     lap = np.kron(np.eye(n), _circle_laplacian(n, hx)) + np.kron(
         _circle_laplacian(n, hy), np.eye(n)
     )
-    total = n * n
     return DomainGrid(kind, bc, total, coords, (hx, hy), np.full(total, hx * hy), lx * ly, lap)
 
 
@@ -233,6 +237,8 @@ def grid_from_mapping(mapping: dict[str, str]) -> DomainGrid:
         lengths = [float(s) for s in lengths]
     except ValueError as exc:
         raise ConfigError(f"bad length value {mapping['length']!r}") from exc
+    if not all(np.isfinite(lengths)):
+        raise ConfigError(f"bad length value {mapping['length']!r}")
     try:
         nodes = int(mapping["nodes"])
     except ValueError as exc:

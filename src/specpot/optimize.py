@@ -36,7 +36,6 @@ from .spectral import (
 STAGNATION_WINDOW = 50
 STAGNATION_TOL = 1e-10
 BACKTRACK_TOL = 1e-12
-CERT_ITER_BUDGET = 2000      # Dykstra iterations for the optimizer's certificate stop
 DESCENT_THRESHOLD = 1e-6     # one-sided derivative a descent witness must beat
 LINE_SEARCH_STEP = 1e-3      # step of the line search confirming a witness
 
@@ -354,18 +353,18 @@ def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
 
 def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec,
                       tol_rel: float) -> tuple[bool, float | None]:
-    """Budget-limited certificate solve at the current cluster: (feasible,
-    residual). Residual is None only when the attempt is not applicable."""
+    """Certificate decision at the current cluster: (feasible, residual).
+    Residual is None only when the attempt is not applicable."""
     ci = detect_cluster(spec, objective.i, tol_rel)
     if ci.truncated:
         return False, None
     if objective.target == "eigenvalue":
-        cert = criticality_certificate(spec, ci, max_iter=CERT_ITER_BUDGET)
+        cert = criticality_certificate(spec, ci)
     else:
         cj = detect_cluster(spec, objective.j, tol_rel)
         if cj.truncated:
             return False, None
-        cert = gap_certificate(spec, ci, cj, max_iter=CERT_ITER_BUDGET)
+        cert = gap_certificate(spec, ci, cj)
     return cert.status is CertificateStatus.FEASIBLE, cert.residual
 
 

@@ -12,7 +12,7 @@ from specpot.certificates import (
 from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
 from specpot.errors import SeparationError
 from specpot.perturbation import is_critical_probe, mixed_probe_suite
-from specpot.spectral import detect_cluster, solve_spectrum
+from specpot.spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 
 class TestCriticalityCertificate:
@@ -195,6 +195,37 @@ class TestGapCertificate:
             if cert.status is CertificateStatus.INFEASIBLE:
                 assert cert.margin >= 1e-8
         assert statuses[0] is statuses[1]
+
+
+def _sign_indefinite_spec():
+    """Hand-made 64-node circle data whose pair (sqrt(1 + h^2), h) has
+    1 = f_1^2 - f_2^2: the node equations have the unique, indefinite Gram
+    diag(1, -1), so the least-squares residual vanishes and only the dual
+    candidate can separate."""
+    grid = build_grid(Circle(2 * np.pi), 64, BoundaryCondition.CLOSED)
+    h = 0.8 * np.cos(grid.coords) + 0.3 * np.sin(2 * grid.coords)
+    F = np.column_stack([np.ones(64), np.sqrt(1 + h**2), h])
+    spec = SpectralData(np.array([0.0, 1.0, 1.0]), F, grid, None)
+    return spec, Cluster(1, 1, 0.0, 1e-6, False), Cluster(2, 2, 1.0, 1e-6, False)
+
+
+class TestDualCandidate:
+    # margin the Dykstra iteration reached after 1000 iterations on both instances
+    DYKSTRA_MARGIN = 1.26141500508
+
+    def test_criticality_infeasible_in_one_solve(self):
+        spec, _, pair = _sign_indefinite_spec()
+        cert = criticality_certificate(spec, pair)
+        assert cert.status is CertificateStatus.INFEASIBLE
+        assert cert.margin == pytest.approx(self.DYKSTRA_MARGIN, abs=1e-9)
+        assert cert.iterations == 1
+
+    def test_gap_infeasible_in_one_solve(self):
+        spec, constant, pair = _sign_indefinite_spec()
+        cert = gap_certificate(spec, constant, pair)
+        assert cert.status is CertificateStatus.INFEASIBLE
+        assert cert.margin == pytest.approx(self.DYKSTRA_MARGIN, abs=1e-9)
+        assert cert.iterations == 1
 
 
 class TestFullReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specpot.cli import main
-from specpot.config import parse_config_text, validate_schema
+from specpot.config import get_float, get_floats, parse_config_text, validate_schema
 from specpot.errors import ConfigError
 
 CIRCLE_DOMAIN = """\
@@ -50,6 +50,12 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="boundry"):
             validate_schema(cfg, {"domain": ({"kind", "length", "nodes", "bc"}, set())})
 
+    def test_non_finite_numbers(self):
+        with pytest.raises(ConfigError, match="value"):
+            get_float({"value": "nan"}, "value")
+        with pytest.raises(ConfigError, match="coeffs"):
+            get_floats({"coeffs": "0.3,-inf"}, "coeffs")
+
     def test_unknown_section(self):
         cfg = parse_config_text("[paint]\ncolor=red\n")
         with pytest.raises(ConfigError, match="paint"):
@@ -93,6 +99,16 @@ class TestSpectrumCommand:
     def test_missing_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n")
         assert main(["spectrum", "--config", cfg]) == 2
+
+    def test_nan_value_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=constant\nvalue=nan\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_oversized_grid_exit_code(self, tmp_path):
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN.replace("nodes=128", "nodes=4097")
+                        + "\n[potential]\npreset=zero\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 class TestDerivativeCommand:
@@ -201,6 +217,15 @@ class TestOptimizeCommand:
         header = (out / "iterates.csv").read_text().splitlines()[0]
         assert header == "iter,objective,step,mult_i,residual"
 
+    def test_nan_constraint_rejected(self, tmp_path):
+        for key in ("mean", "bound"):
+            task = {"mean": "0.0", "bound": "8.0", key: "nan"}
+            body = (CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                    "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\n"
+                    f"mean={task['mean']}\nbound={task['bound']}\niters=2\n")
+            cfg = write_cfg(tmp_path, body, f"{key}.cfg")
+            assert main(["optimize", "--config", cfg, "--out", str(tmp_path / key)]) == 2
+
 
 class TestVerifyCommand:
     def test_gap_suite_passes(self, tmp_path, capsys):
@@ -244,6 +269,26 @@ class TestFilePreset:
         body = CIRCLE_DOMAIN + f"\n[potential]\npreset=file\npath={qpath}\n"
         cfg = write_cfg(tmp_path, body)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+    def test_non_numeric_row_rejected(self, tmp_path, capsys):
+        qpath = tmp_path / "bad.csv"
+        rows = [f"{k * 0.05},0.1" for k in range(128)]
+        rows[5] = "0.1,abc"
+        qpath.write_text("x,q\n" + "\n".join(rows) + "\n")
+        body = CIRCLE_DOMAIN + f"\n[potential]\npreset=file\npath={qpath}\n"
+        cfg = write_cfg(tmp_path, body)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "line 7" in err
+
+    def test_non_finite_row_rejected(self, tmp_path, capsys):
+        qpath = tmp_path / "inf.csv"
+        qpath.write_text("q\n" + "0.1\n" * 100 + "inf\n" + "0.1\n" * 27)
+        body = CIRCLE_DOMAIN + f"\n[potential]\npreset=file\npath={qpath}\n"
+        cfg = write_cfg(tmp_path, body)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line 102" in capsys.readouterr().err
 
 
 class TestReportContracts:

@@ -69,6 +69,15 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             build_grid(Circle(-1.0), 16, BoundaryCondition.CLOSED)
 
+    def test_node_ceiling(self):
+        # rejected before the dense Laplacian is allocated
+        with pytest.raises(ConfigError, match="4097"):
+            build_grid(Circle(), 4097, BoundaryCondition.CLOSED)
+        with pytest.raises(ConfigError, match="4097"):
+            build_grid(Interval(), 4097, BoundaryCondition.NEUMANN)
+        with pytest.raises(ConfigError, match="4225"):
+            build_grid(Torus2D(), 65, BoundaryCondition.CLOSED)
+
 
 class TestLaplacian:
     def test_symmetric(self, circle_grid, dirichlet_grid, neumann_grid, torus_grid):
@@ -211,6 +220,11 @@ class TestGridConfig:
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="bc"):
             grid_from_mapping({"kind": "circle", "length": "6.28", "nodes": "64"})
+
+    def test_non_finite_length(self):
+        for length in ("nan", "inf", "6.28,inf"):
+            with pytest.raises(ConfigError, match="length"):
+                grid_from_mapping({"kind": "torus", "length": length, "nodes": "8", "bc": "closed"})
 
     def test_torus_mapping(self):
         g = grid_from_mapping({"kind": "torus", "length": "6.28,3.14", "nodes": "8", "bc": "closed"})
