@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 MIN_NODES = 8
-MAX_NODES = 4096   # total nodes (64x64 on the torus); the Laplacian is dense
+MAX_NODES = 4096          # 1-D: the Laplacian and its eigensolve are dense
+MAX_TORUS_NODES = 16384   # 128x128: the torus keeps only per-axis factors and is solved sparse
 
 
 class BoundaryCondition(str, Enum):
@@ -53,8 +54,11 @@ class DomainGrid:
     """Uniform discretization of a model domain.
 
     Treated as immutable after construction; safe to share read-only.
-    ``laplacian`` holds the matrix of minus the discrete Laplacian, which is
-    symmetric and positive semidefinite (positive definite under Dirichlet).
+    ``laplacian`` holds minus the discrete Laplacian, which is symmetric and
+    positive semidefinite (positive definite under Dirichlet). In 1-D it is
+    the (n, n) matrix; on the torus it is the stack (2, m, m) of the x- and
+    y-axis circle Laplacians of the m x m grid, whose Kronecker sum
+    ``spectral.assemble`` forms as a sparse matrix.
     """
 
     kind: DomainKind
@@ -64,7 +68,7 @@ class DomainGrid:
     spacing: tuple[float, ...]
     weights: np.ndarray       # (n,), uniform
     volume: float
-    laplacian: np.ndarray     # (n, n)
+    laplacian: np.ndarray     # (n, n) in 1-D, (2, m, m) per-axis factors on the torus
 
     @property
     def ndim(self) -> int:
@@ -113,7 +117,8 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     """Build a uniform grid with its quadrature weights and discrete Laplacian.
 
     ``n_nodes`` is the node count in 1-D and the per-axis node count on the
-    torus; the total may not exceed MAX_NODES. The boundary condition must
+    torus; the total may not exceed MAX_NODES in 1-D or MAX_TORUS_NODES on
+    the torus. The boundary condition must
     match the domain: closed for circle and torus, Dirichlet or Neumann for
     the interval.
     """
@@ -125,9 +130,12 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     if int(n_nodes) != n_nodes or n_nodes < MIN_NODES:
         raise ConfigError(f"n_nodes must be an integer >= {MIN_NODES}, got {n_nodes}")
     n = int(n_nodes)
-    total = n * n if isinstance(kind, Torus2D) else n
-    if total > MAX_NODES:
-        raise ConfigError(f"grid has {total} nodes, above the limit of {MAX_NODES}")
+    if isinstance(kind, Torus2D):
+        total, limit = n * n, MAX_TORUS_NODES
+    else:
+        total, limit = n, MAX_NODES
+    if total > limit:
+        raise ConfigError(f"grid has {total} nodes, above the limit of {limit}")
 
     if isinstance(kind, Circle):
         ell = float(kind.circumference)
@@ -156,9 +164,7 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     # Node index = j * n + i for node (x_i, y_j): x varies fastest.
     xx, yy = np.meshgrid(x, y)
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-    lap = np.kron(np.eye(n), _circle_laplacian(n, hx)) + np.kron(
-        _circle_laplacian(n, hy), np.eye(n)
-    )
+    lap = np.stack([_circle_laplacian(n, hx), _circle_laplacian(n, hy)])
     return DomainGrid(kind, bc, total, coords, (hx, hy), np.full(total, hx * hy), lx * ly, lap)
 
 

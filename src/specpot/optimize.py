@@ -130,7 +130,8 @@ class IterateLog:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "objective", "step", "mult_i", "residual"])
+            writer.writerow(["iter", "objective", "step", "mult_i", "residual",
+                             "mean_error", "box_error"])
             for r in self.records:
                 writer.writerow([
                     r.iteration,
@@ -138,6 +139,8 @@ class IterateLog:
                     repr(r.step),
                     r.mult_i,
                     "" if r.cert_residual is None else repr(r.cert_residual),
+                    repr(r.mean_error),
+                    repr(r.box_error),
                 ])
 
 

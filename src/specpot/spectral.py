@@ -1,9 +1,13 @@
-"""Operator assembly, dense eigensolves, cluster detection, potential recovery.
+"""Operator assembly, eigensolves, cluster detection, potential recovery.
 
-The operator is H = -Laplacian_h + diag(q). Eigenpairs are computed with a
-full dense symmetric decomposition (robust and deterministic at desk scale)
-and the eigenvectors are returned orthonormal in the weighted inner product
-<f, g>_w of the grid.
+The operator is H = -Laplacian_h + diag(q). On the interval and the circle H
+is a dense matrix and the eigenpairs come from a full dense symmetric
+decomposition (robust and deterministic at desk scale, n <= 4096). On the
+torus H is a sparse Kronecker sum and only the k lowest pairs are computed,
+by shift-invert Lanczos (ARPACK) below the spectrum from a fixed start
+vector; the cluster an index belongs to is proven complete by counting the
+eigenvalues below its upper edge (Sylvester's law of inertia). Eigenvectors
+are returned orthonormal in the weighted inner product <f, g>_w of the grid.
 """
 from __future__ import annotations
 
@@ -12,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
 RESIDUAL_TOL = 1e-8
+START_VECTOR_SEED = 0   # ARPACK start vector on the torus; fixed, so solves repeat bit for bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,32 +83,45 @@ class Cluster:
         return self.first_index <= i <= self.last_index
 
 
-def assemble(grid: DomainGrid, q: Potential | np.ndarray) -> np.ndarray:
-    """H = -Laplacian_h + diag(q), symmetric."""
+def assemble(grid: DomainGrid, q: Potential | np.ndarray):
+    """H = -Laplacian_h + diag(q), symmetric: a dense array in 1-D, a sparse
+    CSC matrix on the torus."""
     values = q.values if isinstance(q, Potential) else q
     values = grid.check_vector(values)
+    if isinstance(grid.kind, Torus2D):
+        # scipy loads only on the torus: importing it costs a process
+        # ~0.35 s and ~30 MB of RSS, which the 1-D paths do not need.
+        import scipy.sparse as sp
+
+        lap_x, lap_y = grid.laplacian
+        # kron(I, L_x) + kron(L_y, I): node j * m + i, x varies fastest
+        return (sp.kronsum(lap_x, lap_y, format="csc") + sp.diags(values)).tocsc()
     return grid.laplacian + np.diag(values)
 
 
-def eigensolve(grid: DomainGrid, H: np.ndarray, k: int, potential: Potential | None = None) -> SpectralData:
+def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) -> SpectralData:
     """Lowest k eigenpairs of a symmetric operator matrix, w-orthonormalized.
 
-    Degenerate blocks come out in whatever basis the dense solver picks; each
-    column's sign is fixed so the largest-magnitude entry is positive.
+    Degenerate blocks come out in whatever basis the solver picks; each
+    column's sign is fixed so the largest-magnitude entry is positive. On the
+    torus k may not exceed n // 2 (ConfigError).
     """
     n = grid.n_nodes
     if H.shape != (n, n):
         raise SolverError(f"operator shape {H.shape} does not match grid size {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    try:
-        evals, evecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dense eigendecomposition failed: {exc}") from exc
-    evals = evals[:k]
+    if isinstance(grid.kind, Torus2D):
+        evals, evecs = _lowest_pairs_sparse(grid, H, k)
+    else:
+        try:
+            evals, evecs = np.linalg.eigh(H)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"dense eigendecomposition failed: {exc}") from exc
+        evals, evecs = evals[:k], evecs[:, :k]
     # Uniform weights: Euclidean-orthonormal columns become w-orthonormal
     # after scaling by 1/sqrt(w).
-    vecs = evecs[:, :k] / np.sqrt(grid.weights[0])
+    vecs = evecs / np.sqrt(grid.weights[0])
     peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
     vecs *= np.where(peaks < 0, -1.0, 1.0)
 
@@ -113,6 +131,78 @@ def eigensolve(grid: DomainGrid, H: np.ndarray, k: int, potential: Potential | N
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return SpectralData(evals.copy(), vecs, grid, potential)
+
+
+def _lowest_pairs_sparse(grid: DomainGrid, H, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the sparse torus operator, ascending.
+
+    -Laplacian_h is positive semidefinite, so sigma = min(q) - 1 lies strictly
+    below lambda_1 and H - sigma I is positive definite: the k eigenvalues
+    nearest sigma are the k lowest. Lanczos can still miss a copy of a
+    multiple eigenvalue and return a higher one in its place, so a solve is
+    accepted only when an inertia count at x finds no eigenvalue it missed.
+    x lies just above the k-th value's cluster, or just below the highest
+    computed cluster when the two meet. Otherwise the solve is repeated once
+    with more pairs, and a second miss raises SolverError.
+    """
+    n = grid.n_nodes
+    if k > n // 2:
+        raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
+                          f"asked for {k}")
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    lap_x, lap_y = grid.laplacian
+    # min(q): the diagonal of -Laplacian_h is the constant 2/hx^2 + 2/hy^2
+    sigma = float(np.min(H.diagonal() - (lap_x[0, 0] + lap_y[0, 0]))) - 1.0
+    inverse = LinearOperator((n, n), matvec=_symmetric_lu(H, sigma).solve, dtype=float)
+    # not the constant vector: at a constant potential that is the ground state
+    v0 = np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
+    solve_k = k
+    for _ in range(2):
+        try:
+            evals, evecs = eigsh(H, solve_k, sigma=sigma, which="LM", v0=v0, OPinv=inverse)
+        except ArpackError as exc:
+            raise SolverError(f"sparse shift-invert eigensolve failed: {exc}") from exc
+        order = np.argsort(evals, kind="stable")
+        evals, evecs = evals[order], evecs[:, order]
+        tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
+        x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
+        solved = int(np.count_nonzero(evals < x))
+        count = count_eigenvalues_below(H, x)
+        if solved == count:
+            return evals[:k], evecs[:, :k]
+        solve_k = min(n - 1, max(solve_k, count) + 6)
+    raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
+
+
+def _symmetric_lu(H, x: float):
+    """LU factors of H - xI under a symmetric fill-reducing ordering and no
+    pivoting, that is P (L D L^T) P^T with U = D L^T.
+
+    The minimum-degree ordering on A^T + A keeps about half the fill of
+    splu's default COLAMD on the 5-point torus operator.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    shifted = (H - x * sp.identity(H.shape[0], format="csc")).tocsc()
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization of H - {x:.12g} I failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"factorization of H - {x:.12g} I pivoted off the diagonal")
+    return lu
+
+
+def count_eigenvalues_below(H, x: float) -> int:
+    """Number of eigenvalues of the sparse symmetric H below x.
+
+    By Sylvester's law of inertia, H - xI = P L D L^T P^T has as many
+    negative pivots in D (the diagonal of U) as H has eigenvalues below x.
+    """
+    return int(np.count_nonzero(_symmetric_lu(H, x).U.diagonal() < 0))
 
 
 def solve_spectrum(grid: DomainGrid, q: Potential, k: int) -> SpectralData:
@@ -152,10 +242,17 @@ def spectrum_with_complete_cluster(
 ) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
-    Doubles k until the cluster detaches from the truncation boundary; at
-    k = n the whole spectrum is visible and the cluster is complete by
-    definition, so the loop always terminates.
+    Dense (1-D): doubles k until the cluster detaches from the truncation
+    boundary; at k = n the whole spectrum is visible and the cluster is
+    complete by definition, so the loop always terminates.
+
+    Sparse (torus): counts the eigenvalues below the cluster's upper edge by
+    inertia. The cluster is complete when the solve holds exactly that many
+    up to the edge and at least one pair above it. Otherwise it re-solves
+    once with k = count + 6, and raises SolverError if the two still disagree.
     """
+    if isinstance(grid.kind, Torus2D):
+        return _complete_cluster_by_count(grid, q, i, tol_rel, max(i + 6, k_start or 0))
     k = min(grid.n_nodes, max(i + 6, k_start or 0))
     while True:
         spec = solve_spectrum(grid, q, k)
@@ -163,6 +260,22 @@ def spectrum_with_complete_cluster(
         if not cluster.truncated:
             return spec, cluster
         k = min(grid.n_nodes, 2 * k)
+
+
+def _complete_cluster_by_count(grid: DomainGrid, q: Potential, i: int, tol_rel: float,
+                               k: int) -> tuple[SpectralData, Cluster]:
+    H = assemble(grid, q)
+    for _ in range(2):
+        spec = eigensolve(grid, H, k, potential=q)
+        cluster = detect_cluster(spec, i, tol_rel)
+        edge = cluster.value + cluster.tol_used
+        solved = int(np.count_nonzero(spec.eigenvalues <= edge))
+        count = count_eigenvalues_below(H, edge)
+        if solved == count < k:
+            return spec, cluster
+        k = count + 6
+    raise SolverError(f"{count} eigenvalues lie below {edge:.12g}, the solve of {spec.count} "
+                      f"pairs holds {solved}")
 
 
 def discrete_gradient(grid: DomainGrid, f) -> np.ndarray:

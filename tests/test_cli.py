@@ -15,6 +15,8 @@ nodes=128
 bc=closed
 """
 
+TORUS_DOMAIN = CIRCLE_DOMAIN.replace("kind=circle", "kind=torus").replace("nodes=128", "nodes=8")
+
 
 def write_cfg(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
@@ -109,6 +111,17 @@ class TestSpectrumCommand:
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN.replace("nodes=128", "nodes=4097")
                         + "\n[potential]\npreset=zero\n")
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        cfg = write_cfg(tmp_path, TORUS_DOMAIN.replace("nodes=8", "nodes=129")
+                        + "\n[potential]\npreset=zero\n", "torus.cfg")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+
+    def test_torus_modes_above_half_exit_code(self, tmp_path, capsys):
+        # the 8 x 8 torus solves at most 64 // 2 = 32 pairs, with no dense fallback
+        for modes, code in ((32, 0), (33, 2)):
+            cfg = write_cfg(tmp_path, TORUS_DOMAIN + f"\n[potential]\npreset=zero\n"
+                            f"\n[task]\nmodes={modes}\n", f"m{modes}.cfg")
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"m{modes}")]) == code
+        assert "at most n // 2 = 32" in capsys.readouterr().err
 
 
 class TestDerivativeCommand:
@@ -173,6 +186,13 @@ class TestCriticalityCommand:
         assert main(["criticality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_torus_index_above_half_exit_code(self, tmp_path, capsys):
+        # index + 6 pairs are solved: 27 + 6 = 33 exceeds 64 // 2 on the 8 x 8 torus
+        cfg = write_cfg(tmp_path, TORUS_DOMAIN + "\n[potential]\npreset=zero\n"
+                        "\n[task]\nindex=27\nprobes=4\n\n[output]\nseed=5\n")
+        assert main(["criticality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "asked for 33" in capsys.readouterr().err
+
 
 class TestGapCommand:
     def test_degenerate_gap(self, tmp_path):
@@ -215,7 +235,7 @@ class TestOptimizeCommand:
         assert (out / "iterates.csv").exists()
         assert (out / "final_potential.csv").exists()
         header = (out / "iterates.csv").read_text().splitlines()[0]
-        assert header == "iter,objective,step,mult_i,residual"
+        assert header == "iter,objective,step,mult_i,residual,mean_error,box_error"
 
     def test_nan_constraint_rejected(self, tmp_path):
         for key in ("mean", "bound"):

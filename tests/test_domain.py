@@ -17,6 +17,7 @@ from specpot.domain import (
     project_mean_zero,
 )
 from specpot.errors import ConfigError, DimensionError
+from specpot.spectral import assemble
 
 
 # Closed-form finite-difference spectra, written out independently of the
@@ -35,6 +36,14 @@ def interval_fd_eigs(n, ell, bc):
 
 def rel_err(a, b):
     return np.abs(a - b) / (1.0 + np.abs(b))
+
+
+def dense_laplacian(g):
+    """-Laplacian_h as a dense matrix. The torus stores only its per-axis
+    factors, so its matrix is the operator assembled at q = 0."""
+    if g.ndim == 1:
+        return g.laplacian
+    return assemble(g, Potential.zero(g)).toarray()
 
 
 class TestBuildGrid:
@@ -70,28 +79,40 @@ class TestBuildGrid:
             build_grid(Circle(-1.0), 16, BoundaryCondition.CLOSED)
 
     def test_node_ceiling(self):
-        # rejected before the dense Laplacian is allocated
+        # rejected before the dense 1-D Laplacian is allocated; the torus
+        # stores per-axis factors and allows 128 x 128
         with pytest.raises(ConfigError, match="4097"):
             build_grid(Circle(), 4097, BoundaryCondition.CLOSED)
         with pytest.raises(ConfigError, match="4097"):
             build_grid(Interval(), 4097, BoundaryCondition.NEUMANN)
-        with pytest.raises(ConfigError, match="4225"):
-            build_grid(Torus2D(), 65, BoundaryCondition.CLOSED)
+        with pytest.raises(ConfigError, match="16641"):
+            build_grid(Torus2D(), 129, BoundaryCondition.CLOSED)
+        assert build_grid(Torus2D(), 128, BoundaryCondition.CLOSED).n_nodes == 16384
+
+    def test_torus_stores_axis_factors(self):
+        g = build_grid(Torus2D(2 * np.pi, np.pi), 64, BoundaryCondition.CLOSED)
+        assert g.laplacian.shape == (2, 64, 64)
+        assert g.laplacian.nbytes <= 2 * 64 * 64 * 8
+        hx, hy = g.spacing
+        assert g.laplacian[0, 0, 0] == pytest.approx(2.0 / hx**2)
+        assert g.laplacian[1, 0, 0] == pytest.approx(2.0 / hy**2)
 
 
 class TestLaplacian:
     def test_symmetric(self, circle_grid, dirichlet_grid, neumann_grid, torus_grid):
         for g in (circle_grid, dirichlet_grid, neumann_grid, torus_grid):
-            assert np.array_equal(g.laplacian, g.laplacian.T)
+            lap = dense_laplacian(g)
+            assert np.array_equal(lap, lap.T)
 
     def test_w_self_adjoint_random_pairs(self, circle_grid, dirichlet_grid, neumann_grid, torus_grid):
         rng = np.random.default_rng(0)
         for g in (circle_grid, dirichlet_grid, neumann_grid, torus_grid):
+            lap = dense_laplacian(g)
             for _ in range(50):
                 u = rng.standard_normal(g.n_nodes)
                 v = rng.standard_normal(g.n_nodes)
-                lhs = g.inner(g.laplacian @ u, v)
-                rhs = g.inner(u, g.laplacian @ v)
+                lhs = g.inner(lap @ u, v)
+                rhs = g.inner(u, lap @ v)
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_circle_closed_form_spectrum(self, circle_grid):
@@ -109,15 +130,16 @@ class TestLaplacian:
         n = 16
         one_d = 4.0 / torus_grid.spacing[0] ** 2 * np.sin(np.pi * np.arange(n) / n) ** 2
         exact = np.sort((one_d[:, None] + one_d[None, :]).ravel())
-        lam = np.linalg.eigvalsh(torus_grid.laplacian)
+        lam = np.linalg.eigvalsh(dense_laplacian(torus_grid))
         assert np.max(rel_err(lam, exact)) <= 1e-9
 
     def test_constant_kernel_closed_neumann(self, circle_grid, neumann_grid, torus_grid):
         for g in (circle_grid, neumann_grid, torus_grid):
             hmin = min(g.spacing)
-            row_sums = g.laplacian @ np.ones(g.n_nodes)
+            lap = dense_laplacian(g)
+            row_sums = lap @ np.ones(g.n_nodes)
             assert np.max(np.abs(row_sums)) <= 1e-12 / hmin**2
-            assert np.linalg.eigvalsh(g.laplacian)[0] >= -1e-10
+            assert np.linalg.eigvalsh(lap)[0] >= -1e-10
 
     def test_dirichlet_positive_definite(self, dirichlet_grid):
         assert np.linalg.eigvalsh(dirichlet_grid.laplacian)[0] > 0.5

@@ -201,13 +201,14 @@ class TestRunOptimizer:
             run_optimizer(circle_grid, obj, con, Potential.constant(circle_grid, 3.0), None, 5)
 
     def test_log_csv_columns(self, tmp_path):
-        log = IterateLog([IterateRecord(1, 0.5, 0.1, 1), IterateRecord(2, 0.6, 0.05, 2, 3e-9)])
+        log = IterateLog([IterateRecord(1, 0.5, 0.1, 1),
+                          IterateRecord(2, 0.6, 0.05, 2, 3e-9, 1e-15, 2.5e-13)])
         path = tmp_path / "iterates.csv"
         log.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,objective,step,mult_i,residual"
-        assert lines[1].startswith("1,0.5,0.1,1,")
-        assert lines[2].endswith("3e-09")
+        assert lines[0] == "iter,objective,step,mult_i,residual,mean_error,box_error"
+        assert lines[1] == "1,0.5,0.1,1,,0.0,0.0"
+        assert lines[2] == "2,0.6,0.05,2,3e-09,1e-15,2.5e-13"
 
 
 class TestRefuteLocalMin:

@@ -1,6 +1,38 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import specpot
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Importing scipy costs a process ~0.35 s and ~30 MB of RSS; only the torus
+# needs it, so the 1-D commands must run without loading it.
+ONE_D_RUN = """
+import sys, tempfile
+from pathlib import Path
+import specpot.cli
+from specpot.domain import BoundaryCondition, Interval, Potential, build_grid
+from specpot.spectral import solve_spectrum
+
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_text("[task]\\nsuite=circle-critical\\n\\n[output]\\nseed=7\\n")
+    assert specpot.cli.main(["verify", "--config", str(cfg), "--out", tmp]) == 0
+grid = build_grid(Interval(), 64, BoundaryCondition.DIRICHLET)
+solve_spectrum(grid, Potential.zero(grid), 4)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
 
 
 def test_public_names_resolve():
     missing = [name for name in specpot.__all__ if not hasattr(specpot, name)]
     assert missing == []
+
+
+def test_one_d_commands_load_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", ONE_D_RUN], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
-from specpot.errors import SolverError
+from specpot import spectral
+from specpot.domain import BoundaryCondition, Circle, Interval, Potential, Torus2D, build_grid
+from specpot.errors import ConfigError, SolverError
 from specpot.spectral import (
     assemble,
     detect_cluster,
@@ -166,6 +169,50 @@ class TestDetectCluster:
         spec, cl = spectrum_with_complete_cluster(g, q, 1, tol_rel=1e6)
         assert not cl.truncated
         assert cl.multiplicity == g.n_nodes
+
+
+class TestTorusSparse:
+    def test_closed_form_spectrum_128(self):
+        n, c = 128, 0.4
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), n, BoundaryCondition.CLOSED)
+        spec = solve_spectrum(g, Potential.constant(g, c), 12)
+        s = np.sin(np.pi * np.arange(n) / n) ** 2
+        h = g.spacing[0]
+        exact = np.sort(c + 4.0 / h**2 * (s[:, None] + s[None, :]).ravel())[:12]
+        assert np.max(rel_err(spec.eigenvalues, exact)) <= 1e-10
+
+    def test_operator_is_sparse(self, torus_grid):
+        H = assemble(torus_grid, Potential.constant(torus_grid, 0.5))
+        assert H.format == "csc"
+        assert H.nnz == 5 * torus_grid.n_nodes
+
+    def test_no_dense_operator_64(self, torus_grid):
+        # a dense 4096 x 4096 operator alone would take 134 MB
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 64, BoundaryCondition.CLOSED)
+        q = Potential.constant(g, 0.1)
+        # load scipy first, so only the solve's own allocations are traced
+        spectrum_with_complete_cluster(torus_grid, Potential.zero(torus_grid), 2)
+        tracemalloc.start()
+        try:
+            spec, cluster = spectrum_with_complete_cluster(g, q, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cluster.multiplicity == 4
+        assert peak < 50e6
+
+    def test_k_above_half_rejected(self, torus_grid):
+        q = Potential.zero(torus_grid)
+        assert solve_spectrum(torus_grid, q, 128).count == 128
+        with pytest.raises(ConfigError, match="at most n // 2 = 128"):
+            solve_spectrum(torus_grid, q, 129)
+
+    def test_count_disagreement_raises(self, torus_grid, monkeypatch):
+        # an eigenvalue the solve never finds is an error, not a smaller cluster
+        count = spectral.count_eigenvalues_below
+        monkeypatch.setattr(spectral, "count_eigenvalues_below", lambda H, x: count(H, x) + 1)
+        with pytest.raises(SolverError, match="eigenvalues lie below"):
+            spectrum_with_complete_cluster(torus_grid, Potential.zero(torus_grid), 2)
 
 
 class TestRecoverPotential:
