@@ -3,7 +3,9 @@
 Subcommands: spectrum, derivative, criticality, gap, optimize, verify. Each
 takes --config <path> and --out <dir>, writes a report.json plus CSV/JSON
 artifacts into the output directory, and exits 0 only when every verdict
-passed and no errors occurred (2 signals a configuration error).
+passed and no errors occurred. Exit code 2 signals a configuration error and
+1 a solver error (an eigensolve that failed its residual or count check,
+printed as ``solver error: ...``), besides failed verdicts.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from .certificates import CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
-from .errors import ConfigError, DegenerateGapError
+from .errors import ConfigError, DegenerateGapError, SolverError
 from .optimize import ConstraintSpec, ObjectiveSpec, Schedule, project_feasible, run_optimizer
 from .perturbation import (
     ProbeDirection,
@@ -181,6 +183,13 @@ def _build_direction(grid: DomainGrid, task: dict[str, str], seed: int | None) -
     raise ConfigError(f"unknown direction {task['direction']!r}")
 
 
+def _positive_probes(task: dict[str, str], default: int) -> int:
+    probes = get_int(task, "probes", default)
+    if probes <= 0:
+        raise ConfigError(f"probes must be a positive integer, got {probes}")
+    return probes
+
+
 def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     grid = grid_from_mapping(cfg.section("domain"))
     q = _build_potential(grid, cfg.section("potential"))
@@ -207,6 +216,8 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     seed = get_int(cfg.section("output"), "seed")
     u = _build_direction(grid, task, seed)
     t = get_float(task, "fd_step", 1e-4)
+    if t <= 0:
+        raise ConfigError(f"fd_step must be positive, got {t}")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     d = one_sided_derivatives(spec, i, u)
     critical = is_critical_probe(spec, i, u)
@@ -241,7 +252,7 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     q = _build_potential(grid, cfg.section("potential"))
     task = cfg.section("task")
     i = _check_index(grid, get_int(task, "index"))
-    probes = get_int(task, "probes", 200)
+    probes = _positive_probes(task, 200)
     seed = _require_seed(cfg, "criticality")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     crit = full_criticality_report(spec, i, probes=probes, seed=seed)
@@ -278,7 +289,7 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     j = _check_index(grid, get_int(task, "jindex"), "jindex")
     if not 1 <= i < j:
         raise ConfigError(f"gap requires 1 <= index < jindex, got {i}, {j}")
-    probes = get_int(task, "probes", 20)
+    probes = _positive_probes(task, 20)
     seed = _require_seed(cfg, "gap")
     spec, _ = spectrum_with_complete_cluster(grid, q, j)
     ci = detect_cluster(spec, i)
@@ -421,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
 
     write_json(outdir / "report.json", report)
     for v in report["verdicts"]:

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 MIN_NODES = 8
-MAX_NODES = 4096          # 1-D: the Laplacian and its eigensolve are dense
+MAX_NODES = 4096          # 1-D: banded storage and solves are O(n) per pair; the ceiling keeps
+                          # the Sturm count's Python loop and k = n requests at desk scale
 MAX_TORUS_NODES = 16384   # 128x128: the torus keeps only per-axis factors and is solved sparse
 
 
@@ -56,7 +57,10 @@ class DomainGrid:
     Treated as immutable after construction; safe to share read-only.
     ``laplacian`` holds minus the discrete Laplacian, which is symmetric and
     positive semidefinite (positive definite under Dirichlet). In 1-D it is
-    the (n, n) matrix; on the torus it is the stack (2, m, m) of the x- and
+    held as its two bands, shape (2, n): the diagonal, then the
+    off-diagonal with ``[1][i]`` coupling nodes i and i + 1 and ``[1][n-1]``
+    the circle's wrap coupling of nodes n - 1 and 0 (zero on the interval);
+    see ``banded``. On the torus it is the stack (2, m, m) of the x- and
     y-axis circle Laplacians of the m x m grid, whose Kronecker sum
     ``spectral.assemble`` forms as a sparse matrix.
     """
@@ -68,7 +72,7 @@ class DomainGrid:
     spacing: tuple[float, ...]
     weights: np.ndarray       # (n,), uniform
     volume: float
-    laplacian: np.ndarray     # (n, n) in 1-D, (2, m, m) per-axis factors on the torus
+    laplacian: np.ndarray     # (2, n) bands in 1-D, (2, m, m) per-axis factors on the torus
 
     @property
     def ndim(self) -> int:
@@ -99,18 +103,18 @@ def _circle_laplacian(n: int, h: float) -> np.ndarray:
     return lap / h**2
 
 
-def _interval_laplacian(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
-    lap = np.zeros((n, n))
-    idx = np.arange(n)
-    lap[idx, idx] = 2.0
-    lap[idx[:-1], idx[:-1] + 1] = -1.0
-    lap[idx[1:], idx[1:] - 1] = -1.0
+def _circle_bands(n: int, h: float) -> np.ndarray:
+    return np.stack([np.full(n, 2.0), np.full(n, -1.0)]) / h**2
+
+
+def _interval_bands(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
+    bands = _circle_bands(n, h)
+    bands[1, n - 1] = 0.0   # no wrap
     # Ghost-node reflection at the cell-centered boundary: u_ghost = -u_0 for
     # Dirichlet (value 0 at the wall), u_ghost = u_0 for Neumann (zero flux).
     corner = 3.0 if bc is BoundaryCondition.DIRICHLET else 1.0
-    lap[0, 0] = corner
-    lap[n - 1, n - 1] = corner
-    return lap / h**2
+    bands[0, [0, n - 1]] = corner / h**2
+    return bands
 
 
 def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainGrid:
@@ -143,8 +147,7 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
             raise ConfigError("circumference must be positive")
         h = ell / n
         coords = h * np.arange(n)
-        lap = _circle_laplacian(n, h)
-        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell, lap)
+        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell, _circle_bands(n, h))
 
     if isinstance(kind, Interval):
         ell = float(kind.length)
@@ -152,8 +155,8 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
             raise ConfigError("length must be positive")
         h = ell / n
         coords = h * (np.arange(n) + 0.5)
-        lap = _interval_laplacian(n, h, bc)
-        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell, lap)
+        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell,
+                          _interval_bands(n, h, bc))
 
     lx, ly = float(kind.length_x), float(kind.length_y)
     if lx <= 0 or ly <= 0:

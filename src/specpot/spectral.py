@@ -1,13 +1,21 @@
 """Operator assembly, eigensolves, cluster detection, potential recovery.
 
-The operator is H = -Laplacian_h + diag(q). On the interval and the circle H
-is a dense matrix and the eigenpairs come from a full dense symmetric
-decomposition (robust and deterministic at desk scale, n <= 4096). On the
-torus H is a sparse Kronecker sum and only the k lowest pairs are computed,
-by shift-invert Lanczos (ARPACK) below the spectrum from a fixed start
-vector; the cluster an index belongs to is proven complete by counting the
-eigenvalues below its upper edge (Sylvester's law of inertia). Eigenvectors
-are returned orthonormal in the weighted inner product <f, g>_w of the grid.
+The operator is H = -Laplacian_h + diag(q), and only the k lowest eigenpairs
+are computed, from a fixed start so that solves repeat bit for bit:
+
+- On the interval and the circle H is a ``banded.BandedOperator`` (its two
+  bands, with the circle's wrap entry), solved with numpy alone: shift-invert
+  steps below the spectrum, then block inverse iteration at the Ritz values,
+  all through odd-even reduction (see ``banded``).
+- On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
+  (ARPACK) below the spectrum; scipy is imported only there.
+
+Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
+an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
+no eigenvalue below the top computed cluster may be missing. The cluster an
+index belongs to is proven complete the same way, by counting the
+eigenvalues below its upper edge. Eigenvectors are returned orthonormal in
+the weighted inner product <f, g>_w of the grid.
 """
 from __future__ import annotations
 
@@ -15,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import banded
+from .banded import BandedOperator
 from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
 from .errors import ConfigError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
 RESIDUAL_TOL = 1e-8
-START_VECTOR_SEED = 0   # ARPACK start vector on the torus; fixed, so solves repeat bit for bit
+START_VECTOR_SEED = 0   # start block in 1-D, ARPACK start vector on the torus
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +46,9 @@ class SpectralData:
     eigenvectors: np.ndarray  # (n, K)
     grid: DomainGrid
     potential: Potential | None
+    # every eigenvalue below this point is among the computed ones, as an
+    # eigenvalue count showed; -inf when nothing was counted
+    complete_below: float = -np.inf
 
     @property
     def count(self) -> int:
@@ -84,8 +97,8 @@ class Cluster:
 
 
 def assemble(grid: DomainGrid, q: Potential | np.ndarray):
-    """H = -Laplacian_h + diag(q), symmetric: a dense array in 1-D, a sparse
-    CSC matrix on the torus."""
+    """H = -Laplacian_h + diag(q), symmetric: a ``BandedOperator`` in 1-D, a
+    sparse CSC matrix on the torus."""
     values = q.values if isinstance(q, Potential) else q
     values = grid.check_vector(values)
     if isinstance(grid.kind, Torus2D):
@@ -96,15 +109,22 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
         lap_x, lap_y = grid.laplacian
         # kron(I, L_x) + kron(L_y, I): node j * m + i, x varies fastest
         return (sp.kronsum(lap_x, lap_y, format="csc") + sp.diags(values)).tocsc()
-    return grid.laplacian + np.diag(values)
+    return BandedOperator(grid.laplacian + np.stack([values, np.zeros_like(values)]))
 
 
 def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) -> SpectralData:
-    """Lowest k eigenpairs of a symmetric operator matrix, w-orthonormalized.
+    """Lowest k eigenpairs of the assembled operator, w-orthonormalized.
 
     Degenerate blocks come out in whatever basis the solver picks; each
     column's sign is fixed so the largest-magnitude entry is positive. On the
     torus k may not exceed n // 2 (ConfigError).
+
+    A solve can miss a copy of a multiple eigenvalue and return a higher one
+    in its place, so it is accepted only when an eigenvalue count at x finds
+    no eigenvalue it missed. x lies just above the k-th value's cluster, or
+    just below the highest computed cluster when the two meet. Otherwise the
+    solve is repeated once with more pairs, and a second miss raises
+    SolverError.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -112,13 +132,25 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if isinstance(grid.kind, Torus2D):
-        evals, evecs = _lowest_pairs_sparse(grid, H, k)
+        if k > n // 2:
+            raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
+                              f"asked for {k}")
+        lowest_pairs, most = _lowest_pairs_sparse, n - 1
     else:
-        try:
-            evals, evecs = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dense eigendecomposition failed: {exc}") from exc
-        evals, evecs = evals[:k], evecs[:, :k]
+        lowest_pairs, most = _lowest_pairs_banded, n
+    solve_k = k
+    for _ in range(2):
+        evals, evecs = lowest_pairs(grid, H, solve_k)
+        tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
+        x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
+        solved = int(np.count_nonzero(evals < x))
+        count = count_eigenvalues_below(H, x)
+        if solved == count:
+            break
+        solve_k = min(most, max(solve_k, count) + 6)
+    else:
+        raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
+    evals, evecs = evals[:k], evecs[:, :k]
     # Uniform weights: Euclidean-orthonormal columns become w-orthonormal
     # after scaling by 1/sqrt(w).
     vecs = evecs / np.sqrt(grid.weights[0])
@@ -130,49 +162,42 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     worst = float(np.max(norms / (1.0 + np.abs(evals))))
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return SpectralData(evals.copy(), vecs, grid, potential)
+    return SpectralData(evals.copy(), vecs, grid, potential, x)
+
+
+def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator,
+                         k: int) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        evals, evecs = banded.lowest_pairs(H.bands, k, START_VECTOR_SEED)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"banded eigensolve failed: {exc}") from exc
+    if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
+        raise SolverError("banded eigensolve produced non-finite values")
+    return evals, evecs
 
 
 def _lowest_pairs_sparse(grid: DomainGrid, H, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of the sparse torus operator, ascending.
 
-    -Laplacian_h is positive semidefinite, so sigma = min(q) - 1 lies strictly
-    below lambda_1 and H - sigma I is positive definite: the k eigenvalues
-    nearest sigma are the k lowest. Lanczos can still miss a copy of a
-    multiple eigenvalue and return a higher one in its place, so a solve is
-    accepted only when an inertia count at x finds no eigenvalue it missed.
-    x lies just above the k-th value's cluster, or just below the highest
-    computed cluster when the two meet. Otherwise the solve is repeated once
-    with more pairs, and a second miss raises SolverError.
+    -Laplacian_h is positive semidefinite and its diagonal is constant, so
+    sigma = min(q) - 1 lies strictly below lambda_1 and H - sigma I is
+    positive definite: the k eigenvalues nearest sigma are the k lowest.
     """
-    n = grid.n_nodes
-    if k > n // 2:
-        raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
-                          f"asked for {k}")
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    n = grid.n_nodes
     lap_x, lap_y = grid.laplacian
     # min(q): the diagonal of -Laplacian_h is the constant 2/hx^2 + 2/hy^2
     sigma = float(np.min(H.diagonal() - (lap_x[0, 0] + lap_y[0, 0]))) - 1.0
     inverse = LinearOperator((n, n), matvec=_symmetric_lu(H, sigma).solve, dtype=float)
     # not the constant vector: at a constant potential that is the ground state
     v0 = np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
-    solve_k = k
-    for _ in range(2):
-        try:
-            evals, evecs = eigsh(H, solve_k, sigma=sigma, which="LM", v0=v0, OPinv=inverse)
-        except ArpackError as exc:
-            raise SolverError(f"sparse shift-invert eigensolve failed: {exc}") from exc
-        order = np.argsort(evals, kind="stable")
-        evals, evecs = evals[order], evecs[:, order]
-        tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
-        x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
-        solved = int(np.count_nonzero(evals < x))
-        count = count_eigenvalues_below(H, x)
-        if solved == count:
-            return evals[:k], evecs[:, :k]
-        solve_k = min(n - 1, max(solve_k, count) + 6)
-    raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
+    try:
+        evals, evecs = eigsh(H, k, sigma=sigma, which="LM", v0=v0, OPinv=inverse)
+    except ArpackError as exc:
+        raise SolverError(f"sparse shift-invert eigensolve failed: {exc}") from exc
+    order = np.argsort(evals, kind="stable")
+    return evals[order], evecs[:, order]
 
 
 def _symmetric_lu(H, x: float):
@@ -197,11 +222,14 @@ def _symmetric_lu(H, x: float):
 
 
 def count_eigenvalues_below(H, x: float) -> int:
-    """Number of eigenvalues of the sparse symmetric H below x.
+    """Number of eigenvalues of the assembled operator H below x.
 
-    By Sylvester's law of inertia, H - xI = P L D L^T P^T has as many
+    A ``BandedOperator`` takes a Sturm count. For the sparse torus operator,
+    by Sylvester's law of inertia, H - xI = P L D L^T P^T has as many
     negative pivots in D (the diagonal of U) as H has eigenvalues below x.
     """
+    if isinstance(H, BandedOperator):
+        return banded.count_below(H.bands, x)
     return int(np.count_nonzero(_symmetric_lu(H, x).U.diagonal() < 0))
 
 
@@ -242,38 +270,32 @@ def spectrum_with_complete_cluster(
 ) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
-    Dense (1-D): doubles k until the cluster detaches from the truncation
-    boundary; at k = n the whole spectrum is visible and the cluster is
-    complete by definition, so the loop always terminates.
-
-    Sparse (torus): counts the eigenvalues below the cluster's upper edge by
-    inertia. The cluster is complete when the solve holds exactly that many
-    up to the edge and at least one pair above it. Otherwise it re-solves
-    once with k = count + 6, and raises SolverError if the two still disagree.
+    The eigenvalues below the cluster's upper edge are counted. The cluster
+    is complete when the solve holds exactly that many up to the edge and
+    either at least one pair above it or the whole spectrum. Otherwise it
+    re-solves once with k = count + 6, and raises SolverError if the two
+    still disagree. The count the solve itself made is reused when the edge
+    lies below that point and no computed eigenvalue lies within solver
+    accuracy of the edge; only then is no new count needed.
     """
-    if isinstance(grid.kind, Torus2D):
-        return _complete_cluster_by_count(grid, q, i, tol_rel, max(i + 6, k_start or 0))
-    k = min(grid.n_nodes, max(i + 6, k_start or 0))
-    while True:
-        spec = solve_spectrum(grid, q, k)
-        cluster = detect_cluster(spec, i, tol_rel)
-        if not cluster.truncated:
-            return spec, cluster
-        k = min(grid.n_nodes, 2 * k)
-
-
-def _complete_cluster_by_count(grid: DomainGrid, q: Potential, i: int, tol_rel: float,
-                               k: int) -> tuple[SpectralData, Cluster]:
+    n = grid.n_nodes
     H = assemble(grid, q)
+    k = min(n, max(i + 6, k_start or 0))
     for _ in range(2):
         spec = eigensolve(grid, H, k, potential=q)
         cluster = detect_cluster(spec, i, tol_rel)
         edge = cluster.value + cluster.tol_used
         solved = int(np.count_nonzero(spec.eigenvalues <= edge))
-        count = count_eigenvalues_below(H, edge)
-        if solved == count < k:
+        # Ritz values with orthonormal vectors lie within sqrt(K) residual
+        # norms of as many eigenvalues
+        accuracy = np.sqrt(spec.count) * RESIDUAL_TOL * (1.0 + abs(edge))
+        if edge < spec.complete_below and np.all(np.abs(spec.eigenvalues - edge) > accuracy):
+            count = solved
+        else:
+            count = count_eigenvalues_below(H, edge)
+        if solved == count and (solved < spec.count or spec.count == n):
             return spec, cluster
-        k = count + 6
+        k = min(n, count + 6)
     raise SolverError(f"{count} eigenvalues lie below {edge:.12g}, the solve of {spec.count} "
                       f"pairs holds {solved}")
 

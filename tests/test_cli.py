@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from specpot import cli
 from specpot.cli import main
 from specpot.config import get_float, get_floats, parse_config_text, validate_schema
-from specpot.errors import ConfigError
+from specpot.errors import ConfigError, SolverError
 
 CIRCLE_DOMAIN = """\
 [domain]
@@ -123,6 +124,15 @@ class TestSpectrumCommand:
             assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"m{modes}")]) == code
         assert "at most n // 2 = 32" in capsys.readouterr().err
 
+    def test_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing_solve(grid, q, k):
+            raise SolverError("eigenpair residual inf exceeds 1e-08")
+
+        monkeypatch.setattr(cli, "solve_spectrum", failing_solve)
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "solver error: eigenpair residual inf" in capsys.readouterr().err
+
 
 class TestDerivativeCommand:
     def test_degenerate_pair(self, tmp_path):
@@ -150,6 +160,13 @@ class TestDerivativeCommand:
         payload = load_report(out)["payload"]
         assert payload["multiplicity"] == 4
         assert payload["branch_rule"].startswith("sorted-extension")
+
+    def test_non_positive_fd_step_rejected(self, tmp_path, capsys):
+        for step in ("0", "-1e-4"):
+            cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                            f"\n[task]\nindex=2\ndirection=fourier\ncoeffs=0,1\nfd_step={step}\n")
+            assert main(["derivative", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "fd_step must be positive" in capsys.readouterr().err
 
 
 class TestCriticalityCommand:
@@ -192,6 +209,14 @@ class TestCriticalityCommand:
                         "\n[task]\nindex=27\nprobes=4\n\n[output]\nseed=5\n")
         assert main(["criticality", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "asked for 33" in capsys.readouterr().err
+
+    def test_non_positive_probes_rejected(self, tmp_path, capsys):
+        for command, task in (("criticality", "index=2"), ("gap", "index=1\njindex=2")):
+            for probes in (0, -3):
+                cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                                f"\n[task]\n{task}\nprobes={probes}\n\n[output]\nseed=5\n")
+                assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+                assert "probes must be a positive integer" in capsys.readouterr().err
 
 
 class TestGapCommand:

@@ -39,10 +39,8 @@ def rel_err(a, b):
 
 
 def dense_laplacian(g):
-    """-Laplacian_h as a dense matrix. The torus stores only its per-axis
-    factors, so its matrix is the operator assembled at q = 0."""
-    if g.ndim == 1:
-        return g.laplacian
+    """-Laplacian_h as a dense matrix. The grids store only bands (1-D) or
+    per-axis factors (torus), so the matrix is the operator assembled at q = 0."""
     return assemble(g, Potential.zero(g)).toarray()
 
 
@@ -97,6 +95,15 @@ class TestBuildGrid:
         assert g.laplacian[0, 0, 0] == pytest.approx(2.0 / hx**2)
         assert g.laplacian[1, 0, 0] == pytest.approx(2.0 / hy**2)
 
+    def test_one_d_stores_bands(self):
+        for kind, bc, wrap in ((Circle(), BoundaryCondition.CLOSED, -1.0),
+                               (Interval(), BoundaryCondition.DIRICHLET, 0.0)):
+            g = build_grid(kind, 4096, bc)
+            assert g.laplacian.shape == (2, 4096)
+            assert g.laplacian.nbytes == 2 * 4096 * 8
+            h = g.spacing[0]
+            assert g.laplacian[1, -1] * h**2 == wrap
+
 
 class TestLaplacian:
     def test_symmetric(self, circle_grid, dirichlet_grid, neumann_grid, torus_grid):
@@ -116,13 +123,13 @@ class TestLaplacian:
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_circle_closed_form_spectrum(self, circle_grid):
-        lam = np.linalg.eigvalsh(circle_grid.laplacian)
+        lam = np.linalg.eigvalsh(dense_laplacian(circle_grid))
         exact = circle_fd_eigs(256, 2 * np.pi)
         assert np.max(rel_err(lam, exact)) <= 1e-9
 
     def test_interval_closed_form_spectra(self, dirichlet_grid, neumann_grid):
         for g, bc in ((dirichlet_grid, "dirichlet"), (neumann_grid, "neumann")):
-            lam = np.linalg.eigvalsh(g.laplacian)
+            lam = np.linalg.eigvalsh(dense_laplacian(g))
             exact = interval_fd_eigs(256, np.pi, bc)
             assert np.max(rel_err(lam, exact)) <= 1e-9
 
@@ -142,16 +149,17 @@ class TestLaplacian:
             assert np.linalg.eigvalsh(lap)[0] >= -1e-10
 
     def test_dirichlet_positive_definite(self, dirichlet_grid):
-        assert np.linalg.eigvalsh(dirichlet_grid.laplacian)[0] > 0.5
+        assert np.linalg.eigvalsh(dense_laplacian(dirichlet_grid))[0] > 0.5
 
     def test_neumann_stencil_rows_sum_zero(self):
         # smallest allowed grid: the boundary rows are (1, -1)/h^2
         g = build_grid(Interval(np.pi), 8, BoundaryCondition.NEUMANN)
-        assert g.laplacian.shape == (8, 8)
-        assert np.max(np.abs(g.laplacian.sum(axis=1))) == 0.0
+        lap = dense_laplacian(g)
+        assert lap.shape == (8, 8)
+        assert np.max(np.abs(lap.sum(axis=1))) == 0.0
         h = g.spacing[0]
-        assert g.laplacian[0, 0] == pytest.approx(1.0 / h**2)
-        assert g.laplacian[0, 1] == pytest.approx(-1.0 / h**2)
+        assert lap[0, 0] == pytest.approx(1.0 / h**2)
+        assert lap[0, 1] == pytest.approx(-1.0 / h**2)
 
 
 class TestMeanValue:

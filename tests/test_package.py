@@ -8,13 +8,16 @@ import specpot
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Importing scipy costs a process ~0.35 s and ~30 MB of RSS; only the torus
-# needs it, so the 1-D commands must run without loading it.
+# needs it, so the 1-D commands must run without loading it, lazy imports
+# inside the banded solver included.
 ONE_D_RUN = """
 import sys, tempfile
 from pathlib import Path
+import numpy as np
 import specpot.cli
-from specpot.domain import BoundaryCondition, Interval, Potential, build_grid
-from specpot.spectral import solve_spectrum
+from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
+from specpot.optimize import ConstraintSpec, ObjectiveSpec, Schedule, run_optimizer
+from specpot.spectral import solve_spectrum, spectrum_with_complete_cluster
 
 with tempfile.TemporaryDirectory() as tmp:
     cfg = Path(tmp) / "run.cfg"
@@ -22,6 +25,15 @@ with tempfile.TemporaryDirectory() as tmp:
     assert specpot.cli.main(["verify", "--config", str(cfg), "--out", tmp]) == 0
 grid = build_grid(Interval(), 64, BoundaryCondition.DIRICHLET)
 solve_spectrum(grid, Potential.zero(grid), 4)
+for kind, bc in ((Circle(), "closed"), (Interval(), "neumann"), (Interval(), "dirichlet")):
+    grid = build_grid(kind, 64, bc)
+    q = Potential.from_values(grid, np.cos(3.0 * np.arange(64) / 64))
+    spectrum_with_complete_cluster(grid, q, 2)
+# one ascent step of the thm11 path
+grid = build_grid(Circle(), 64, "closed")
+q0 = Potential.from_values(grid, 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64))
+run_optimizer(grid, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 1.0), q0,
+              Schedule("polyak", target=0.0), max_iters=1, cert_every=0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -23,7 +23,7 @@ def rel_err(a, b):
 class TestAssemble:
     def test_zero_potential(self, circle_grid):
         H = assemble(circle_grid, Potential.zero(circle_grid))
-        assert np.array_equal(H, circle_grid.laplacian)
+        assert np.array_equal(H.bands, circle_grid.laplacian)
 
     def test_constant_shift(self, circle_grid):
         c = 1.3
@@ -34,7 +34,8 @@ class TestAssemble:
     def test_symmetry(self, circle_grid):
         rng = np.random.default_rng(0)
         H = assemble(circle_grid, Potential.from_values(circle_grid, rng.standard_normal(256)))
-        assert np.array_equal(H, H.T)
+        dense = H.toarray()
+        assert np.array_equal(dense, dense.T)
 
 
 class TestEigensolve:
@@ -206,6 +207,22 @@ class TestTorusSparse:
         assert solve_spectrum(torus_grid, q, 128).count == 128
         with pytest.raises(ConfigError, match="at most n // 2 = 128"):
             solve_spectrum(torus_grid, q, 129)
+
+    def test_edge_count_reuses_solve_count(self, monkeypatch):
+        # one factorization at sigma for the solve, one for its top-cluster
+        # count; the cluster's edge lies below that count, so none for it
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 32, BoundaryCondition.CLOSED)
+        factorizations = []
+        lu = spectral._symmetric_lu
+
+        def counted(H, x):
+            factorizations.append(x)
+            return lu(H, x)
+
+        monkeypatch.setattr(spectral, "_symmetric_lu", counted)
+        spec, cluster = spectrum_with_complete_cluster(g, Potential.constant(g, 0.3), 2)
+        assert (cluster.first_index, cluster.multiplicity) == (2, 4)
+        assert len(factorizations) == 2
 
     def test_count_disagreement_raises(self, torus_grid, monkeypatch):
         # an eigenvalue the solve never finds is an error, not a smaller cluster
