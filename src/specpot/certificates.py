@@ -35,7 +35,6 @@ from .perturbation import (
     mixed_probe_suite,
 )
 from .spectral import (
-    CLUSTER_TOL_REL,
     Cluster,
     SpectralData,
     detect_cluster,
@@ -150,8 +149,9 @@ def _decide(A: np.ndarray, b: np.ndarray,
 def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertificate:
     """Decide whether 1 lies in the sum-of-squares cone of the cluster's
     eigenspace, returning a psd Gram witness or a separating direction."""
-    if cluster.truncated:
-        raise IncompleteClusterError("cluster is truncated; re-solve with larger k")
+    if not cluster.complete:
+        raise IncompleteClusterError(
+            f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
     F = spec.basis(cluster)
     m = cluster.multiplicity
     A = _basis_rows(F)
@@ -211,8 +211,8 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
 def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) -> GapCertificate:
     """Decide whether the sum-of-squares cones of two eigenspaces intersect
     nontrivially (pointwise-equal psd Gram forms, i-side trace normalized)."""
-    if cluster_i.truncated or cluster_j.truncated:
-        raise IncompleteClusterError("clusters must be complete; re-solve with larger k")
+    if not (cluster_i.complete and cluster_j.complete):
+        raise IncompleteClusterError("a gap cluster is not proven complete by an eigenvalue count")
     if cluster_i.first_index == cluster_j.first_index:
         # Equal eigenvalues: the gap vanishes identically and the shared
         # eigenspace intersects itself; no solve needed.
@@ -309,12 +309,11 @@ class CriticalityReport:
 
 
 def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
-                            seed: int = 0, tol_rel: float = CLUSTER_TOL_REL) -> CriticalityReport:
+                            seed: int = 0) -> CriticalityReport:
     """Combine cluster structure, the cone certificate, a randomized probe
-    suite and, when feasible, the recovered potential into one record."""
-    cluster = detect_cluster(spec, i, tol_rel)
-    if cluster.truncated:
-        raise IncompleteClusterError("cluster is truncated; re-solve with larger k")
+    suite and, when feasible, the recovered potential into one record;
+    IncompleteClusterError when the cluster is not proven complete."""
+    cluster = detect_cluster(spec, i)
     r = cluster.rank_of(i)
     m = cluster.multiplicity
     if m == 1:
@@ -329,7 +328,7 @@ def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
 
     cert = criticality_certificate(spec, cluster)
     suite = mixed_probe_suite(spec.grid, probes, seed)
-    critical_count = sum(1 for u in suite if is_critical_probe(spec, i, u, tol_rel))
+    critical_count = sum(1 for u in suite if is_critical_probe(spec, i, u))
 
     frame_residual = None
     recovered_deviation = None

@@ -14,7 +14,7 @@ class DegenerateGapError(ValueError):
 
 
 class IncompleteClusterError(RuntimeError):
-    """An eigenvalue cluster touches the truncation boundary; re-solve with larger K."""
+    """An eigenvalue cluster is not proven complete by an eigenvalue count."""
 
 
 class SolverError(RuntimeError):

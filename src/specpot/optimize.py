@@ -26,7 +26,6 @@ from .perturbation import (
     one_sided_derivatives,
 )
 from .spectral import (
-    CLUSTER_TOL_REL,
     SpectralData,
     detect_cluster,
     solve_spectrum,
@@ -184,11 +183,11 @@ def _objective_value(spec: SpectralData, objective: ObjectiveSpec) -> float:
     return spec.eigenvalue(objective.j) - spec.eigenvalue(objective.i)
 
 
-def _branch_function(spec: SpectralData, i: int, tol_rel: float) -> np.ndarray:
+def _branch_function(spec: SpectralData, i: int) -> np.ndarray:
     """Eigenfunction whose squared density drives the governing branch at i:
     the eigenvector itself when simple, otherwise one fixed-point pass through
     the cluster matrix of the candidate direction."""
-    cluster = detect_cluster(spec, i, tol_rel)
+    cluster = detect_cluster(spec, i)
     if cluster.multiplicity == 1:
         return spec.eigenvector(i)
     F = spec.basis(cluster)
@@ -199,15 +198,14 @@ def _branch_function(spec: SpectralData, i: int, tol_rel: float) -> np.ndarray:
     return F @ vecs[:, cluster.rank_of(i)]
 
 
-def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec,
-                          tol_rel: float = CLUSTER_TOL_REL) -> ProbeDirection:
+def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec) -> ProbeDirection:
     """Mean-zero ascent direction for the objective (not normalized: its
     magnitude vanishes as the run approaches a smooth critical point)."""
     if objective.target == "eigenvalue":
-        f = _branch_function(spec, objective.i, tol_rel)
+        f = _branch_function(spec, objective.i)
         return make_direction(spec.grid, f**2)
-    f = _branch_function(spec, objective.i, tol_rel)
-    g = _branch_function(spec, objective.j, tol_rel)
+    f = _branch_function(spec, objective.i)
+    g = _branch_function(spec, objective.j)
     return make_direction(spec.grid, g**2 - f**2)
 
 
@@ -227,14 +225,9 @@ def _step_size(schedule: Schedule, t: int, objective_value: float,
     return float(step)
 
 
-def _gap_merged(spec: SpectralData, objective: ObjectiveSpec, tol_rel: float) -> bool:
-    ci = detect_cluster(spec, objective.i, tol_rel)
-    return ci.contains(objective.j)
-
-
 def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: ConstraintSpec,
                   q0: Potential, schedule: Schedule | None = None, max_iters: int = 500, *,
-                  tol_rel: float = CLUSTER_TOL_REL, cert_every: int = 25) -> OptimizeResult:
+                  cert_every: int = 25) -> OptimizeResult:
     """Projected subgradient iteration with certificate-based stopping.
 
     Stops on max_iters, on objective stagnation, on a feasible criticality
@@ -249,14 +242,12 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     elif schedule.kind != "polyak" and schedule.s0 is None:
         schedule = Schedule(schedule.kind, s0=0.1 * constraint.bound_B, target=schedule.target)
 
-    k_needed = objective.top_index + 6
     log = IterateLog()
     stop_reason = "max_iters"
     aborted = False
 
     def solve(pot: Potential) -> SpectralData:
-        spec, _ = spectrum_with_complete_cluster(grid, pot, objective.top_index,
-                                                 tol_rel, k_start=k_needed)
+        spec, _ = spectrum_with_complete_cluster(grid, pot, objective.top_index)
         return spec
 
     try:
@@ -268,14 +259,14 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     last_step = 0.0
     it = 0
     for it in range(1, max_iters + 1):
-        mult = detect_cluster(spec, objective.i, tol_rel).multiplicity
+        mult = detect_cluster(spec, objective.i).multiplicity
         cert_residual = None
-        if objective.target == "gap" and _gap_merged(spec, objective, tol_rel):
+        if objective.target == "gap" and detect_cluster(spec, objective.i).contains(objective.j):
             log.append(_record(grid, constraint, it, obj, last_step, mult, None, q))
             stop_reason = "gap_degenerate"
             break
         if cert_every and it % cert_every == 0:
-            feasible, cert_residual = _certificate_stop(spec, objective, tol_rel)
+            feasible, cert_residual = _certificate_stop(spec, objective)
             if feasible:
                 log.append(_record(grid, constraint, it, obj, last_step, mult, cert_residual, q))
                 stop_reason = "certificate"
@@ -290,7 +281,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 break
 
         try:
-            direction = subgradient_direction(spec, objective, tol_rel)
+            direction = subgradient_direction(spec, objective)
         except DegenerateGapError:
             stop_reason = "gap_degenerate"
             break
@@ -302,9 +293,9 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             stop_reason = "stagnation"
             break
 
-        simple_here = detect_cluster(spec, objective.i, tol_rel).multiplicity == 1 and (
+        simple_here = detect_cluster(spec, objective.i).multiplicity == 1 and (
             objective.target == "eigenvalue"
-            or detect_cluster(spec, objective.j, tol_rel).multiplicity == 1
+            or detect_cluster(spec, objective.j).multiplicity == 1
         )
         accepted = False
         for _halving in range(9):
@@ -333,7 +324,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     else:
         it = max_iters
 
-    final_mult = detect_cluster(spec, objective.i, tol_rel).multiplicity
+    final_mult = detect_cluster(spec, objective.i).multiplicity
     log.append(_record(grid, constraint, it + 1, obj, last_step, final_mult, None, q))
     return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint), aborted)
 
@@ -354,18 +345,17 @@ def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
     return float(np.mean(np.abs(np.abs(q.values) - constraint.bound_B) <= 1e-9))
 
 
-def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec,
-                      tol_rel: float) -> tuple[bool, float | None]:
+def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec) -> tuple[bool, float | None]:
     """Certificate decision at the current cluster: (feasible, residual).
     Residual is None only when the attempt is not applicable."""
-    ci = detect_cluster(spec, objective.i, tol_rel)
-    if ci.truncated:
+    ci = detect_cluster(spec, objective.i)
+    if not ci.complete:
         return False, None
     if objective.target == "eigenvalue":
         cert = criticality_certificate(spec, ci)
     else:
-        cj = detect_cluster(spec, objective.j, tol_rel)
-        if cj.truncated:
+        cj = detect_cluster(spec, objective.j)
+        if not cj.complete:
             return False, None
         cert = gap_certificate(spec, ci, cj)
     return cert.status is CertificateStatus.FEASIBLE, cert.residual
@@ -384,7 +374,7 @@ class RefuteResult:
 
 
 def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int = 200,
-                     seed: int = 0, *, tol_rel: float = CLUSTER_TOL_REL) -> RefuteResult:
+                     seed: int = 0) -> RefuteResult:
     """Search for a strict one-sided descent direction of lambda_i at q.
 
     Tries the certificate's separating direction first, then a randomized
@@ -393,7 +383,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
     """
     if i < 2:
         raise ValueError("refutation targets indices i >= 2")
-    spec, cluster = spectrum_with_complete_cluster(grid, q, i, tol_rel)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     tried = 0
 
     def confirmed_descent(u: ProbeDirection, derivative: float) -> RefuteResult | None:
@@ -405,7 +395,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
     if cert.status is CertificateStatus.INFEASIBLE:
         u = make_direction(grid, -cert.separating_direction.values, normalize=True)
         tried += 1
-        d = one_sided_derivatives(spec, i, u, tol_rel)
+        d = one_sided_derivatives(spec, i, u)
         if d.right < -DESCENT_THRESHOLD:
             res = confirmed_descent(u, d.right)
             if res:
@@ -413,7 +403,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
 
     for u in mixed_probe_suite(grid, probe_budget, seed):
         tried += 1
-        d = one_sided_derivatives(spec, i, u, tol_rel)
+        d = one_sided_derivatives(spec, i, u)
         if d.right < -DESCENT_THRESHOLD:
             res = confirmed_descent(u, d.right)
             if res:
@@ -437,7 +427,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
                     continue
                 u = make_direction(grid, candidate_values, normalize=True)
                 tried += 1
-                d = one_sided_derivatives(spec, i, u, tol_rel)
+                d = one_sided_derivatives(spec, i, u)
                 if d.right < -DESCENT_THRESHOLD:
                     res = confirmed_descent(u, d.right)
                     if res:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import Circle, DomainGrid, Potential, Torus2D, fourier_mode, project_mean_zero
 from .errors import DegenerateGapError, IncompleteClusterError
-from .spectral import CLUSTER_TOL_REL, Cluster, SpectralData, detect_cluster, solve_spectrum
+from .spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 SIGN_PRODUCT_TOL = 1e-12
 
@@ -78,20 +78,18 @@ def make_direction(grid: DomainGrid, values, normalize: bool = False) -> ProbeDi
 
 def cluster_matrix(spec: SpectralData, cluster: Cluster, u: ProbeDirection) -> ClusterDerivativeMatrix:
     """Restricted multiplication-by-u matrix on the cluster's eigenspace."""
-    if cluster.truncated:
+    if not cluster.complete:
         raise IncompleteClusterError(
-            f"cluster at {cluster.first_index} is truncated; re-solve with larger k"
-        )
+            f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
     F = spec.basis(cluster)
     weighted = F * (spec.grid.weights * u.values)[:, None]
     M = weighted.T @ F
     return ClusterDerivativeMatrix((M + M.T) / 2.0, cluster, u)
 
 
-def one_sided_derivatives(spec: SpectralData, i: int, u: ProbeDirection,
-                          tol_rel: float = CLUSTER_TOL_REL) -> DirectionalDerivative:
+def one_sided_derivatives(spec: SpectralData, i: int, u: ProbeDirection) -> DirectionalDerivative:
     """Left/right derivatives of t -> lambda_i(q + t*u) at t = 0."""
-    cluster = detect_cluster(spec, i, tol_rel)
+    cluster = detect_cluster(spec, i)
     if cluster.multiplicity == 1:
         f = spec.eigenvector(i)
         d = spec.grid.inner(u.values * f, f)
@@ -102,14 +100,13 @@ def one_sided_derivatives(spec: SpectralData, i: int, u: ProbeDirection,
     return DirectionalDerivative(left=float(slopes[m - 1 - r]), right=float(slopes[r]))
 
 
-def is_critical_probe(spec: SpectralData, i: int, u: ProbeDirection,
-                      tol_rel: float = CLUSTER_TOL_REL) -> bool:
+def is_critical_probe(spec: SpectralData, i: int, u: ProbeDirection) -> bool:
     """True when the one-sided derivatives have opposite signs (or vanish)."""
-    return one_sided_derivatives(spec, i, u, tol_rel).opposite_signs
+    return one_sided_derivatives(spec, i, u).opposite_signs
 
 
-def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int, u: ProbeDirection,
-                              tol_rel: float = CLUSTER_TOL_REL) -> DirectionalDerivative:
+def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int,
+                              u: ProbeDirection) -> DirectionalDerivative:
     """One-sided derivatives of the gap lambda_j - lambda_i along u.
 
     Both indices get their sorted-branch one-sided derivatives independently
@@ -119,14 +116,14 @@ def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int, u: ProbeDirect
     """
     if i == j:
         raise DegenerateGapError("gap requires two distinct indices")
-    ci = detect_cluster(spec, i, tol_rel)
-    cj = detect_cluster(spec, j, tol_rel)
+    ci = detect_cluster(spec, i)
+    cj = detect_cluster(spec, j)
     if ci.first_index == cj.first_index:
         raise DegenerateGapError(
             f"indices {i} and {j} share one eigenvalue cluster (gap is identically zero there)"
         )
-    di = one_sided_derivatives(spec, i, u, tol_rel)
-    dj = one_sided_derivatives(spec, j, u, tol_rel)
+    di = one_sided_derivatives(spec, i, u)
+    dj = one_sided_derivatives(spec, j, u)
     return DirectionalDerivative(left=dj.left - di.left, right=dj.right - di.right)
 
 

@@ -8,18 +8,21 @@ are computed, from a fixed start so that solves repeat bit for bit:
   steps below the spectrum, then block inverse iteration at the Ritz values,
   all through odd-even reduction (see ``banded``).
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
-  (ARPACK) below the spectrum; scipy is imported only there.
+  (ARPACK) below the spectrum, or by shift-invert block iteration when that
+  misses an eigenvalue; scipy is imported only there.
 
 Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
 an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
-no eigenvalue below the top computed cluster may be missing. The cluster an
-index belongs to is proven complete the same way, by counting the
-eigenvalues below its upper edge. Eigenvectors are returned orthonormal in
+no eigenvalue below the top computed cluster may be missing. A cluster is
+complete only when such a count covers its upper edge (``Cluster.complete``);
+there is no other completeness rule. Eigenvectors are returned orthonormal in
 the weighted inner product <f, g>_w of the grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .errors import ConfigError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
 RESIDUAL_TOL = 1e-8
+MAX_BLOCK_STEPS = 200   # shift-invert block steps of a torus re-solve
 START_VECTOR_SEED = 0   # start block in 1-D, ARPACK start vector on the torus
 
 
@@ -46,8 +50,8 @@ class SpectralData:
     eigenvectors: np.ndarray  # (n, K)
     grid: DomainGrid
     potential: Potential | None
-    # every eigenvalue below this point is among the computed ones, as an
-    # eigenvalue count showed; -inf when nothing was counted
+    # every eigenvalue of the operator below this point is among the returned
+    # ones, as an eigenvalue count showed; -inf when nothing was counted
     complete_below: float = -np.inf
 
     @property
@@ -80,7 +84,7 @@ class Cluster:
     multiplicity: int
     value: float
     tol_used: float
-    truncated: bool
+    complete: bool        # an eigenvalue count proved no member is missing
 
     @property
     def last_index(self) -> int:
@@ -123,8 +127,9 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     in its place, so it is accepted only when an eigenvalue count at x finds
     no eigenvalue it missed. x lies just above the k-th value's cluster, or
     just below the highest computed cluster when the two meet. Otherwise the
-    solve is repeated once with more pairs, and a second miss raises
-    SolverError.
+    solve is repeated once with more pairs, on the torus by block iteration,
+    and a second miss raises SolverError. ``complete_below`` is x, or the
+    first pair a re-solve computed beyond the k returned when that is lower.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -135,11 +140,11 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         if k > n // 2:
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
                               f"asked for {k}")
-        lowest_pairs, most = _lowest_pairs_sparse, n - 1
+        solvers, most = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True)), n - 1
     else:
-        lowest_pairs, most = _lowest_pairs_banded, n
+        solvers, most = (_lowest_pairs_banded, _lowest_pairs_banded), n
     solve_k = k
-    for _ in range(2):
+    for lowest_pairs in solvers:
         evals, evecs = lowest_pairs(grid, H, solve_k)
         tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
         x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
@@ -150,6 +155,8 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         solve_k = min(most, max(solve_k, count) + 6)
     else:
         raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
+    if len(evals) > k:
+        x = min(x, evals[k])
     evals, evecs = evals[:k], evecs[:, :k]
     # Uniform weights: Euclidean-orthonormal columns become w-orthonormal
     # after scaling by 1/sqrt(w).
@@ -176,12 +183,17 @@ def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator,
     return evals, evecs
 
 
-def _lowest_pairs_sparse(grid: DomainGrid, H, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
+                         block: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of the sparse torus operator, ascending.
 
     -Laplacian_h is positive semidefinite and its diagonal is constant, so
     sigma = min(q) - 1 lies strictly below lambda_1 and H - sigma I is
     positive definite: the k eigenvalues nearest sigma are the k lowest.
+    Lanczos (ARPACK) from one start vector finds extra copies of a multiple
+    eigenvalue only through rounding; ``block`` takes subspace iteration on
+    min(n, 2k) columns instead, which holds every copy (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 14), until the k residuals converge.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -189,9 +201,21 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int) -> tuple[np.ndarray, np.nd
     lap_x, lap_y = grid.laplacian
     # min(q): the diagonal of -Laplacian_h is the constant 2/hx^2 + 2/hy^2
     sigma = float(np.min(H.diagonal() - (lap_x[0, 0] + lap_y[0, 0]))) - 1.0
-    inverse = LinearOperator((n, n), matvec=_symmetric_lu(H, sigma).solve, dtype=float)
+    lu = _symmetric_lu(H, sigma)
+    rng = np.random.default_rng(START_VECTOR_SEED)
+    if block:
+        basis = rng.standard_normal((n, min(n, 2 * k)))
+        for _ in range(MAX_BLOCK_STEPS):
+            basis, _ = np.linalg.qr(lu.solve(basis))
+            theta, coeffs = np.linalg.eigh(basis.T @ (H @ basis))
+            theta, vecs = theta[:k], basis @ coeffs[:, :k]
+            residuals = np.linalg.norm(H @ vecs - vecs * theta, axis=0)
+            if np.all(residuals <= banded.CONVERGED_REL * (1.0 + np.abs(theta))):
+                break
+        return theta, vecs
+    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # not the constant vector: at a constant potential that is the ground state
-    v0 = np.random.default_rng(START_VECTOR_SEED).standard_normal(n)
+    v0 = rng.standard_normal(n)
     try:
         evals, evecs = eigsh(H, k, sigma=sigma, which="LM", v0=v0, OPinv=inverse)
     except ArpackError as exc:
@@ -238,66 +262,55 @@ def solve_spectrum(grid: DomainGrid, q: Potential, k: int) -> SpectralData:
     return eigensolve(grid, assemble(grid, q), k, potential=q)
 
 
-def detect_cluster(spec: SpectralData, i: int, tol_rel: float = CLUSTER_TOL_REL) -> Cluster:
-    """Cluster of eigenvalues within tol_rel*(1+|lambda_i|) of lambda_i.
+def detect_cluster(spec: SpectralData, i: int) -> Cluster:
+    """Cluster of eigenvalues within CLUSTER_TOL_REL * (1 + |lambda_i|) of lambda_i.
 
-    The cluster is flagged truncated when it reaches the last computed
-    eigenvalue while more of the spectrum exists; callers needing a complete
-    cluster must then re-solve with larger k.
+    It is complete when the whole spectrum was computed, or when its upper
+    edge lies below ``spec.complete_below`` and no computed eigenvalue lies
+    within solver accuracy of the edge: then the solve's eigenvalue count
+    shows that no eigenvalue up to the edge is missing.
     """
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
     spec._check_index(i)
     lam = spec.eigenvalues
     center = lam[i - 1]
-    tol = tol_rel * (1.0 + abs(center))
+    tol = CLUSTER_TOL_REL * (1.0 + abs(center))
     lo = i - 1
     while lo > 0 and abs(lam[lo - 1] - center) <= tol:
         lo -= 1
     hi = i - 1
     while hi < spec.count - 1 and abs(lam[hi + 1] - center) <= tol:
         hi += 1
-    truncated = hi == spec.count - 1 and spec.count < spec.grid.n_nodes
-    return Cluster(lo + 1, hi - lo + 1, float(center), tol, truncated)
+    edge = center + tol
+    # Ritz values with orthonormal vectors lie within sqrt(K) residual
+    # norms of as many eigenvalues; lam[hi] and lam[hi + 1] lie nearest the edge
+    accuracy = math.sqrt(spec.count) * RESIDUAL_TOL * (1.0 + abs(edge))
+    complete = spec.count == spec.grid.n_nodes or bool(
+        edge < spec.complete_below and all(abs(x - edge) > accuracy for x in lam[hi : hi + 2]))
+    return Cluster(lo + 1, hi - lo + 1, float(center), tol, complete)
 
 
-def spectrum_with_complete_cluster(
-    grid: DomainGrid,
-    q: Potential,
-    i: int,
-    tol_rel: float = CLUSTER_TOL_REL,
-    k_start: int | None = None,
-) -> tuple[SpectralData, Cluster]:
+def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential,
+                                   i: int) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
-    The eigenvalues below the cluster's upper edge are counted. The cluster
-    is complete when the solve holds exactly that many up to the edge and
-    either at least one pair above it or the whole spectrum. Otherwise it
-    re-solves once with k = count + 6, and raises SolverError if the two
-    still disagree. The count the solve itself made is reused when the edge
-    lies below that point and no computed eigenvalue lies within solver
-    accuracy of the edge; only then is no new count needed.
+    The first solve takes k = i + 6 pairs. When its cluster is not
+    ``complete``, the eigenvalues below the cluster's upper edge are counted
+    and the solve is repeated once with 6 pairs more than that count (or k);
+    SolverError when the cluster is still not proven complete.
     """
     n = grid.n_nodes
     H = assemble(grid, q)
-    k = min(n, max(i + 6, k_start or 0))
+    k = min(n, i + 6)
     for _ in range(2):
         spec = eigensolve(grid, H, k, potential=q)
-        cluster = detect_cluster(spec, i, tol_rel)
-        edge = cluster.value + cluster.tol_used
-        solved = int(np.count_nonzero(spec.eigenvalues <= edge))
-        # Ritz values with orthonormal vectors lie within sqrt(K) residual
-        # norms of as many eigenvalues
-        accuracy = np.sqrt(spec.count) * RESIDUAL_TOL * (1.0 + abs(edge))
-        if edge < spec.complete_below and np.all(np.abs(spec.eigenvalues - edge) > accuracy):
-            count = solved
-        else:
-            count = count_eigenvalues_below(H, edge)
-        if solved == count and (solved < spec.count or spec.count == n):
+        cluster = detect_cluster(spec, i)
+        if cluster.complete:
             return spec, cluster
-        k = min(n, count + 6)
-    raise SolverError(f"{count} eigenvalues lie below {edge:.12g}, the solve of {spec.count} "
-                      f"pairs holds {solved}")
+        edge = cluster.value + cluster.tol_used
+        count = count_eigenvalues_below(H, edge)
+        k = min(n, max(k, count) + 6)
+    raise SolverError(f"{count} eigenvalues lie below {edge:.12g}; a solve of {spec.count} "
+                      f"pairs does not prove the cluster of index {i} complete")
 
 
 def discrete_gradient(grid: DomainGrid, f) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_banded_matches_dense(domain, n, potential, seed, i, x_frac):
     assert_matches(spec, oracle)
 
     dense_cluster = detect_cluster(oracle, i)
-    assert not cluster.truncated
+    assert cluster.complete
     assert (cluster.first_index, cluster.multiplicity) == (
         dense_cluster.first_index, dense_cluster.multiplicity)
     assert (criticality_certificate(spec, cluster).status
@@ -131,15 +131,26 @@ def test_any_k_matches_dense(domain, n, potential, seed, k_frac):
     k = 1 + int(k_frac * (n - 1))
     spec = eigensolve(grid, assemble(grid, q), k, potential=q)
     assert spec.count == k
-    assert_matches(spec, dense_oracle(grid, q))
+    oracle = dense_oracle(grid, q)
+    assert_matches(spec, oracle)
+    for i in range(1, k + 1):
+        # a cluster proven complete is the whole dense cluster
+        cluster, dense = detect_cluster(spec, i), detect_cluster(oracle, i)
+        assert not cluster.complete or (cluster.first_index, cluster.multiplicity) == (
+            dense.first_index, dense.multiplicity)
 
 
 def test_missed_copy_recovered(monkeypatch):
     # a first solve that loses one copy of the double eigenvalue 1 of the
-    # circle returns 0, 1, 4, 4, 9; the Sturm count below its top cluster
-    # finds five eigenvalues where it holds four, and the re-solve recovers
+    # circle returns 0, 1, 4, 4, 9 at k = 5; the Sturm count below its top
+    # cluster finds five eigenvalues where it holds four, and the re-solve
+    # recovers. At k = 4 the re-solve takes 10 pairs, and its count covers
+    # both copies of the double eigenvalue 4 while only the first is kept:
+    # the dropped copy bounds complete_below, so cluster 4 is not proven
+    # complete.
     grid = build_grid(Circle(2.0 * np.pi), 128, BoundaryCondition.CLOSED)
     q = Potential.zero(grid)
+    oracle = dense_oracle(grid, q)
     solve = spectral._lowest_pairs_banded
     calls = []
 
@@ -152,6 +163,10 @@ def test_missed_copy_recovered(monkeypatch):
         return evals[keep], evecs[:, keep]
 
     monkeypatch.setattr(spectral, "_lowest_pairs_banded", lossy)
-    spec = eigensolve(grid, assemble(grid, q), 5, potential=q)
-    assert calls == [5, 11]
-    assert_matches(spec, dense_oracle(grid, q))
+    for k, solves in ((5, [5, 11]), (4, [4, 10])):
+        calls.clear()
+        spec = eigensolve(grid, assemble(grid, q), k, potential=q)
+        assert calls == solves
+        assert_matches(spec, oracle)
+        assert oracle.eigenvalues[k] >= spec.complete_below
+    assert not detect_cluster(spec, 4).complete

@@ -10,8 +10,8 @@ from specpot.certificates import (
     separating_direction,
 )
 from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
-from specpot.errors import SeparationError
-from specpot.perturbation import is_critical_probe, mixed_probe_suite
+from specpot.errors import IncompleteClusterError, SeparationError
+from specpot.perturbation import is_critical_probe, mixed_probe_suite, one_sided_derivatives
 from specpot.spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 
@@ -206,7 +206,7 @@ def _sign_indefinite_spec():
     h = 0.8 * np.cos(grid.coords) + 0.3 * np.sin(2 * grid.coords)
     F = np.column_stack([np.ones(64), np.sqrt(1 + h**2), h])
     spec = SpectralData(np.array([0.0, 1.0, 1.0]), F, grid, None)
-    return spec, Cluster(1, 1, 0.0, 1e-6, False), Cluster(2, 2, 1.0, 1e-6, False)
+    return spec, Cluster(1, 1, 0.0, 1e-6, True), Cluster(2, 2, 1.0, 1e-6, True)
 
 
 class TestDualCandidate:
@@ -268,3 +268,20 @@ class TestFullReport:
         assert cert.status is CertificateStatus.FEASIBLE
         for u in mixed_probe_suite(circle_grid, 30, 9):
             assert is_critical_probe(spec, 2, u)
+
+
+def test_unproven_cluster_refused(circle_grid):
+    # 3 pairs end in the double eigenvalue 1, so no count covers its cluster:
+    # every operation on that eigenspace refuses it
+    spec = solve_spectrum(circle_grid, Potential.zero(circle_grid), 3)
+    cluster = detect_cluster(spec, 3)
+    assert not cluster.complete
+    u = mixed_probe_suite(circle_grid, 1, 0)[0]
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        criticality_certificate(spec, cluster)
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        gap_certificate(spec, detect_cluster(spec, 1), cluster)
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        full_criticality_report(spec, 2, probes=5)
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        one_sided_derivatives(spec, 2, u)

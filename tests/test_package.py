@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +43,17 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_public_names_resolve():
     missing = [name for name in specpot.__all__ if not hasattr(specpot, name)]
     assert missing == []
+
+
+def test_no_cluster_tolerance_or_start_knobs():
+    # the cluster tolerance is the constant CLUSTER_TOL_REL, the first solve
+    # takes i + 6 pairs, and only an eigenvalue count makes a cluster complete
+    knobs = [f"{name}({param})" for name in specpot.__all__
+             if callable(getattr(specpot, name))
+             for param in inspect.signature(getattr(specpot, name)).parameters
+             if param in ("tol_rel", "k_start")]
+    assert knobs == []
+    assert "truncated" not in {f.name for f in dataclasses.fields(specpot.Cluster)}
 
 
 def test_one_d_commands_load_no_scipy():

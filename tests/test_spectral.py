@@ -137,10 +137,10 @@ class TestEigensolve:
 
 class TestDetectCluster:
     def test_circle_double(self, circle_zero_spec):
-        cl = detect_cluster(circle_zero_spec, 2, 1e-6)
+        cl = detect_cluster(circle_zero_spec, 2)
         assert (cl.first_index, cl.multiplicity) == (2, 2)
-        assert not cl.truncated
-        cl3 = detect_cluster(circle_zero_spec, 3, 1e-6)
+        assert cl.complete
+        cl3 = detect_cluster(circle_zero_spec, 3)
         assert (cl3.first_index, cl3.multiplicity) == (2, 2)
 
     def test_simple_ground_state(self, dirichlet_zero_spec):
@@ -148,28 +148,39 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (1, 1)
 
     def test_truncation_flag(self, circle_grid):
+        # the double eigenvalue 1 fills pairs 2 and 3, the last computed; the
+        # solve's count stops below it, so nothing rules out a third copy
         spec = solve_spectrum(circle_grid, Potential.zero(circle_grid), 3)
         cl = detect_cluster(spec, 3)
-        assert cl.truncated
+        assert not cl.complete
 
-    def test_bad_tol(self, circle_zero_spec):
-        with pytest.raises(ValueError):
-            detect_cluster(circle_zero_spec, 2, tol_rel=0.0)
+    def test_complete_cluster_resolve(self, monkeypatch):
+        # the 8-fold cluster 14..21 of the zero potential on the 16 x 16
+        # square torus does not fit in the first solve's 20 pairs; the count
+        # at its edge finds 21 eigenvalues and the re-solve takes 27
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
+        ks = []
+        solve = spectral.eigensolve
 
-    def test_complete_cluster_resolve(self, circle_grid):
-        spec, cl = spectrum_with_complete_cluster(circle_grid, Potential.zero(circle_grid), 3,
-                                                  k_start=3)
-        assert not cl.truncated
-        assert (cl.first_index, cl.multiplicity) == (2, 2)
+        def counted(grid, H, k, potential=None):
+            ks.append(k)
+            return solve(grid, H, k, potential)
+
+        monkeypatch.setattr(spectral, "eigensolve", counted)
+        spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)
+        assert ks == [20, 27]
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == (14, 8)
 
     def test_whole_spectrum_cluster_complete(self):
+        # i + 6 reaches all 8 nodes: one solve computes the whole spectrum,
+        # so every cluster is complete, the top one included
         g = build_grid(Circle(), 8, BoundaryCondition.CLOSED)
-        q = Potential.zero(g)
-        # tolerance so loose every eigenvalue joins one cluster: once the full
-        # spectrum is computed the cluster counts as complete
-        spec, cl = spectrum_with_complete_cluster(g, q, 1, tol_rel=1e6)
-        assert not cl.truncated
-        assert cl.multiplicity == g.n_nodes
+        spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 3)
+        assert spec.count == g.n_nodes
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == (2, 2)
+        assert detect_cluster(spec, g.n_nodes).complete
 
 
 class TestTorusSparse:
