@@ -73,33 +73,29 @@ class GapCertificate:
     degenerate: bool = False
 
 
-def _svec(S: np.ndarray) -> np.ndarray:
-    m = S.shape[0]
+def _svec_layout(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Upper-triangle indices of an m x m matrix in svec order, and the svec
+    scale: 1 on the diagonal, sqrt(2) off it, so <svec A, svec B> = tr(AB)."""
     iu = np.triu_indices(m)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _svec(S: np.ndarray) -> np.ndarray:
+    iu, scale = _svec_layout(S.shape[0])
     return S[iu] * scale
 
 
 def _unsvec(s: np.ndarray, m: int) -> np.ndarray:
-    iu = np.triu_indices(m)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    iu, scale = _svec_layout(m)
     S = np.zeros((m, m))
     S[iu] = s / scale
-    S = S + S.T - np.diag(np.diag(S))
-    return S
+    return S + S.T - np.diag(np.diag(S))
 
 
 def _basis_rows(F: np.ndarray) -> np.ndarray:
     """Matrix A with A @ svec(G) = sum_ab G_ab f_a(x) f_b(x) per node row."""
-    m = F.shape[1]
-    iu = np.triu_indices(m)
-    cols = []
-    for a, b in zip(*iu):
-        col = F[:, a] * F[:, b]
-        if a != b:
-            col = col * np.sqrt(2.0)
-        cols.append(col)
-    return np.column_stack(cols)
+    (a, b), scale = _svec_layout(F.shape[1])
+    return np.ascontiguousarray(F[:, a] * F[:, b] * scale)
 
 
 def _psd_project(s: np.ndarray, m: int) -> np.ndarray:
@@ -161,36 +157,49 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertifi
     if res <= FEASIBILITY_TOL:
         return GramCertificate(CertificateStatus.FEASIBLE, _unsvec(y, m), res, 1)
     try:
-        u = separating_direction(spec, cluster, candidate)
+        u, margin = _definite_direction(spec, candidate, _lowest_slope(spec, cluster))
     except SeparationError:
         return GramCertificate(CertificateStatus.UNDECIDED, None, res, 1)
-    slopes = cluster_matrix(spec, cluster, u).branch_slopes()
-    margin = float(np.min(np.abs(slopes)))
     return GramCertificate(CertificateStatus.INFEASIBLE, None, res, 1,
                            separating_direction=u, margin=margin)
 
 
-def separating_direction(spec: SpectralData, cluster: Cluster,
-                         residual_values: np.ndarray) -> ProbeDirection:
-    """Turn a candidate (the unattained feasibility residual, or the dual
-    candidate) into a verified separating direction: project it mean-zero, rescale to sup-norm 1, and keep it only
-    if the restricted quadratic form it induces is definite on the eigenspace
-    (oriented positive definite). Raises SeparationError otherwise."""
+def _lowest_slope(spec: SpectralData, cluster: Cluster):
+    """u -> lowest branch slope: positive when the restricted form is definite."""
+    return lambda u: float(cluster_matrix(spec, cluster, u).branch_slopes()[0])
+
+
+def _gap_slope(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster):
+    """u -> nu_min - mu_max: positive when every j-branch outgrows every i-branch."""
+    return lambda u: float(cluster_matrix(spec, cluster_j, u).branch_slopes()[0]
+                           - cluster_matrix(spec, cluster_i, u).branch_slopes()[-1])
+
+
+def _definite_direction(spec: SpectralData, candidate: np.ndarray,
+                        margin_of) -> tuple[ProbeDirection, float]:
+    """Verified separating direction, with its margin, from a candidate (the
+    unattained feasibility residual, or the dual candidate): u, the candidate
+    made mean-zero with sup-norm 1, or else -u, whichever first has
+    ``margin_of`` at least DEFINITENESS_MARGIN; SeparationError if neither."""
     grid = spec.grid
-    u0 = project_mean_zero(grid, np.asarray(residual_values, dtype=float))
+    u0 = project_mean_zero(grid, np.asarray(candidate, dtype=float))
     sup = float(np.max(np.abs(u0)))
     if sup <= 1e-13:
-        raise SeparationError("feasibility residual has no mean-zero component")
-    u = make_direction(grid, u0 / sup, normalize=True)
-    slopes = cluster_matrix(spec, cluster, u).branch_slopes()
-    if slopes[0] >= DEFINITENESS_MARGIN:
-        return u
-    if slopes[-1] <= -DEFINITENESS_MARGIN:
-        flipped = make_direction(grid, -u.values, normalize=True)
-        return flipped
-    raise SeparationError(
-        f"restricted form is not definite (slopes in [{slopes[0]:.3e}, {slopes[-1]:.3e}])"
-    )
+        raise SeparationError("separation candidate has no mean-zero component")
+    for values in (u0 / sup, -u0 / sup):
+        u = make_direction(grid, values, normalize=True)
+        margin = margin_of(u)
+        if margin >= DEFINITENESS_MARGIN:
+            return u, margin
+    raise SeparationError("the form is not definite along the candidate or its negative")
+
+
+def separating_direction(spec: SpectralData, cluster: Cluster,
+                         residual_values: np.ndarray) -> ProbeDirection:
+    """Verified direction whose restricted quadratic form is positive definite
+    on the cluster's eigenspace; SeparationError when neither the candidate
+    nor its negative gives one."""
+    return _definite_direction(spec, residual_values, _lowest_slope(spec, cluster))[0]
 
 
 def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
@@ -244,30 +253,21 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
     if res <= FEASIBILITY_TOL and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8:
         return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, 1)
     try:
-        u = _gap_separating_direction(spec, cluster_i, cluster_j, candidate[:n])
+        u, margin = _definite_direction(spec, candidate[:n],
+                                        _gap_slope(spec, cluster_i, cluster_j))
     except SeparationError:
         return GapCertificate(CertificateStatus.UNDECIDED, None, None, res, 1)
-    mu = cluster_matrix(spec, cluster_i, u).branch_slopes()
-    nu = cluster_matrix(spec, cluster_j, u).branch_slopes()
-    margin = float(min(abs(nu[0] - mu[-1]), abs(nu[-1] - mu[0])))
     return GapCertificate(CertificateStatus.INFEASIBLE, None, None, res, 1,
                           separating_direction=u, margin=margin)
 
 
 def _gap_separating_direction(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster,
                               residual_values: np.ndarray) -> ProbeDirection:
-    grid = spec.grid
-    u0 = project_mean_zero(grid, np.asarray(residual_values, dtype=float))
-    sup = float(np.max(np.abs(u0)))
-    if sup <= 1e-13:
-        raise SeparationError("gap residual has no mean-zero component")
-    for candidate in (u0 / sup, -u0 / sup):
-        u = make_direction(grid, candidate, normalize=True)
-        mu = cluster_matrix(spec, cluster_i, u).branch_slopes()
-        nu = cluster_matrix(spec, cluster_j, u).branch_slopes()
-        if nu[0] - mu[-1] >= DEFINITENESS_MARGIN:
-            return u
-    raise SeparationError("tensor form is not definite for the residual direction")
+    """Verified direction along which every j-branch rises faster than every
+    i-branch; SeparationError when neither the candidate nor its negative
+    gives one."""
+    return _definite_direction(spec, residual_values,
+                               _gap_slope(spec, cluster_i, cluster_j))[0]
 
 
 @dataclass(frozen=True, eq=False)

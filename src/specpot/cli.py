@@ -92,9 +92,12 @@ _NEEDS_SEED = {"criticality", "gap", "verify"}
 
 
 def _require_seed(cfg: ParsedConfig, command: str) -> int | None:
+    """The [output] seed, a non-negative integer; required by _NEEDS_SEED."""
     seed = get_int(cfg.section("output"), "seed")
     if seed is None and command in _NEEDS_SEED:
         raise ConfigError(f"[output] seed is required for {command!r} (random probes are used)")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"[output] seed must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -113,17 +116,22 @@ def _build_potential(grid: DomainGrid, section: dict[str, str]) -> Potential:
         if value is None:
             raise ConfigError("constant potential requires value=")
         return Potential.constant(grid, value)
-    if preset == "fourier":
+    if preset in ("fourier", "file"):
+        return Potential.from_values(grid, _node_values(grid, section, preset, "potential"))
+    raise ConfigError(f"unknown potential preset {section['preset']!r}")
+
+
+def _node_values(grid: DomainGrid, section: dict[str, str], kind: str, what: str) -> np.ndarray:
+    """Node values of a "fourier" (coeffs/sin_coeffs) or "file" (path) input."""
+    if kind == "fourier":
         cos_coeffs = get_floats(section, "coeffs")
         sin_coeffs = get_floats(section, "sin_coeffs")
         if not cos_coeffs and not sin_coeffs:
-            raise ConfigError("fourier potential requires coeffs= and/or sin_coeffs=")
-        return Potential.fourier(grid, cos_coeffs, sin_coeffs)
-    if preset == "file":
-        if "path" not in section:
-            raise ConfigError("file potential requires path=")
-        return Potential.from_values(grid, _read_column_csv(section["path"], grid.n_nodes))
-    raise ConfigError(f"unknown potential preset {section['preset']!r}")
+            raise ConfigError(f"fourier {what} requires coeffs= and/or sin_coeffs=")
+        return Potential.fourier(grid, cos_coeffs, sin_coeffs).values
+    if "path" not in section:
+        raise ConfigError(f"file {what} requires path=")
+    return _read_column_csv(section["path"], grid.n_nodes)
 
 
 def _read_column_csv(path: str, n: int) -> np.ndarray:
@@ -166,16 +174,8 @@ def _read_column_csv(path: str, n: int) -> np.ndarray:
 
 def _build_direction(grid: DomainGrid, task: dict[str, str], seed: int | None) -> ProbeDirection:
     kind = task["direction"].strip().lower()
-    if kind == "fourier":
-        cos_coeffs = get_floats(task, "coeffs")
-        sin_coeffs = get_floats(task, "sin_coeffs")
-        if not cos_coeffs and not sin_coeffs:
-            raise ConfigError("fourier direction requires coeffs= and/or sin_coeffs=")
-        return make_direction(grid, Potential.fourier(grid, cos_coeffs, sin_coeffs).values)
-    if kind == "file":
-        if "path" not in task:
-            raise ConfigError("file direction requires path=")
-        return make_direction(grid, _read_column_csv(task["path"], grid.n_nodes))
+    if kind in ("fourier", "file"):
+        return make_direction(grid, _node_values(grid, task, kind, "direction"))
     if kind in ("noise", "spike"):
         if seed is None:
             raise ConfigError(f"[output] seed is required for a {kind!r} direction")
@@ -202,7 +202,8 @@ def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     write_json(outdir / "eigenvalues.json", {"eigenvalues": report["eigenvalues"]})
     if _wants_csv(cfg):
         modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
-        write_node_csv(grid, outdir / "eigenvectors.csv", {"w": grid.weights, **modes})
+        write_node_csv(grid, outdir / "eigenvectors.csv",
+                       {"w": np.full(grid.n_nodes, grid.weight), **modes})
         report["artifacts"]["eigenvectors_csv"] = "eigenvectors.csv"
     report["artifacts"]["eigenvalues_json"] = "eigenvalues.json"
     return report, 0
@@ -213,8 +214,7 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     q = _build_potential(grid, cfg.section("potential"))
     task = cfg.section("task")
     i = _check_index(grid, get_int(task, "index"))
-    seed = get_int(cfg.section("output"), "seed")
-    u = _build_direction(grid, task, seed)
+    u = _build_direction(grid, task, _require_seed(cfg, "derivative"))
     t = get_float(task, "fd_step", 1e-4)
     if t <= 0:
         raise ConfigError(f"fd_step must be positive, got {t}")

@@ -2,9 +2,10 @@
 
 Three flat domains are supported: a circle of given circumference (periodic),
 an interval with Dirichlet or Neumann ends, and a flat rectangular 2-torus.
-All grids are uniform and carry a diagonal quadrature (weight h per node,
-hx*hy in 2-D), so the node weights sum to the domain volume exactly and the
-discrete L2 inner product  <a, b>_w = sum_x w_x a(x) b(x)  is diagonal.
+All grids are uniform and carry a diagonal quadrature with one weight w for
+every node (h in 1-D, hx*hy on the torus), so n*w = V, the domain volume, the
+discrete L2 inner product is  <a, b>_w = w sum_x a(x) b(x)  and the mean
+value is the plain average of the node values.
 Interval grids are cell-centered (nodes at midpoints (j+1/2)h): with the
 ghost-node reflection closures this gives symmetric Laplacians with exact
 closed-form spectra (4/h^2) sin^2(k*pi/(2n)) and, in the Neumann case, an
@@ -60,9 +61,10 @@ class DomainGrid:
     held as its two bands, shape (2, n): the diagonal, then the
     off-diagonal with ``[1][i]`` coupling nodes i and i + 1 and ``[1][n-1]``
     the circle's wrap coupling of nodes n - 1 and 0 (zero on the interval);
-    see ``banded``. On the torus it is the stack (2, m, m) of the x- and
-    y-axis circle Laplacians of the m x m grid, whose Kronecker sum
-    ``spectral.assemble`` forms as a sparse matrix.
+    see ``banded``. On the torus it is the stack (2, 2, m) of the x- and
+    y-axis circle bands of the m x m grid, whose Kronecker sum
+    ``spectral.assemble`` forms as a sparse matrix. ``weight`` is the
+    quadrature weight of every node.
     """
 
     kind: DomainKind
@@ -70,9 +72,9 @@ class DomainGrid:
     n_nodes: int
     coords: np.ndarray        # (n,) in 1-D, (n, 2) on the torus
     spacing: tuple[float, ...]
-    weights: np.ndarray       # (n,), uniform
+    weight: float             # of every node: h in 1-D, hx * hy on the torus
     volume: float
-    laplacian: np.ndarray     # (2, n) bands in 1-D, (2, m, m) per-axis factors on the torus
+    laplacian: np.ndarray     # (2, n) bands in 1-D, (2, 2, m) per-axis bands on the torus
 
     @property
     def ndim(self) -> int:
@@ -87,20 +89,11 @@ class DomainGrid:
         return v
 
     def inner(self, a, b) -> float:
-        """Discrete L2(w) inner product sum_x w_x a(x) b(x)."""
-        return float(np.dot(self.weights * np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        """Discrete L2(w) inner product w sum_x a(x) b(x)."""
+        return float(np.dot(self.weight * np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
     def norm(self, a) -> float:
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-
-def _circle_laplacian(n: int, h: float) -> np.ndarray:
-    lap = np.zeros((n, n))
-    idx = np.arange(n)
-    lap[idx, idx] = 2.0
-    lap[idx, (idx + 1) % n] = -1.0
-    lap[idx, (idx - 1) % n] = -1.0
-    return lap / h**2
 
 
 def _circle_bands(n: int, h: float) -> np.ndarray:
@@ -118,7 +111,7 @@ def _interval_bands(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
 
 
 def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainGrid:
-    """Build a uniform grid with its quadrature weights and discrete Laplacian.
+    """Build a uniform grid with its quadrature weight and discrete Laplacian.
 
     ``n_nodes`` is the node count in 1-D and the per-axis node count on the
     torus; the total may not exceed MAX_NODES in 1-D or MAX_TORUS_NODES on
@@ -147,7 +140,7 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
             raise ConfigError("circumference must be positive")
         h = ell / n
         coords = h * np.arange(n)
-        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell, _circle_bands(n, h))
+        return DomainGrid(kind, bc, n, coords, (h,), h, ell, _circle_bands(n, h))
 
     if isinstance(kind, Interval):
         ell = float(kind.length)
@@ -155,8 +148,7 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
             raise ConfigError("length must be positive")
         h = ell / n
         coords = h * (np.arange(n) + 0.5)
-        return DomainGrid(kind, bc, n, coords, (h,), np.full(n, h), ell,
-                          _interval_bands(n, h, bc))
+        return DomainGrid(kind, bc, n, coords, (h,), h, ell, _interval_bands(n, h, bc))
 
     lx, ly = float(kind.length_x), float(kind.length_y)
     if lx <= 0 or ly <= 0:
@@ -167,14 +159,15 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
     # Node index = j * n + i for node (x_i, y_j): x varies fastest.
     xx, yy = np.meshgrid(x, y)
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-    lap = np.stack([_circle_laplacian(n, hx), _circle_laplacian(n, hy)])
-    return DomainGrid(kind, bc, total, coords, (hx, hy), np.full(total, hx * hy), lx * ly, lap)
+    lap = np.stack([_circle_bands(n, hx), _circle_bands(n, hy)])
+    return DomainGrid(kind, bc, total, coords, (hx, hy), hx * hy, lx * ly, lap)
 
 
 def mean_value(grid: DomainGrid, u) -> float:
-    """Mean (1/V) sum_x w_x u(x) of a node-sampled function."""
-    v = grid.check_vector(u)
-    return float(np.dot(grid.weights, v) / grid.volume)
+    """Mean (1/V) w sum_x u(x) of a node-sampled function: with one weight
+    for every node, the plain average of its values (the bits of ``v.mean()``,
+    without its call overhead)."""
+    return float(grid.check_vector(u).sum() / grid.n_nodes)
 
 
 def project_mean_zero(grid: DomainGrid, u) -> np.ndarray:
@@ -221,10 +214,8 @@ def fourier_mode(grid: DomainGrid, k: int, kind: str = "cos") -> np.ndarray:
     half-period cosines/sines k*pi*x/ell on the interval."""
     if grid.ndim != 1:
         raise ConfigError("fourier modes are only defined for 1-D domains here")
-    if isinstance(grid.kind, Circle):
-        theta = 2.0 * np.pi * k * grid.coords / grid.kind.circumference
-    else:
-        theta = np.pi * k * grid.coords / grid.kind.length
+    periods = 2.0 if isinstance(grid.kind, Circle) else 1.0   # half periods on the interval
+    theta = periods * np.pi * k * grid.coords / grid.volume
     return np.cos(theta) if kind == "cos" else np.sin(theta)
 
 

@@ -10,7 +10,6 @@ tight tolerances in a few hundred solves).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,9 @@ from .perturbation import (
     mixed_probe_suite,
     one_sided_derivatives,
 )
+from .reports import write_csv
 from .spectral import (
+    Cluster,
     SpectralData,
     detect_cluster,
     solve_spectrum,
@@ -37,6 +38,8 @@ STAGNATION_TOL = 1e-10
 BACKTRACK_TOL = 1e-12
 DESCENT_THRESHOLD = 1e-6     # one-sided derivative a descent witness must beat
 LINE_SEARCH_STEP = 1e-3      # step of the line search confirming a witness
+LINE_SEARCH_POINTS = 3       # points t = s, 2s, 3s it must strictly descend over
+POLYAK_RELAXATION = 0.5      # lands on a quadratic model's minimizer, not across it
 
 
 @dataclass(frozen=True)
@@ -87,22 +90,20 @@ class ConstraintSpec:
 @dataclass(frozen=True)
 class Schedule:
     """Step-size rule: "sqrt" (s0/sqrt(t)), "constant" (s0), or "polyak"
-    (relaxation * |objective - target| / ||direction||_w^2, clipped to the box
-    width). The default relaxation 0.5 lands on the minimizer of a quadratic
-    model instead of mirroring across it; use 1.0 for sharp (kink) targets."""
+    (POLYAK_RELAXATION * |objective - target| / ||direction||_w^2, clipped to
+    the box width). s0, when given, must be positive."""
 
     kind: str = "sqrt"
     s0: float | None = None
     target: float | None = None
-    relaxation: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("sqrt", "constant", "polyak"):
             raise ConfigError(f"unknown schedule {self.kind!r}")
         if self.kind == "polyak" and self.target is None:
             raise ConfigError("polyak schedule requires a target value")
-        if not 0.0 < self.relaxation <= 2.0:
-            raise ConfigError("relaxation must be in (0, 2]")
+        if self.s0 is not None and not self.s0 > 0.0:
+            raise ConfigError(f"step must be positive, got {self.s0}")
 
 
 @dataclass
@@ -127,20 +128,11 @@ class IterateLog:
         return [r.objective for r in self.records]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "objective", "step", "mult_i", "residual",
-                             "mean_error", "box_error"])
-            for r in self.records:
-                writer.writerow([
-                    r.iteration,
-                    repr(r.objective),
-                    repr(r.step),
-                    r.mult_i,
+        write_csv(path, ["iter", "objective", "step", "mult_i", "residual", "mean_error",
+                         "box_error"],
+                  ([r.iteration, repr(r.objective), repr(r.step), r.mult_i,
                     "" if r.cert_residual is None else repr(r.cert_residual),
-                    repr(r.mean_error),
-                    repr(r.box_error),
-                ])
+                    repr(r.mean_error), repr(r.box_error)] for r in self.records))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +193,9 @@ def _branch_function(spec: SpectralData, i: int) -> np.ndarray:
 def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec) -> ProbeDirection:
     """Mean-zero ascent direction for the objective (not normalized: its
     magnitude vanishes as the run approaches a smooth critical point)."""
-    if objective.target == "eigenvalue":
-        f = _branch_function(spec, objective.i)
-        return make_direction(spec.grid, f**2)
     f = _branch_function(spec, objective.i)
+    if objective.target == "eigenvalue":
+        return make_direction(spec.grid, f**2)
     g = _branch_function(spec, objective.j)
     return make_direction(spec.grid, g**2 - f**2)
 
@@ -219,7 +210,7 @@ def _step_size(schedule: Schedule, t: int, objective_value: float,
     nrm2 = grid.inner(direction.values, direction.values)
     if nrm2 <= 1e-30:
         return 0.0
-    step = schedule.relaxation * gap / nrm2
+    step = POLYAK_RELAXATION * gap / nrm2
     if direction.sup_norm > 0:
         step = min(step, 2.0 * constraint.bound_B / direction.sup_norm)
     return float(step)
@@ -230,10 +221,15 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                   cert_every: int = 25) -> OptimizeResult:
     """Projected subgradient iteration with certificate-based stopping.
 
-    Stops on max_iters, on objective stagnation, on a feasible criticality
-    certificate at the current cluster, or (gap targets) when the two
-    clusters merge. Deterministic given q0 and the schedule.
+    Stops on max_iters (>= 1), on objective stagnation, on a feasible
+    criticality certificate at the current cluster (tried every cert_every
+    iterations, never at 0), or (gap targets) when the two clusters merge.
+    Deterministic given q0 and the schedule.
     """
+    if max_iters < 1:
+        raise ConfigError(f"iters must be at least 1, got {max_iters}")
+    if cert_every < 0:
+        raise ConfigError(f"cert_every must be >= 0 (0 disables the check), got {cert_every}")
     if np.max(np.abs(q0.values)) > constraint.bound_B + 1e-8 or abs(q0.mean - constraint.mean_c) > 1e-8:
         raise ConfigError("q0 violates the constraint set")
     q = project_feasible(grid, q0, constraint)
@@ -246,32 +242,33 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     stop_reason = "max_iters"
     aborted = False
 
-    def solve(pot: Potential) -> SpectralData:
-        spec, _ = spectrum_with_complete_cluster(grid, pot, objective.top_index)
-        return spec
+    def solve(pot: Potential) -> tuple[SpectralData, Cluster]:
+        return spectrum_with_complete_cluster(grid, pot, objective.top_index)
+
+    def clusters(spec: SpectralData, top: Cluster) -> tuple[Cluster, Cluster | None]:
+        if objective.target == "eigenvalue":   # top is the cluster of i; there is no j
+            return top, None
+        return detect_cluster(spec, objective.i), top
 
     try:
-        spec = solve(q)
+        spec, top = solve(q)
     except SolverError:
         return OptimizeResult(q, log, "solver_error", 0, np.nan, _saturation(q, constraint),
                               aborted=True)
+    ci, cj = clusters(spec, top)
     obj = _objective_value(spec, objective)
     last_step = 0.0
-    it = 0
     for it in range(1, max_iters + 1):
-        mult = detect_cluster(spec, objective.i).multiplicity
         cert_residual = None
-        if objective.target == "gap" and detect_cluster(spec, objective.i).contains(objective.j):
-            log.append(_record(grid, constraint, it, obj, last_step, mult, None, q))
+        if cj is not None and ci.contains(objective.j):
             stop_reason = "gap_degenerate"
-            break
-        if cert_every and it % cert_every == 0:
-            feasible, cert_residual = _certificate_stop(spec, objective)
+        elif cert_every and it % cert_every == 0:
+            feasible, cert_residual = _certificate_stop(spec, ci, cj)
             if feasible:
-                log.append(_record(grid, constraint, it, obj, last_step, mult, cert_residual, q))
                 stop_reason = "certificate"
-                break
-        log.append(_record(grid, constraint, it, obj, last_step, mult, cert_residual, q))
+        log.append(_record(grid, constraint, it, obj, last_step, ci.multiplicity, cert_residual, q))
+        if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
+            break
 
         objs = log.objectives()
         if len(objs) > STAGNATION_WINDOW:
@@ -293,17 +290,14 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             stop_reason = "stagnation"
             break
 
-        simple_here = detect_cluster(spec, objective.i).multiplicity == 1 and (
-            objective.target == "eigenvalue"
-            or detect_cluster(spec, objective.j).multiplicity == 1
-        )
+        simple_here = ci.multiplicity == 1 and (cj is None or cj.multiplicity == 1)
         accepted = False
         for _halving in range(9):
             candidate = project_feasible(
                 grid, q.values + objective.sigma * step * direction.values, constraint
             )
             try:
-                cand_spec = solve(candidate)
+                cand_spec, cand_top = solve(candidate)
             except SolverError:
                 aborted = True
                 stop_reason = "solver_error"
@@ -312,6 +306,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             improved = objective.sigma * (cand_obj - obj) >= -BACKTRACK_TOL
             if improved or not simple_here:
                 q, spec, obj = candidate, cand_spec, cand_obj
+                ci, cj = clusters(spec, cand_top)
                 last_step = step
                 accepted = True
                 break
@@ -321,11 +316,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
         if not accepted:
             stop_reason = "stagnation"
             break
-    else:
-        it = max_iters
 
-    final_mult = detect_cluster(spec, objective.i).multiplicity
-    log.append(_record(grid, constraint, it + 1, obj, last_step, final_mult, None, q))
+    log.append(_record(grid, constraint, it + 1, obj, last_step, ci.multiplicity, None, q))
     return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint), aborted)
 
 
@@ -345,19 +337,14 @@ def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
     return float(np.mean(np.abs(np.abs(q.values) - constraint.bound_B) <= 1e-9))
 
 
-def _certificate_stop(spec: SpectralData, objective: ObjectiveSpec) -> tuple[bool, float | None]:
-    """Certificate decision at the current cluster: (feasible, residual).
-    Residual is None only when the attempt is not applicable."""
-    ci = detect_cluster(spec, objective.i)
-    if not ci.complete:
+def _certificate_stop(spec: SpectralData, ci: Cluster,
+                      cj: Cluster | None) -> tuple[bool, float | None]:
+    """Certificate decision at the current cluster(s), cj for gap targets:
+    (feasible, residual). Residual is None only when the attempt is not
+    applicable."""
+    if not ci.complete or (cj is not None and not cj.complete):
         return False, None
-    if objective.target == "eigenvalue":
-        cert = criticality_certificate(spec, ci)
-    else:
-        cj = detect_cluster(spec, objective.j)
-        if not cj.complete:
-            return False, None
-        cert = gap_certificate(spec, ci, cj)
+    cert = criticality_certificate(spec, ci) if cj is None else gap_certificate(spec, ci, cj)
     return cert.status is CertificateStatus.FEASIBLE, cert.residual
 
 
@@ -378,69 +365,55 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
     """Search for a strict one-sided descent direction of lambda_i at q.
 
     Tries the certificate's separating direction first, then a randomized
-    probe suite, then directions built from cluster branch eigenfunctions;
-    each candidate must pass a 3-point line search before being returned.
+    probe suite (each probe on both sides), then directions built from
+    cluster branch eigenfunctions; a candidate whose one-sided derivative is
+    below -DESCENT_THRESHOLD must pass a LINE_SEARCH_POINTS line search
+    before being returned.
     """
     if i < 2:
         raise ValueError("refutation targets indices i >= 2")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     tried = 0
+    for u, two_sided in _descent_directions(spec, cluster, probe_budget, seed):
+        tried += 1
+        d = one_sided_derivatives(spec, i, u)
+        sides = [(u, d.right)]
+        if two_sided and d.left > DESCENT_THRESHOLD:   # -u descends
+            sides.append((make_direction(grid, -u.values, normalize=True), -d.left))
+        for v, slope in sides:
+            if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v):
+                return RefuteResult(v, slope, True, tried)
+    return RefuteResult(None, 0.0, False, tried)
 
-    def confirmed_descent(u: ProbeDirection, derivative: float) -> RefuteResult | None:
-        if _confirm_descent(grid, q, i, u):
-            return RefuteResult(u, derivative, True, tried)
-        return None
 
+def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int, seed: int):
+    """(direction, try -u too) in search order: the negated separating
+    direction of an infeasible certificate, the probes, then the signed
+    branch products F_a F_b and F_a^2 - F_(a+1)^2."""
+    grid = spec.grid
     cert = criticality_certificate(spec, cluster)
     if cert.status is CertificateStatus.INFEASIBLE:
-        u = make_direction(grid, -cert.separating_direction.values, normalize=True)
-        tried += 1
-        d = one_sided_derivatives(spec, i, u)
-        if d.right < -DESCENT_THRESHOLD:
-            res = confirmed_descent(u, d.right)
-            if res:
-                return res
-
+        yield make_direction(grid, -cert.separating_direction.values, normalize=True), False
     for u in mixed_probe_suite(grid, probe_budget, seed):
-        tried += 1
-        d = one_sided_derivatives(spec, i, u)
-        if d.right < -DESCENT_THRESHOLD:
-            res = confirmed_descent(u, d.right)
-            if res:
-                return res
-        if d.left > DESCENT_THRESHOLD:
-            flipped = make_direction(grid, -u.values, normalize=True)
-            res = confirmed_descent(flipped, -d.left)
-            if res:
-                return res
-
+        yield u, True
     F = spec.basis(cluster)
     m = cluster.multiplicity
     for a in range(m):
         for b in range(a, m):
             raw = F[:, a] * F[:, b] if a != b else F[:, a] ** 2 - F[:, (a + 1) % m] ** 2
-            if np.max(np.abs(raw)) <= 1e-14:
+            centered = project_mean_zero(grid, raw)
+            if np.max(np.abs(raw)) <= 1e-14 or np.max(np.abs(centered)) <= 1e-14:
                 continue
             for sign in (1.0, -1.0):
-                candidate_values = sign * raw
-                if np.max(np.abs(project_mean_zero(grid, candidate_values))) <= 1e-14:
-                    continue
-                u = make_direction(grid, candidate_values, normalize=True)
-                tried += 1
-                d = one_sided_derivatives(spec, i, u)
-                if d.right < -DESCENT_THRESHOLD:
-                    res = confirmed_descent(u, d.right)
-                    if res:
-                        return res
-    return RefuteResult(None, 0.0, False, tried)
+                yield make_direction(grid, sign * raw, normalize=True), False
 
 
-def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                     points: int = 3) -> bool:
-    """Strictly decreasing lambda_i(q + t u) over t = s, 2s, ... with s = LINE_SEARCH_STEP."""
+def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection) -> bool:
+    """Strictly decreasing lambda_i(q + t u) over t = s, 2s, ... with
+    s = LINE_SEARCH_STEP, LINE_SEARCH_POINTS points."""
     k = i + 6
     prev = solve_spectrum(grid, q, k).eigenvalue(i)
-    for p in range(1, points + 1):
+    for p in range(1, LINE_SEARCH_POINTS + 1):
         shifted = Potential.from_values(grid, q.values + p * LINE_SEARCH_STEP * u.values)
         value = solve_spectrum(grid, shifted, k).eigenvalue(i)
         if value >= prev - 1e-12:

@@ -25,6 +25,7 @@ from .errors import DegenerateGapError, IncompleteClusterError
 from .spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 SIGN_PRODUCT_TOL = 1e-12
+ROUNDING_REL = 64 * float(np.finfo(float).eps)   # centering error relative to max |values|
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +66,13 @@ class ClusterDerivativeMatrix:
 
 def make_direction(grid: DomainGrid, values, normalize: bool = False) -> ProbeDirection:
     """Project node values onto the mean-zero tangent space; optionally rescale
-    to sup-norm 1."""
-    u = project_mean_zero(grid, values)
+    to sup-norm 1. Normalizing fails (ValueError) when the projection is at
+    rounding level, as for a constant, rather than scaling rounding up to 1."""
+    v = grid.check_vector(values)
+    u = project_mean_zero(grid, v)
     sup = float(np.max(np.abs(u)))
     if normalize:
-        if sup <= 0.0:
+        if sup <= ROUNDING_REL * float(np.max(np.abs(v))):
             raise ValueError("cannot normalize a zero direction")
         u = u / sup
         sup = 1.0
@@ -82,7 +85,7 @@ def cluster_matrix(spec: SpectralData, cluster: Cluster, u: ProbeDirection) -> C
         raise IncompleteClusterError(
             f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
     F = spec.basis(cluster)
-    weighted = F * (spec.grid.weights * u.values)[:, None]
+    weighted = F * (spec.grid.weight * u.values)[:, None]
     M = weighted.T @ F
     return ClusterDerivativeMatrix((M + M.T) / 2.0, cluster, u)
 
@@ -156,7 +159,7 @@ def _draw_probe(grid: DomainGrid, rng: np.random.Generator, style: str) -> np.nd
         return rng.standard_normal(grid.n_nodes)
     if style == "spike":
         if grid.ndim == 1:
-            ell = grid.kind.circumference if isinstance(grid.kind, Circle) else grid.kind.length
+            ell = grid.volume
             center = rng.uniform(0.0, ell)
             width = rng.uniform(0.05, 0.2) * ell
             d = np.abs(grid.coords - center)

@@ -110,7 +110,7 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
         # ~0.35 s and ~30 MB of RSS, which the 1-D paths do not need.
         import scipy.sparse as sp
 
-        lap_x, lap_y = grid.laplacian
+        lap_x, lap_y = (BandedOperator(bands).toarray() for bands in grid.laplacian)
         # kron(I, L_x) + kron(L_y, I): node j * m + i, x varies fastest
         return (sp.kronsum(lap_x, lap_y, format="csc") + sp.diags(values)).tocsc()
     return BandedOperator(grid.laplacian + np.stack([values, np.zeros_like(values)]))
@@ -158,14 +158,14 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     if len(evals) > k:
         x = min(x, evals[k])
     evals, evecs = evals[:k], evecs[:, :k]
-    # Uniform weights: Euclidean-orthonormal columns become w-orthonormal
-    # after scaling by 1/sqrt(w).
-    vecs = evecs / np.sqrt(grid.weights[0])
+    # One weight for every node: Euclidean-orthonormal columns become
+    # w-orthonormal after scaling by 1/sqrt(w).
+    vecs = evecs / np.sqrt(grid.weight)
     peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
     vecs *= np.where(peaks < 0, -1.0, 1.0)
 
     residuals = H @ vecs - vecs * evals
-    norms = np.sqrt(np.sum(grid.weights[:, None] * residuals**2, axis=0))
+    norms = np.sqrt(np.sum(grid.weight * residuals**2, axis=0))
     worst = float(np.max(norms / (1.0 + np.abs(evals))))
     if worst > RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
@@ -198,9 +198,9 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     n = grid.n_nodes
-    lap_x, lap_y = grid.laplacian
     # min(q): the diagonal of -Laplacian_h is the constant 2/hx^2 + 2/hy^2
-    sigma = float(np.min(H.diagonal() - (lap_x[0, 0] + lap_y[0, 0]))) - 1.0
+    diag_x, diag_y = grid.laplacian[:, 0, 0]
+    sigma = float(np.min(H.diagonal() - (diag_x + diag_y))) - 1.0
     lu = _symmetric_lu(H, sigma)
     rng = np.random.default_rng(START_VECTOR_SEED)
     if block:

@@ -49,12 +49,12 @@ def make_potential(grid, kind, seed) -> Potential:
 def dense_oracle(grid, q) -> SpectralData:
     """Whole spectrum from a dense decomposition, w-orthonormal eigenvectors."""
     evals, evecs = np.linalg.eigh(assemble(grid, q).toarray())
-    return SpectralData(evals, evecs / np.sqrt(grid.weights[0]), grid, q)
+    return SpectralData(evals, evecs / np.sqrt(grid.weight), grid, q)
 
 
 def projector(spec, cluster):
     F = spec.basis(cluster)
-    return F @ (F * spec.grid.weights[:, None]).T
+    return F @ (F * spec.grid.weight).T
 
 
 def assert_matches(spec, oracle):

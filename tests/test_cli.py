@@ -219,6 +219,20 @@ class TestCriticalityCommand:
                 assert "probes must be a positive integer" in capsys.readouterr().err
 
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        tasks = {
+            "verify": "[task]\nsuite=thm12\n",
+            "criticality": CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n\n[task]\nindex=2\n",
+            "gap": CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n\n[task]\nindex=1\njindex=2\n",
+            "derivative": CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                          "\n[task]\nindex=2\ndirection=noise\n",
+        }
+        for command, body in tasks.items():
+            cfg = write_cfg(tmp_path, body + "\n[output]\nseed=-3\n", f"{command}.cfg")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+            assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+
+
 class TestGapCommand:
     def test_degenerate_gap(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
@@ -270,6 +284,21 @@ class TestOptimizeCommand:
                     f"mean={task['mean']}\nbound={task['bound']}\niters=2\n")
             cfg = write_cfg(tmp_path, body, f"{key}.cfg")
             assert main(["optimize", "--config", cfg, "--out", str(tmp_path / key)]) == 2
+
+
+    def test_invalid_run_inputs_rejected(self, tmp_path, capsys):
+        cases = [("iters=-5", "iters must be at least 1"),
+                 ("iters=0", "iters must be at least 1"),
+                 ("step=0", "step must be positive"),
+                 ("step=-0.5", "step must be positive"),
+                 ("cert_every=-3", "cert_every must be >= 0")]
+        for k, (line, message) in enumerate(cases):
+            body = (CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                    "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\nmean=0.0\n"
+                    f"bound=1.0\nschedule=constant\n{line}\n")
+            cfg = write_cfg(tmp_path, body, f"case{k}.cfg")
+            assert main(["optimize", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -334,6 +363,22 @@ class TestFilePreset:
         cfg = write_cfg(tmp_path, body)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "line 102" in capsys.readouterr().err
+
+
+    def test_missing_node_inputs_named(self, tmp_path, capsys):
+        # potentials and derivative directions share one reader for node vectors
+        fine = "direction=fourier\ncoeffs=0,1\n"
+        cases = [("[potential]\npreset=fourier\n", fine, "fourier potential requires coeffs="),
+                 ("[potential]\npreset=file\n", fine, "file potential requires path="),
+                 ("[potential]\npreset=zero\n", "direction=fourier\n",
+                  "fourier direction requires coeffs="),
+                 ("[potential]\npreset=zero\n", "direction=file\n",
+                  "file direction requires path=")]
+        for k, (potential, direction, message) in enumerate(cases):
+            body = CIRCLE_DOMAIN + f"\n{potential}\n[task]\nindex=2\n{direction}"
+            cfg = write_cfg(tmp_path, body, f"case{k}.cfg")
+            assert main(["derivative", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestReportContracts:

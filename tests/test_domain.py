@@ -49,16 +49,16 @@ class TestBuildGrid:
         assert circle_grid.n_nodes == 256
         assert circle_grid.spacing[0] == pytest.approx(2 * np.pi / 256, rel=1e-15)
         assert circle_grid.volume == pytest.approx(2 * np.pi, rel=1e-15)
-        assert circle_grid.weights.sum() == pytest.approx(2 * np.pi, rel=1e-13)
+        assert circle_grid.n_nodes * circle_grid.weight == pytest.approx(2 * np.pi, rel=1e-13)
 
     def test_interval_volume_exact(self, dirichlet_grid, neumann_grid):
         for g in (dirichlet_grid, neumann_grid):
-            assert g.weights.sum() == pytest.approx(np.pi, rel=1e-14)
+            assert g.n_nodes * g.weight == pytest.approx(np.pi, rel=1e-14)
             assert g.volume == pytest.approx(np.pi, rel=1e-15)
 
     def test_torus_weights(self, torus_grid):
         assert torus_grid.n_nodes == 256
-        assert torus_grid.weights.sum() == pytest.approx((2 * np.pi) ** 2, rel=1e-13)
+        assert torus_grid.n_nodes * torus_grid.weight == pytest.approx((2 * np.pi) ** 2, rel=1e-13)
 
     def test_bc_compatibility(self):
         with pytest.raises(ConfigError):
@@ -89,11 +89,14 @@ class TestBuildGrid:
 
     def test_torus_stores_axis_factors(self):
         g = build_grid(Torus2D(2 * np.pi, np.pi), 64, BoundaryCondition.CLOSED)
-        assert g.laplacian.shape == (2, 64, 64)
-        assert g.laplacian.nbytes <= 2 * 64 * 64 * 8
+        assert g.laplacian.shape == (2, 2, 64)
+        assert g.laplacian.nbytes == 2 * 2 * 64 * 8
         hx, hy = g.spacing
         assert g.laplacian[0, 0, 0] == pytest.approx(2.0 / hx**2)
         assert g.laplacian[1, 0, 0] == pytest.approx(2.0 / hy**2)
+        # each axis is a circle: its wrap entry couples the last node to the first
+        assert g.laplacian[0, 1, -1] == pytest.approx(-1.0 / hx**2)
+        assert g.laplacian[1, 1, -1] == pytest.approx(-1.0 / hy**2)
 
     def test_one_d_stores_bands(self):
         for kind, bc, wrap in ((Circle(), BoundaryCondition.CLOSED, -1.0),
@@ -103,6 +106,37 @@ class TestBuildGrid:
             assert g.laplacian.nbytes == 2 * 4096 * 8
             h = g.spacing[0]
             assert g.laplacian[1, -1] * h**2 == wrap
+
+
+def dense_circle_stencil(n, h):
+    """The circle Laplacian as a dense n x n matrix, filled entry by entry."""
+    lap = np.zeros((n, n))
+    idx = np.arange(n)
+    lap[idx, idx] = 2.0
+    lap[idx, (idx + 1) % n] = -1.0
+    lap[idx, (idx - 1) % n] = -1.0
+    return lap / h**2
+
+
+@pytest.mark.parametrize("lengths", [(2 * np.pi, 2 * np.pi), (2 * np.pi, np.pi)])
+@pytest.mark.parametrize("m", [8, 16, 64])
+def test_torus_operator_matches_dense_stencil(m, lengths):
+    # the torus keeps only per-axis bands; its assembled operator must be,
+    # byte for byte, the Kronecker sum of the dense axis stencils plus diag(q)
+    import scipy.sparse as sp
+
+    g = build_grid(Torus2D(*lengths), m, BoundaryCondition.CLOSED)
+    q = np.random.default_rng(m).uniform(-1.0, 1.0, g.n_nodes)
+    hx, hy = g.spacing
+    oracle = (sp.kronsum(dense_circle_stencil(m, hx), dense_circle_stencil(m, hy), format="csc")
+              + sp.diags(q)).tocsc()
+    H = assemble(g, Potential.from_values(g, q))
+    # the compressed arrays fix the dense matrix; at 64 x 64 forming it
+    # would take two 134 MB arrays
+    for name in ("indptr", "indices", "data"):
+        assert getattr(H, name).tobytes() == getattr(oracle, name).tobytes()
+    if m <= 16:
+        assert H.toarray().tobytes() == oracle.toarray().tobytes()
 
 
 class TestLaplacian:

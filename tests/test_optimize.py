@@ -45,6 +45,21 @@ class TestSpecs:
             Schedule("polyak")
         Schedule("polyak", target=0.0)
 
+    def test_non_positive_step_rejected(self):
+        for s0 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError, match="step must be positive"):
+                Schedule("constant", s0=s0)
+        Schedule("constant", s0=1e-3)
+
+    def test_iteration_counts_validated(self):
+        q0 = Potential.zero(SMALL_CIRCLE)
+        args = (SMALL_CIRCLE, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 1.0), q0)
+        for max_iters in (0, -5):
+            with pytest.raises(ConfigError, match="iters must be at least 1"):
+                run_optimizer(*args, max_iters=max_iters)
+        with pytest.raises(ConfigError, match="cert_every must be >= 0"):
+            run_optimizer(*args, max_iters=2, cert_every=-3)
+
 
 class TestProjectFeasible:
     def test_feasible_unchanged(self, circle_grid):
@@ -232,6 +247,15 @@ class TestRefuteLocalMin:
                                   probe_budget=30, seed=3)
         assert not result.found
         assert result.witness is None
+
+    def test_every_candidate_counted(self, circle_grid):
+        # at q = 0 the certificate of the cluster {2, 3} is feasible, so the
+        # search tries the 3 probes (each on both sides) and then the 6 signed
+        # branch products F_a F_b and F_a^2 - F_b^2, and finds no descent for i = 3
+        result = refute_local_min(circle_grid, Potential.zero(circle_grid), 3,
+                                  probe_budget=3, seed=3)
+        assert not result.found
+        assert result.candidates_tried == 3 + 6
 
     def test_random_neumann_witness(self, neumann_grid):
         q = Potential.fourier(neumann_grid, (0.5, -0.2, 0.3))

@@ -56,6 +56,19 @@ def test_no_cluster_tolerance_or_start_knobs():
     assert "truncated" not in {f.name for f in dataclasses.fields(specpot.Cluster)}
 
 
+def test_single_value_knobs_are_constants():
+    # one node weight, one Polyak relaxation, one line-search length, and the
+    # torus keeps per-axis bands instead of a dense stencil
+    from specpot import domain, optimize
+
+    assert "weights" not in {f.name for f in dataclasses.fields(specpot.DomainGrid)}
+    assert not hasattr(domain, "_circle_laplacian")
+    assert "relaxation" not in {f.name for f in dataclasses.fields(specpot.Schedule)}
+    assert optimize.POLYAK_RELAXATION == 0.5
+    assert list(inspect.signature(optimize._confirm_descent).parameters) == ["grid", "q", "i", "u"]
+    assert optimize.LINE_SEARCH_POINTS == 3
+
+
 def test_one_d_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", ONE_D_RUN], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)

@@ -40,9 +40,13 @@ class TestMakeDirection:
         assert u.sup_norm == pytest.approx(1.0)
         assert np.max(np.abs(u.values)) == pytest.approx(1.0)
 
-    def test_zero_direction_rejected(self, circle_grid):
-        with pytest.raises(ValueError):
-            make_direction(circle_grid, np.full(256, 4.2), normalize=True)
+    def test_zero_direction_rejected(self, circle_grid, neumann_grid, torus_grid):
+        # centering a constant leaves only rounding, which must not be scaled up
+        # to a unit direction
+        for g in (circle_grid, neumann_grid, torus_grid):
+            for c in (-2.5, 0.3, 4.2, 7.0, 1e3):
+                with pytest.raises(ValueError):
+                    make_direction(g, np.full(g.n_nodes, c), normalize=True)
 
 
 class TestSimpleDerivative:

@@ -29,7 +29,7 @@ MODES = [(kx, ky) for kx in range(3) for ky in range(3) if (kx, ky) != (0, 0)]
 def dense_oracle(grid, q) -> SpectralData:
     """Whole spectrum from a dense decomposition, w-orthonormal eigenvectors."""
     evals, evecs = np.linalg.eigh(assemble(grid, q).toarray())
-    return SpectralData(evals, evecs / np.sqrt(grid.weights[0]), grid, q)
+    return SpectralData(evals, evecs / np.sqrt(grid.weight), grid, q)
 
 
 def low_mode_potential(grid, c, amplitudes) -> Potential:
@@ -45,7 +45,7 @@ def low_mode_potential(grid, c, amplitudes) -> Potential:
 
 def projector(spec, cluster):
     F = spec.basis(cluster)
-    return F @ (F * spec.grid.weights[:, None]).T
+    return F @ (F * spec.grid.weight).T
 
 
 def oracle_clusters(oracle, count):

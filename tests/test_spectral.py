@@ -61,7 +61,7 @@ class TestEigensolve:
     def test_w_orthonormal(self, circle_zero_spec):
         F = circle_zero_spec.eigenvectors
         g = circle_zero_spec.grid
-        G = (F * g.weights[:, None]).T @ F
+        G = (F * g.weight).T @ F
         assert np.max(np.abs(G - np.eye(F.shape[1]))) <= 1e-10
 
     def test_eigen_residuals(self, circle_grid):
@@ -81,8 +81,8 @@ class TestEigensolve:
         for block in ([0], [1, 2], [3, 4]):
             Fb = base.eigenvectors[:, block]
             Fs = shifted.eigenvectors[:, block]
-            Pb = Fb @ (Fb * circle_grid.weights[:, None]).T
-            Ps = Fs @ (Fs * circle_grid.weights[:, None]).T
+            Pb = Fb @ (Fb * circle_grid.weight).T
+            Ps = Fs @ (Fs * circle_grid.weight).T
             assert np.max(np.abs(Pb - Ps)) <= 1e-9
 
     def test_shift_equivariance_random(self, circle_grid):
