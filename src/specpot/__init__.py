@@ -30,12 +30,10 @@ from .spectral import (
     solve_spectrum,
 )
 from .perturbation import (
-    ClusterDerivativeMatrix,
     DirectionalDerivative,
     ProbeDirection,
     cluster_matrix,
     gap_one_sided_derivatives,
-    is_critical_probe,
     make_direction,
     one_sided_derivatives,
     sample_probes,
@@ -80,11 +78,9 @@ __all__ = [
     "recover_potential",
     "ProbeDirection",
     "DirectionalDerivative",
-    "ClusterDerivativeMatrix",
     "make_direction",
     "cluster_matrix",
     "one_sided_derivatives",
-    "is_critical_probe",
     "gap_one_sided_derivatives",
     "sample_probes",
     "CertificateStatus",

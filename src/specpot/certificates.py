@@ -26,13 +26,13 @@ from enum import Enum
 import numpy as np
 
 from .domain import project_mean_zero
-from .errors import IncompleteClusterError, SeparationError
+from .errors import SeparationError
 from .perturbation import (
     ProbeDirection,
     cluster_matrix,
-    is_critical_probe,
     make_direction,
     mixed_probe_suite,
+    one_sided_derivatives,
 )
 from .spectral import (
     Cluster,
@@ -145,9 +145,6 @@ def _decide(A: np.ndarray, b: np.ndarray,
 def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertificate:
     """Decide whether 1 lies in the sum-of-squares cone of the cluster's
     eigenspace, returning a psd Gram witness or a separating direction."""
-    if not cluster.complete:
-        raise IncompleteClusterError(
-            f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
     F = spec.basis(cluster)
     m = cluster.multiplicity
     A = _basis_rows(F)
@@ -166,13 +163,13 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertifi
 
 def _lowest_slope(spec: SpectralData, cluster: Cluster):
     """u -> lowest branch slope: positive when the restricted form is definite."""
-    return lambda u: float(cluster_matrix(spec, cluster, u).branch_slopes()[0])
+    return lambda u: float(np.linalg.eigvalsh(cluster_matrix(spec, cluster, u))[0])
 
 
 def _gap_slope(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster):
     """u -> nu_min - mu_max: positive when every j-branch outgrows every i-branch."""
-    return lambda u: float(cluster_matrix(spec, cluster_j, u).branch_slopes()[0]
-                           - cluster_matrix(spec, cluster_i, u).branch_slopes()[-1])
+    return lambda u: float(np.linalg.eigvalsh(cluster_matrix(spec, cluster_j, u))[0]
+                           - np.linalg.eigvalsh(cluster_matrix(spec, cluster_i, u))[-1])
 
 
 def _definite_direction(spec: SpectralData, candidate: np.ndarray,
@@ -220,8 +217,8 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
 def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) -> GapCertificate:
     """Decide whether the sum-of-squares cones of two eigenspaces intersect
     nontrivially (pointwise-equal psd Gram forms, i-side trace normalized)."""
-    if not (cluster_i.complete and cluster_j.complete):
-        raise IncompleteClusterError("a gap cluster is not proven complete by an eigenvalue count")
+    Fi = spec.basis(cluster_i)
+    Fj = spec.basis(cluster_j)
     if cluster_i.first_index == cluster_j.first_index:
         # Equal eigenvalues: the gap vanishes identically and the shared
         # eigenspace intersects itself; no solve needed.
@@ -230,8 +227,6 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
         return GapCertificate(CertificateStatus.FEASIBLE, G, G.copy(), 0.0, 0,
                               degenerate=True)
 
-    Fi = spec.basis(cluster_i)
-    Fj = spec.basis(cluster_j)
     mi, mj = cluster_i.multiplicity, cluster_j.multiplicity
     di, dj = mi * (mi + 1) // 2, mj * (mj + 1) // 2
     Ai = _basis_rows(Fi)
@@ -328,7 +323,7 @@ def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
 
     cert = criticality_certificate(spec, cluster)
     suite = mixed_probe_suite(spec.grid, probes, seed)
-    critical_count = sum(1 for u in suite if is_critical_probe(spec, i, u))
+    critical_count = sum(1 for u in suite if one_sided_derivatives(spec, i, u).opposite_signs)
 
     frame_residual = None
     recovered_deviation = None

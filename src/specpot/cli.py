@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import CertificateStatus, full_criticality_report, gap_certificate
+from .certificates import CertificateStatus, extract_frame, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
 from .errors import ConfigError, DegenerateGapError, SolverError
@@ -25,7 +25,6 @@ from .perturbation import (
     ProbeDirection,
     fd_eigenvalue_derivative,
     fd_richardson_derivative,
-    is_critical_probe,
     make_direction,
     one_sided_derivatives,
     sample_probes,
@@ -41,7 +40,12 @@ from .reports import (
     write_json,
     write_node_csv,
 )
-from .spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
+from .spectral import (
+    detect_cluster,
+    recover_potential,
+    solve_spectrum,
+    spectrum_with_complete_cluster,
+)
 from .verify import run_suite
 
 _DOMAIN = ({"kind", "length", "nodes", "bc"}, {"kind", "length", "nodes", "bc"})
@@ -220,7 +224,7 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         raise ConfigError(f"fd_step must be positive, got {t}")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     d = one_sided_derivatives(spec, i, u)
-    critical = is_critical_probe(spec, i, u)
+    critical = d.opposite_signs
     fd_central = fd_eigenvalue_derivative(grid, q, i, u, t)
     fd_rich = fd_richardson_derivative(grid, q, i, u, t)
     rank = cluster.rank_of(i)
@@ -269,9 +273,6 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     write_json(outdir / "certificate.json", certificate_payload(cert, direction_csv))
     report["artifacts"]["certificate_json"] = "certificate.json"
     if cert.status is CertificateStatus.FEASIBLE and _wants_csv(cfg):
-        from .certificates import extract_frame
-        from .spectral import recover_potential
-
         frame = extract_frame(cert, spec, cluster)
         write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(frame)})
         report["artifacts"]["frame_csv"] = "frame.csv"

@@ -29,7 +29,6 @@ from .spectral import (
     Cluster,
     SpectralData,
     detect_cluster,
-    solve_spectrum,
     spectrum_with_complete_cluster,
 )
 
@@ -177,16 +176,14 @@ def _objective_value(spec: SpectralData, objective: ObjectiveSpec) -> float:
 
 def _branch_function(spec: SpectralData, i: int) -> np.ndarray:
     """Eigenfunction whose squared density drives the governing branch at i:
-    the eigenvector itself when simple, otherwise one fixed-point pass through
-    the cluster matrix of the candidate direction."""
+    one fixed-point pass through the cluster matrix of the candidate direction
+    (for a simple eigenvalue, whose 1 x 1 matrix has eigenvector 1, f_i)."""
     cluster = detect_cluster(spec, i)
-    if cluster.multiplicity == 1:
-        return spec.eigenvector(i)
     F = spec.basis(cluster)
     seed_dir = make_direction(spec.grid, spec.eigenvector(i) ** 2)
     if seed_dir.sup_norm <= 1e-14:
         return spec.eigenvector(i)
-    _, vecs = cluster_matrix(spec, cluster, seed_dir).branches()
+    _, vecs = np.linalg.eigh(cluster_matrix(spec, cluster, seed_dir))
     return F @ vecs[:, cluster.rank_of(i)]
 
 
@@ -411,11 +408,10 @@ def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int,
 def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection) -> bool:
     """Strictly decreasing lambda_i(q + t u) over t = s, 2s, ... with
     s = LINE_SEARCH_STEP, LINE_SEARCH_POINTS points."""
-    k = i + 6
-    prev = solve_spectrum(grid, q, k).eigenvalue(i)
+    prev = spectrum_with_complete_cluster(grid, q, i)[0].eigenvalue(i)
     for p in range(1, LINE_SEARCH_POINTS + 1):
         shifted = Potential.from_values(grid, q.values + p * LINE_SEARCH_STEP * u.values)
-        value = solve_spectrum(grid, shifted, k).eigenvalue(i)
+        value = spectrum_with_complete_cluster(grid, shifted, i)[0].eigenvalue(i)
         if value >= prev - 1e-12:
             return False
         prev = value

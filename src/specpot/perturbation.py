@@ -1,11 +1,11 @@
 """One-sided eigenvalue derivatives under mean-zero potential perturbations.
 
-For a simple eigenvalue the derivative of t -> lambda_i(q + t*u) at t = 0 is
-<u f_i, f_i>_w. For a degenerate eigenvalue of multiplicity m, the analytic
-branches through lambda_i have slopes equal to the eigenvalues mu_1 <= ... <=
-mu_m of the restricted multiplication matrix M_ab = <u f_a, f_b>_w on the
-eigenspace basis. Sorting then selects the one-sided derivatives: if i sits at
-0-based rank r inside its cluster,
+The analytic branches through lambda_i have slopes equal to the eigenvalues
+mu_1 <= ... <= mu_m of the multiplication matrix M_ab = <u f_a, f_b>_w over a
+basis of lambda_i's whole m-dimensional eigenspace; a simple eigenvalue is the
+1 x 1 case, so any unproven cluster is refused (IncompleteClusterError), a
+simple-looking one too. Sorting selects the one-sided derivatives: if i sits
+at 0-based rank r inside its cluster,
 
     right derivative = mu_{r+1},    left derivative = mu_{m-r}.
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Circle, DomainGrid, Potential, Torus2D, fourier_mode, project_mean_zero
-from .errors import DegenerateGapError, IncompleteClusterError
-from .spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
+from .errors import DegenerateGapError
+from .spectral import Cluster, SpectralData, detect_cluster, spectrum_with_complete_cluster
 
 SIGN_PRODUCT_TOL = 1e-12
 ROUNDING_REL = 64 * float(np.finfo(float).eps)   # centering error relative to max |values|
@@ -48,22 +48,6 @@ class DirectionalDerivative:
         return self.left * self.right <= SIGN_PRODUCT_TOL * scale**2
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterDerivativeMatrix:
-    """Symmetric m x m matrix <u f_a, f_b>_w over a cluster's basis."""
-
-    entries: np.ndarray
-    cluster: Cluster
-    direction: ProbeDirection
-
-    def branch_slopes(self) -> np.ndarray:
-        """Ascending derivative values of the analytic eigenvalue branches."""
-        return np.linalg.eigvalsh(self.entries)
-
-    def branches(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.entries)
-
-
 def make_direction(grid: DomainGrid, values, normalize: bool = False) -> ProbeDirection:
     """Project node values onto the mean-zero tangent space; optionally rescale
     to sup-norm 1. Normalizing fails (ValueError) when the projection is at
@@ -79,33 +63,22 @@ def make_direction(grid: DomainGrid, values, normalize: bool = False) -> ProbeDi
     return ProbeDirection(u, sup)
 
 
-def cluster_matrix(spec: SpectralData, cluster: Cluster, u: ProbeDirection) -> ClusterDerivativeMatrix:
-    """Restricted multiplication-by-u matrix on the cluster's eigenspace."""
-    if not cluster.complete:
-        raise IncompleteClusterError(
-            f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
+def cluster_matrix(spec: SpectralData, cluster: Cluster, u: ProbeDirection) -> np.ndarray:
+    """Symmetric m x m matrix <u f_a, f_b>_w on the cluster's eigenspace; its
+    ascending eigenvalues are the branch slopes."""
     F = spec.basis(cluster)
     weighted = F * (spec.grid.weight * u.values)[:, None]
     M = weighted.T @ F
-    return ClusterDerivativeMatrix((M + M.T) / 2.0, cluster, u)
+    return (M + M.T) / 2.0
 
 
 def one_sided_derivatives(spec: SpectralData, i: int, u: ProbeDirection) -> DirectionalDerivative:
     """Left/right derivatives of t -> lambda_i(q + t*u) at t = 0."""
     cluster = detect_cluster(spec, i)
-    if cluster.multiplicity == 1:
-        f = spec.eigenvector(i)
-        d = spec.grid.inner(u.values * f, f)
-        return DirectionalDerivative(d, d)
-    slopes = cluster_matrix(spec, cluster, u).branch_slopes()
+    slopes = np.linalg.eigvalsh(cluster_matrix(spec, cluster, u))
     r = cluster.rank_of(i)
     m = cluster.multiplicity
     return DirectionalDerivative(left=float(slopes[m - 1 - r]), right=float(slopes[r]))
-
-
-def is_critical_probe(spec: SpectralData, i: int, u: ProbeDirection) -> bool:
-    """True when the one-sided derivatives have opposite signs (or vanish)."""
-    return one_sided_derivatives(spec, i, u).opposite_signs
 
 
 def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int,
@@ -208,18 +181,19 @@ def mixed_probe_suite(grid: DomainGrid, count: int, seed: int) -> list[ProbeDire
 
 
 def fd_eigenvalue_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                             t: float = 1e-4, k: int | None = None) -> float:
+                             t: float = 1e-4) -> float:
     """Central finite-difference quotient (lambda_i(q+tu) - lambda_i(q-tu)) / 2t."""
-    k = k or i + 6
-    plus = solve_spectrum(grid, Potential.from_values(grid, q.values + t * u.values), k)
-    minus = solve_spectrum(grid, Potential.from_values(grid, q.values - t * u.values), k)
-    return (plus.eigenvalue(i) - minus.eigenvalue(i)) / (2.0 * t)
+    def value(shift: float) -> float:
+        shifted = Potential.from_values(grid, q.values + shift * u.values)
+        return spectrum_with_complete_cluster(grid, shifted, i)[0].eigenvalue(i)
+
+    return (value(t) - value(-t)) / (2.0 * t)
 
 
 def fd_richardson_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                             t: float = 1e-4, k: int | None = None) -> float:
+                             t: float = 1e-4) -> float:
     """Richardson-extrapolated central difference, O(t^4) truncation."""
-    coarse = fd_eigenvalue_derivative(grid, q, i, u, t, k)
-    fine = fd_eigenvalue_derivative(grid, q, i, u, t / 2.0, k)
+    coarse = fd_eigenvalue_derivative(grid, q, i, u, t)
+    fine = fd_eigenvalue_derivative(grid, q, i, u, t / 2.0)
     return (4.0 * fine - coarse) / 3.0
 

@@ -29,9 +29,10 @@ import numpy as np
 from . import banded
 from .banded import BandedOperator
 from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, IncompleteClusterError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
+EXTRA_PAIRS = 6         # pairs a solve for index i computes beyond i
 RESIDUAL_TOL = 1e-8
 MAX_BLOCK_STEPS = 200   # shift-invert block steps of a torus re-solve
 START_VECTOR_SEED = 0   # start block in 1-D, ARPACK start vector on the torus
@@ -67,7 +68,11 @@ class SpectralData:
         return self.eigenvectors[:, i - 1]
 
     def basis(self, cluster: "Cluster") -> np.ndarray:
-        """(n, m) block of eigenvectors spanning the cluster's eigenspace."""
+        """(n, m) block of eigenvectors spanning the cluster's eigenspace;
+        IncompleteClusterError unless the cluster is proven complete."""
+        if not cluster.complete:
+            raise IncompleteClusterError(
+                f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
         lo = cluster.first_index - 1
         return self.eigenvectors[:, lo : lo + cluster.multiplicity]
 
@@ -152,7 +157,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         count = count_eigenvalues_below(H, x)
         if solved == count:
             break
-        solve_k = min(most, max(solve_k, count) + 6)
+        solve_k = min(most, max(solve_k, count) + EXTRA_PAIRS)
     else:
         raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
     if len(evals) > k:
@@ -293,14 +298,15 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential,
                                    i: int) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
-    The first solve takes k = i + 6 pairs. When its cluster is not
+    The first solve takes k = i + EXTRA_PAIRS pairs. When its cluster is not
     ``complete``, the eigenvalues below the cluster's upper edge are counted
-    and the solve is repeated once with 6 pairs more than that count (or k);
-    SolverError when the cluster is still not proven complete.
+    and the solve is repeated once with EXTRA_PAIRS pairs more than that
+    count (or k); SolverError when the cluster is still not proven complete.
+    Line searches, finite differences and gaps take index-i spectra from here.
     """
     n = grid.n_nodes
     H = assemble(grid, q)
-    k = min(n, i + 6)
+    k = min(n, i + EXTRA_PAIRS)
     for _ in range(2):
         spec = eigensolve(grid, H, k, potential=q)
         cluster = detect_cluster(spec, i)
@@ -308,7 +314,7 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential,
             return spec, cluster
         edge = cluster.value + cluster.tol_used
         count = count_eigenvalues_below(H, edge)
-        k = min(n, max(k, count) + 6)
+        k = min(n, max(k, count) + EXTRA_PAIRS)
     raise SolverError(f"{count} eigenvalues lie below {edge:.12g}; a solve of {spec.count} "
                       f"pairs does not prove the cluster of index {i} complete")
 

@@ -25,7 +25,12 @@ from .optimize import (
     refute_local_min,
     run_optimizer,
 )
-from .perturbation import make_direction, mixed_probe_suite, one_sided_derivatives
+from .perturbation import (
+    gap_one_sided_derivatives,
+    make_direction,
+    mixed_probe_suite,
+    one_sided_derivatives,
+)
 from .reports import verdict
 from .spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 
@@ -251,14 +256,12 @@ def suite_gap_no_min(seed: int) -> dict:
 
 
 def _gap_value(grid, q: Potential, i: int, j: int) -> float:
-    spec = solve_spectrum(grid, q, j + 6)
+    spec, _ = spectrum_with_complete_cluster(grid, q, j)
     return spec.eigenvalue(j) - spec.eigenvalue(i)
 
 
 def _gap_descent_exists(grid, q: Potential, i: int, j: int, seed: int) -> bool:
-    from .perturbation import gap_one_sided_derivatives
-
-    spec = solve_spectrum(grid, q, j + 6)
+    spec, _ = spectrum_with_complete_cluster(grid, q, j)
     for u in mixed_probe_suite(grid, 60, seed + 99):
         d = gap_one_sided_derivatives(spec, i, j, u)
         if d.right < -1e-6 or d.left > 1e-6:

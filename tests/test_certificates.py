@@ -11,7 +11,12 @@ from specpot.certificates import (
 )
 from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
 from specpot.errors import IncompleteClusterError, SeparationError
-from specpot.perturbation import is_critical_probe, mixed_probe_suite, one_sided_derivatives
+from specpot.optimize import ObjectiveSpec, subgradient_direction
+from specpot.perturbation import (
+    gap_one_sided_derivatives,
+    mixed_probe_suite,
+    one_sided_derivatives,
+)
 from specpot.spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 
@@ -267,7 +272,7 @@ class TestFullReport:
         cert = criticality_certificate(spec, cl)
         assert cert.status is CertificateStatus.FEASIBLE
         for u in mixed_probe_suite(circle_grid, 30, 9):
-            assert is_critical_probe(spec, 2, u)
+            assert one_sided_derivatives(spec, 2, u).opposite_signs
 
 
 def test_unproven_cluster_refused(circle_grid):
@@ -285,3 +290,14 @@ def test_unproven_cluster_refused(circle_grid):
         full_criticality_report(spec, 2, probes=5)
     with pytest.raises(IncompleteClusterError, match="not proven complete"):
         one_sided_derivatives(spec, 2, u)
+    # 2 pairs end in one copy of the double eigenvalue 1: lambda_2 looks
+    # simple, but its derivative needs the whole eigenspace
+    spec = solve_spectrum(circle_grid, Potential.zero(circle_grid), 2)
+    assert detect_cluster(spec, 2).multiplicity == 1
+    assert not detect_cluster(spec, 2).complete
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        one_sided_derivatives(spec, 2, u)
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        gap_one_sided_derivatives(spec, 1, 2, u)
+    with pytest.raises(IncompleteClusterError, match="not proven complete"):
+        subgradient_direction(spec, ObjectiveSpec("eigenvalue", 2))

@@ -44,7 +44,9 @@ def low_mode_potential(grid, c, amplitudes) -> Potential:
 
 
 def projector(spec, cluster):
-    F = spec.basis(cluster)
+    # the top computed cluster may be unproven, so slice the columns directly
+    lo = cluster.first_index - 1
+    F = spec.eigenvectors[:, lo : lo + cluster.multiplicity]
     return F @ (F * spec.grid.weight).T
 
 
