@@ -46,7 +46,6 @@ from .certificates import (
     extract_frame,
     full_criticality_report,
     gap_certificate,
-    separating_direction,
 )
 from .optimize import (
     ConstraintSpec,
@@ -88,7 +87,6 @@ __all__ = [
     "GapCertificate",
     "criticality_certificate",
     "extract_frame",
-    "separating_direction",
     "gap_certificate",
     "full_criticality_report",
     "ObjectiveSpec",

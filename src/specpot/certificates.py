@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import project_mean_zero
+from .domain import Potential, project_mean_zero
 from .errors import SeparationError
 from .perturbation import (
     ProbeDirection,
@@ -191,14 +191,6 @@ def _definite_direction(spec: SpectralData, candidate: np.ndarray,
     raise SeparationError("the form is not definite along the candidate or its negative")
 
 
-def separating_direction(spec: SpectralData, cluster: Cluster,
-                         residual_values: np.ndarray) -> ProbeDirection:
-    """Verified direction whose restricted quadratic form is positive definite
-    on the cluster's eigenspace; SeparationError when neither the candidate
-    nor its negative gives one."""
-    return _definite_direction(spec, residual_values, _lowest_slope(spec, cluster))[0]
-
-
 def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
     """Eigenfunction frame f~_p = sqrt(gamma_p) sum_a (v_p)_a f_a from a
     feasible Gram certificate; the squares of the frame sum to 1 within the
@@ -256,15 +248,6 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
                           separating_direction=u, margin=margin)
 
 
-def _gap_separating_direction(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster,
-                              residual_values: np.ndarray) -> ProbeDirection:
-    """Verified direction along which every j-branch rises faster than every
-    i-branch; SeparationError when neither the candidate nor its negative
-    gives one."""
-    return _definite_direction(spec, residual_values,
-                               _gap_slope(spec, cluster_i, cluster_j))[0]
-
-
 @dataclass(frozen=True, eq=False)
 class CriticalityReport:
     """Aggregate verdict for one eigenvalue index at one potential."""
@@ -281,6 +264,8 @@ class CriticalityReport:
     frame_residual: float | None
     recovered_deviation: float | None
     verdict: str
+    frame: list[np.ndarray] | None       # of a feasible certificate; not in to_dict()
+    recovered: Potential | None          # potential recovered from the frame
 
     def to_dict(self) -> dict:
         payload = {
@@ -327,6 +312,7 @@ def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
 
     frame_residual = None
     recovered_deviation = None
+    frame = recovered = None
     if cert.status is CertificateStatus.FEASIBLE:
         frame = extract_frame(cert, spec, cluster)
         total = np.sum([f**2 for f in frame], axis=0)
@@ -354,4 +340,6 @@ def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
         frame_residual=frame_residual,
         recovered_deviation=recovered_deviation,
         verdict=verdict,
+        frame=frame,
+        recovered=recovered,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import CertificateStatus, extract_frame, full_criticality_report, gap_certificate
+from .certificates import CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
 from .errors import ConfigError, DegenerateGapError, SolverError
@@ -42,7 +42,6 @@ from .reports import (
 )
 from .spectral import (
     detect_cluster,
-    recover_potential,
     solve_spectrum,
     spectrum_with_complete_cluster,
 )
@@ -93,6 +92,7 @@ SCHEMAS: dict[str, dict[str, tuple[set[str], set[str]]]] = {
 }
 
 _NEEDS_SEED = {"criticality", "gap", "verify"}
+MAX_PROBES = 1000   # 5x the criticality default; every probe vector is built up front
 
 
 def _require_seed(cfg: ParsedConfig, command: str) -> int | None:
@@ -191,6 +191,8 @@ def _positive_probes(task: dict[str, str], default: int) -> int:
     probes = get_int(task, "probes", default)
     if probes <= 0:
         raise ConfigError(f"probes must be a positive integer, got {probes}")
+    if probes > MAX_PROBES:
+        raise ConfigError(f"probes must be at most {MAX_PROBES}, got {probes}")
     return probes
 
 
@@ -258,7 +260,7 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     i = _check_index(grid, get_int(task, "index"))
     probes = _positive_probes(task, 200)
     seed = _require_seed(cfg, "criticality")
-    spec, cluster = spectrum_with_complete_cluster(grid, q, i)
+    spec, _ = spectrum_with_complete_cluster(grid, q, i)
     crit = full_criticality_report(spec, i, probes=probes, seed=seed)
     report = new_report("criticality", cfg.sections)
     report["eigenvalues"] = eigenvalues_payload(spec)
@@ -273,11 +275,9 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     write_json(outdir / "certificate.json", certificate_payload(cert, direction_csv))
     report["artifacts"]["certificate_json"] = "certificate.json"
     if cert.status is CertificateStatus.FEASIBLE and _wants_csv(cfg):
-        frame = extract_frame(cert, spec, cluster)
-        write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(frame)})
+        write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(crit.frame)})
         report["artifacts"]["frame_csv"] = "frame.csv"
-        recovered = recover_potential(grid, frame, cluster.value)
-        write_node_csv(grid, outdir / "recovered_potential.csv", {"q": recovered.values})
+        write_node_csv(grid, outdir / "recovered_potential.csv", {"q": crit.recovered.values})
         report["artifacts"]["recovered_potential_csv"] = "recovered_potential.csv"
     return report, 0
 
@@ -292,9 +292,8 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         raise ConfigError(f"gap requires 1 <= index < jindex, got {i}, {j}")
     probes = _positive_probes(task, 20)
     seed = _require_seed(cfg, "gap")
-    spec, _ = spectrum_with_complete_cluster(grid, q, j)
+    spec, cj = spectrum_with_complete_cluster(grid, q, j)
     ci = detect_cluster(spec, i)
-    cj = detect_cluster(spec, j)
     cert = gap_certificate(spec, ci, cj)
 
     report = new_report("gap", cfg.sections)

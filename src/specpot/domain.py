@@ -92,9 +92,6 @@ class DomainGrid:
         """Discrete L2(w) inner product w sum_x a(x) b(x)."""
         return float(np.dot(self.weight * np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
-    def norm(self, a) -> float:
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
 
 def _circle_bands(n: int, h: float) -> np.ndarray:
     return np.stack([np.full(n, 2.0), np.full(n, -1.0)]) / h**2
@@ -108,6 +105,16 @@ def _interval_bands(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
     corner = 3.0 if bc is BoundaryCondition.DIRICHLET else 1.0
     bands[0, [0, n - 1]] = corner / h**2
     return bands
+
+
+def _spacing(length: float, n: int) -> float:
+    """Node spacing h = length / n; ConfigError unless h > 0 and the
+    Laplacian's scales h^2 and 1/h^2 are finite and nonzero."""
+    h = length / n
+    if not (h > 0.0 and 0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+        raise ConfigError(f"length {length!r} over {n} nodes gives spacing h = {h:.3g}: "
+                          "it must be positive, with finite nonzero h^2 and 1/h^2")
+    return h
 
 
 def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainGrid:
@@ -136,24 +143,18 @@ def build_grid(kind: DomainKind, n_nodes: int, bc: BoundaryCondition) -> DomainG
 
     if isinstance(kind, Circle):
         ell = float(kind.circumference)
-        if ell <= 0:
-            raise ConfigError("circumference must be positive")
-        h = ell / n
+        h = _spacing(ell, n)
         coords = h * np.arange(n)
         return DomainGrid(kind, bc, n, coords, (h,), h, ell, _circle_bands(n, h))
 
     if isinstance(kind, Interval):
         ell = float(kind.length)
-        if ell <= 0:
-            raise ConfigError("length must be positive")
-        h = ell / n
+        h = _spacing(ell, n)
         coords = h * (np.arange(n) + 0.5)
         return DomainGrid(kind, bc, n, coords, (h,), h, ell, _interval_bands(n, h, bc))
 
     lx, ly = float(kind.length_x), float(kind.length_y)
-    if lx <= 0 or ly <= 0:
-        raise ConfigError("torus side lengths must be positive")
-    hx, hy = lx / n, ly / n
+    hx, hy = _spacing(lx, n), _spacing(ly, n)
     x = hx * np.arange(n)
     y = hy * np.arange(n)
     # Node index = j * n + i for node (x_i, y_j): x varies fastest.

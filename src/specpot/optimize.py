@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import CertificateStatus, criticality_certificate, gap_certificate
 from .domain import DomainGrid, Potential, mean_value, project_mean_zero
-from .errors import ConfigError, DegenerateGapError, SolverError
+from .errors import ConfigError, SolverError
 from .perturbation import (
     ProbeDirection,
     cluster_matrix,
@@ -39,6 +39,7 @@ DESCENT_THRESHOLD = 1e-6     # one-sided derivative a descent witness must beat
 LINE_SEARCH_STEP = 1e-3      # step of the line search confirming a witness
 LINE_SEARCH_POINTS = 3       # points t = s, 2s, 3s it must strictly descend over
 POLYAK_RELAXATION = 0.5      # lands on a quadratic model's minimizer, not across it
+MAX_BOUND = 1e6              # keeps project_feasible's mean error (~1e-16 * B) far below 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Fixed mean c and sup-norm box bound B >= |c|."""
+    """Fixed mean c and sup-norm box bound MAX_BOUND >= B >= |c|."""
 
     mean_c: float
     bound_B: float
@@ -84,6 +85,9 @@ class ConstraintSpec:
             raise ConfigError(
                 f"infeasible constraint: need B >= |c| > 0, got c={self.mean_c}, B={self.bound_B}"
             )
+        if self.bound_B > MAX_BOUND:
+            raise ConfigError(f"bound B must be at most {MAX_BOUND:g}, got B={self.bound_B}: "
+                              "the feasible projection keeps the mean only to ~1e-16 * B")
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,8 @@ def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec) -> Potenti
     one scalar mu that puts the mean on c (the continuous quadratic knapsack,
     Kiwiel 2008). That mean is continuous and nondecreasing in mu, equal to -B
     at mu = -B - max v and to B at mu = B - min v, so bisection on this
-    bracket finds mu; both constraints then hold to roundoff.
+    bracket finds mu. The box then holds exactly and the mean to about
+    1e-16 * max(1, B): at most 5.1e-11 over 200 random inputs at B = MAX_BOUND.
     """
     values = q.values if isinstance(q, Potential) else grid.check_vector(q)
     B, c = constraint.bound_B, constraint.mean_c
@@ -174,11 +179,10 @@ def _objective_value(spec: SpectralData, objective: ObjectiveSpec) -> float:
     return spec.eigenvalue(objective.j) - spec.eigenvalue(objective.i)
 
 
-def _branch_function(spec: SpectralData, i: int) -> np.ndarray:
-    """Eigenfunction whose squared density drives the governing branch at i:
-    one fixed-point pass through the cluster matrix of the candidate direction
-    (for a simple eigenvalue, whose 1 x 1 matrix has eigenvector 1, f_i)."""
-    cluster = detect_cluster(spec, i)
+def _branch_function(spec: SpectralData, cluster: Cluster, i: int) -> np.ndarray:
+    """Eigenfunction of i's cluster whose squared density drives the governing
+    branch at i: one fixed-point pass through the cluster matrix of the candidate
+    direction (for a simple eigenvalue, whose 1 x 1 matrix has eigenvector 1, f_i)."""
     F = spec.basis(cluster)
     seed_dir = make_direction(spec.grid, spec.eigenvector(i) ** 2)
     if seed_dir.sup_norm <= 1e-14:
@@ -187,13 +191,15 @@ def _branch_function(spec: SpectralData, i: int) -> np.ndarray:
     return F @ vecs[:, cluster.rank_of(i)]
 
 
-def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec) -> ProbeDirection:
-    """Mean-zero ascent direction for the objective (not normalized: its
-    magnitude vanishes as the run approaches a smooth critical point)."""
-    f = _branch_function(spec, objective.i)
+def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec, ci: Cluster,
+                          cj: Cluster | None) -> ProbeDirection:
+    """Mean-zero ascent direction for the objective at the clusters ci, cj of
+    its indices (cj is None for an eigenvalue target); not normalized: its
+    magnitude vanishes as the run approaches a smooth critical point."""
+    f = _branch_function(spec, ci, objective.i)
     if objective.target == "eigenvalue":
         return make_direction(spec.grid, f**2)
-    g = _branch_function(spec, objective.j)
+    g = _branch_function(spec, cj, objective.j)
     return make_direction(spec.grid, g**2 - f**2)
 
 
@@ -274,11 +280,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 stop_reason = "stagnation"
                 break
 
-        try:
-            direction = subgradient_direction(spec, objective)
-        except DegenerateGapError:
-            stop_reason = "gap_degenerate"
-            break
+        direction = subgradient_direction(spec, objective, ci, cj)
         if direction.sup_norm <= 1e-15:
             stop_reason = "stagnation"
             break
@@ -378,7 +380,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
         if two_sided and d.left > DESCENT_THRESHOLD:   # -u descends
             sides.append((make_direction(grid, -u.values, normalize=True), -d.left))
         for v, slope in sides:
-            if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v):
+            if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v, spec.eigenvalue(i)):
                 return RefuteResult(v, slope, True, tried)
     return RefuteResult(None, 0.0, False, tried)
 
@@ -405,14 +407,14 @@ def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int,
                 yield make_direction(grid, sign * raw, normalize=True), False
 
 
-def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection) -> bool:
-    """Strictly decreasing lambda_i(q + t u) over t = s, 2s, ... with
-    s = LINE_SEARCH_STEP, LINE_SEARCH_POINTS points."""
-    prev = spectrum_with_complete_cluster(grid, q, i)[0].eigenvalue(i)
+def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
+                     value: float) -> bool:
+    """Strictly decreasing lambda_i(q + t u) from value = lambda_i(q) over
+    t = s, 2s, ... with s = LINE_SEARCH_STEP, LINE_SEARCH_POINTS points."""
     for p in range(1, LINE_SEARCH_POINTS + 1):
         shifted = Potential.from_values(grid, q.values + p * LINE_SEARCH_STEP * u.values)
-        value = spectrum_with_complete_cluster(grid, shifted, i)[0].eigenvalue(i)
-        if value >= prev - 1e-12:
+        lower = spectrum_with_complete_cluster(grid, shifted, i)[0].eigenvalue(i)
+        if lower >= value - 1e-12:
             return False
-        prev = value
+        value = lower
     return True

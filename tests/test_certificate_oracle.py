@@ -13,13 +13,14 @@ from specpot.certificates import (
     FEASIBILITY_TOL,
     CertificateStatus,
     _basis_rows,
-    _gap_separating_direction,
+    _definite_direction,
+    _gap_slope,
+    _lowest_slope,
     _psd_project,
     _svec,
     _unsvec,
     criticality_certificate,
     gap_certificate,
-    separating_direction,
 )
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
 from specpot.errors import SeparationError
@@ -88,7 +89,7 @@ def oracle_criticality(spec, cluster):
     if feasible and np.linalg.eigvalsh(G)[0] >= PSD_TOL:
         return CertificateStatus.FEASIBLE, G, None, None
     try:
-        u = separating_direction(spec, cluster, b - A @ y)
+        u = _definite_direction(spec, b - A @ y, _lowest_slope(spec, cluster))[0]
     except SeparationError:
         return CertificateStatus.UNDECIDED, None, None, None
     margin = float(np.min(np.abs(np.linalg.eigvalsh(cluster_matrix(spec, cluster, u)))))
@@ -118,7 +119,7 @@ def oracle_gap(spec, ci, cj):
             and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8):
         return CertificateStatus.FEASIBLE, (Gi, Gj), None, None
     try:
-        u = _gap_separating_direction(spec, ci, cj, A[:n] @ y)
+        u = _definite_direction(spec, A[:n] @ y, _gap_slope(spec, ci, cj))[0]
     except SeparationError:
         return CertificateStatus.UNDECIDED, None, None, None
     mu = np.linalg.eigvalsh(cluster_matrix(spec, ci, u))

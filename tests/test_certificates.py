@@ -3,11 +3,12 @@ import pytest
 
 from specpot.certificates import (
     CertificateStatus,
+    _definite_direction,
+    _lowest_slope,
     criticality_certificate,
     extract_frame,
     full_criticality_report,
     gap_certificate,
-    separating_direction,
 )
 from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
 from specpot.errors import IncompleteClusterError, SeparationError
@@ -134,12 +135,14 @@ class TestSeparatingDirection:
         cl = detect_cluster(neumann_zero_spec, 1)
         rng = np.random.default_rng(3)
         with pytest.raises(SeparationError):
-            separating_direction(neumann_zero_spec, cl, rng.standard_normal(neumann_grid.n_nodes))
+            _definite_direction(neumann_zero_spec, rng.standard_normal(neumann_grid.n_nodes),
+                                _lowest_slope(neumann_zero_spec, cl))
 
     def test_constant_residual_fails(self, dirichlet_zero_spec, dirichlet_grid):
+        cl = detect_cluster(dirichlet_zero_spec, 1)
         with pytest.raises(SeparationError):
-            separating_direction(dirichlet_zero_spec, detect_cluster(dirichlet_zero_spec, 1),
-                                 np.full(dirichlet_grid.n_nodes, 0.4))
+            _definite_direction(dirichlet_zero_spec, np.full(dirichlet_grid.n_nodes, 0.4),
+                                _lowest_slope(dirichlet_zero_spec, cl))
 
 
 class TestGapCertificate:
@@ -300,4 +303,4 @@ def test_unproven_cluster_refused(circle_grid):
     with pytest.raises(IncompleteClusterError, match="not proven complete"):
         gap_one_sided_derivatives(spec, 1, 2, u)
     with pytest.raises(IncompleteClusterError, match="not proven complete"):
-        subgradient_direction(spec, ObjectiveSpec("eigenvalue", 2))
+        subgradient_direction(spec, ObjectiveSpec("eigenvalue", 2), detect_cluster(spec, 2), None)

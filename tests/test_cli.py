@@ -116,6 +116,19 @@ class TestSpectrumCommand:
                         + "\n[potential]\npreset=zero\n", "torus.cfg")
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
 
+    def test_extreme_length_exit_code(self, tmp_path, capsys):
+        # h^2 overflows at 1e300 and underflows to 0 at 1e-300
+        interval = CIRCLE_DOMAIN.replace("kind=circle", "kind=interval").replace(
+            "bc=closed", "bc=dirichlet")
+        for name, domain in (("circle", CIRCLE_DOMAIN), ("interval", interval),
+                             ("torus", TORUS_DOMAIN)):
+            for length in ("1e300", "1e-300"):
+                body = domain.replace("length=6.283185307179586", f"length={length}")
+                cfg = write_cfg(tmp_path, body + "\n[potential]\npreset=zero\n",
+                                f"{name}{length}.cfg")
+                assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+                assert f"length {float(length)!r} over" in capsys.readouterr().err
+
     def test_torus_modes_above_half_exit_code(self, tmp_path, capsys):
         # the 8 x 8 torus solves at most 64 // 2 = 32 pairs, with no dense fallback
         for modes, code in ((32, 0), (33, 2)):
@@ -212,11 +225,16 @@ class TestCriticalityCommand:
 
     def test_non_positive_probes_rejected(self, tmp_path, capsys):
         for command, task in (("criticality", "index=2"), ("gap", "index=1\njindex=2")):
-            for probes in (0, -3):
+            # every probe vector is built before the first is used: a ceiling
+            # keeps 10**9 probes from asking for terabytes
+            for probes, message in ((0, "probes must be a positive integer"),
+                                    (-3, "probes must be a positive integer"),
+                                    (1001, "probes must be at most 1000, got 1001"),
+                                    (10**9, "probes must be at most 1000")):
                 cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
                                 f"\n[task]\n{task}\nprobes={probes}\n\n[output]\nseed=5\n")
                 assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-                assert "probes must be a positive integer" in capsys.readouterr().err
+                assert message in capsys.readouterr().err
 
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -285,6 +303,16 @@ class TestOptimizeCommand:
             cfg = write_cfg(tmp_path, body, f"{key}.cfg")
             assert main(["optimize", "--config", cfg, "--out", str(tmp_path / key)]) == 2
 
+    def test_bound_ceiling(self, tmp_path, capsys):
+        # the projection keeps the mean to ~3e-17 * B: at B = 1e9 that already
+        # failed the 1e-8 start check with a false "q0 violates the constraint set"
+        for bound, code in (("1e9", 2), ("1e6", 0)):
+            body = (CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                    "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\nmean=0.0\n"
+                    f"bound={bound}\niters=2\n")
+            cfg = write_cfg(tmp_path, body, f"b{bound}.cfg")
+            assert main(["optimize", "--config", cfg, "--out", str(tmp_path / bound)]) == code
+        assert "bound B must be at most 1e+06, got B=1000000000.0" in capsys.readouterr().err
 
     def test_invalid_run_inputs_rejected(self, tmp_path, capsys):
         cases = [("iters=-5", "iters must be at least 1"),

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specpot import optimize
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
 from specpot.errors import ConfigError
 from specpot.optimize import (
@@ -17,7 +18,7 @@ from specpot.optimize import (
     run_optimizer,
     subgradient_direction,
 )
-from specpot.spectral import solve_spectrum
+from specpot.spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 
 SMALL_CIRCLE = build_grid(Circle(), 32, BoundaryCondition.CLOSED)
 
@@ -110,25 +111,30 @@ class TestProjectFeasible:
 class TestSubgradientDirection:
     def test_dirichlet_matches_explicit(self, dirichlet_zero_spec, dirichlet_grid):
         # steepest ascent of lambda_1 is proportional to V f1^2 - 1
-        u = subgradient_direction(dirichlet_zero_spec, ObjectiveSpec("eigenvalue", 1))
+        u = subgradient_direction(dirichlet_zero_spec, ObjectiveSpec("eigenvalue", 1),
+                                  detect_cluster(dirichlet_zero_spec, 1), None)
         f1 = dirichlet_zero_spec.eigenvector(1)
         explicit = dirichlet_grid.volume * f1**2 - 1.0
         cosine = dirichlet_grid.inner(u.values, explicit) / (
-            dirichlet_grid.norm(u.values) * dirichlet_grid.norm(explicit)
+            np.sqrt(dirichlet_grid.inner(u.values, u.values))
+            * np.sqrt(dirichlet_grid.inner(explicit, explicit))
         )
         assert cosine == pytest.approx(1.0, abs=1e-12)
         assert dirichlet_grid.inner(u.values * f1, f1) > 0
 
     def test_vanishes_at_constant(self, neumann_grid):
         spec = solve_spectrum(neumann_grid, Potential.constant(neumann_grid, 0.4), 7)
-        u = subgradient_direction(spec, ObjectiveSpec("eigenvalue", 1))
+        u = subgradient_direction(spec, ObjectiveSpec("eigenvalue", 1), detect_cluster(spec, 1),
+                                  None)
         assert u.sup_norm <= 1e-10
 
     def test_gap_direction_ascends_when_simple(self, dirichlet_zero_spec):
         # both eigenvalues simple: the direction is the exact gap gradient
         from specpot.perturbation import gap_one_sided_derivatives
 
-        u = subgradient_direction(dirichlet_zero_spec, ObjectiveSpec("gap", 1, 2))
+        u = subgradient_direction(dirichlet_zero_spec, ObjectiveSpec("gap", 1, 2),
+                                  detect_cluster(dirichlet_zero_spec, 1),
+                                  detect_cluster(dirichlet_zero_spec, 2))
         d = gap_one_sided_derivatives(dirichlet_zero_spec, 1, 2, u)
         assert d.right > 1e-6
         assert d.left == pytest.approx(d.right, abs=1e-12)
@@ -138,9 +144,26 @@ class TestSubgradientDirection:
         # has one-sided derivatives of opposite signs
         from specpot.perturbation import gap_one_sided_derivatives
 
-        u = subgradient_direction(circle_zero_spec, ObjectiveSpec("gap", 1, 2))
+        u = subgradient_direction(circle_zero_spec, ObjectiveSpec("gap", 1, 2),
+                                  detect_cluster(circle_zero_spec, 1),
+                                  detect_cluster(circle_zero_spec, 2))
         d = gap_one_sided_derivatives(circle_zero_spec, 1, 2, u)
         assert d.right <= 1e-12 and d.left >= -1e-12
+
+    def test_uses_the_clusters_it_is_given(self, circle_zero_spec, monkeypatch):
+        # the optimizer holds the clusters of i and j; the direction must not
+        # detect them again
+        spec = circle_zero_spec
+        c1, c2 = detect_cluster(spec, 1), detect_cluster(spec, 2)
+
+        def refuse(*args):
+            raise AssertionError("detect_cluster called")
+
+        monkeypatch.setattr(optimize, "detect_cluster", refuse)
+        for objective, ci, cj in ((ObjectiveSpec("eigenvalue", 2), c2, None),
+                                  (ObjectiveSpec("gap", 1, 2), c1, c2)):
+            u = subgradient_direction(spec, objective, ci, cj)
+            assert u.values.shape == (spec.grid.n_nodes,)
 
 
 class TestRunOptimizer:
@@ -262,6 +285,22 @@ class TestRefuteLocalMin:
         result = refute_local_min(neumann_grid, q, 2, probe_budget=200, seed=4)
         assert result.found
         assert result.derivative <= -1e-6
+
+    def test_confirmation_reuses_the_spectrum_at_q(self, neumann_grid, monkeypatch):
+        # the first candidate (the separating direction of the infeasible
+        # certificate) is confirmed: one solve at q, then one per line-search
+        # point, and no second solve at q
+        calls = []
+
+        def counted(grid, q, i):
+            calls.append(i)
+            return spectrum_with_complete_cluster(grid, q, i)
+
+        monkeypatch.setattr(optimize, "spectrum_with_complete_cluster", counted)
+        q = Potential.fourier(neumann_grid, (0.5, -0.2, 0.3))
+        result = refute_local_min(neumann_grid, q, 2, probe_budget=200, seed=4)
+        assert result.found and result.candidates_tried == 1
+        assert len(calls) == 1 + optimize.LINE_SEARCH_POINTS
 
     def test_index_guard(self, circle_grid):
         with pytest.raises(ValueError):

@@ -61,19 +61,24 @@ def test_single_value_knobs_are_constants():
     # one node weight, one Polyak relaxation, one line-search length, one
     # pair-headroom rule, one derivative path, and the torus keeps per-axis
     # bands instead of a dense stencil
-    from specpot import domain, optimize, perturbation, spectral
+    from specpot import certificates, domain, optimize, perturbation, spectral
 
     assert "weights" not in {f.name for f in dataclasses.fields(specpot.DomainGrid)}
     assert not hasattr(domain, "_circle_laplacian")
     assert "relaxation" not in {f.name for f in dataclasses.fields(specpot.Schedule)}
     assert optimize.POLYAK_RELAXATION == 0.5
-    assert list(inspect.signature(optimize._confirm_descent).parameters) == ["grid", "q", "i", "u"]
+    assert not {"step", "points"} & set(inspect.signature(optimize._confirm_descent).parameters)
     assert optimize.LINE_SEARCH_POINTS == 3
     for fd in (perturbation.fd_eigenvalue_derivative, perturbation.fd_richardson_derivative):
         assert "k" not in inspect.signature(fd).parameters
     assert spectral.EXTRA_PAIRS == 6
     assert not hasattr(specpot, "ClusterDerivativeMatrix")
     assert not hasattr(specpot, "is_critical_probe")
+    # no helpers that only tests call: the separating direction is found only
+    # inside the certificates, and a test takes a norm as sqrt(inner(a, a))
+    assert not hasattr(specpot, "separating_direction")
+    assert not hasattr(certificates, "_gap_separating_direction")
+    assert not hasattr(specpot.DomainGrid, "norm")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -107,6 +112,33 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def _unreferenced_private_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level _private functions that no code in the package reads,
+    apart from their own bodies."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            used = any(
+                (isinstance(n, ast.Name) and n.id == node.name)
+                or (isinstance(n, ast.Attribute) and n.attr == node.name)
+                for other in trees.values() for n in ast.walk(other) if id(n) not in own)
+            if not used:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_no_private_helpers_only_tests_call():
+    # a private helper the package itself never calls is dead code kept alive
+    # by tests; they should call what the package calls instead
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((SRC / "specpot").glob("*.py"))}
+    assert _unreferenced_private_functions(trees) == []
 
 
 def test_one_d_commands_load_no_scipy():
