@@ -201,7 +201,8 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
     gamma, V = np.linalg.eigh(cert.gram)
     frame = []
     for p in range(len(gamma)):
-        if gamma[p] > 1e-12:
+        # tr G is the domain's volume, so the cut is relative to the largest
+        if gamma[p] > 1e-12 * gamma[-1]:
             frame.append(np.sqrt(gamma[p]) * (F @ V[:, p]))
     return frame
 

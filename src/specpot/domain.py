@@ -108,12 +108,17 @@ def _interval_bands(n: int, h: float, bc: BoundaryCondition) -> np.ndarray:
 
 
 def _spacing(length: float, n: int) -> float:
-    """Node spacing h = length / n; ConfigError unless h > 0 and the
-    Laplacian's scales h^2 and 1/h^2 are finite and nonzero."""
+    """Node spacing h = length / n; ConfigError unless h > 0 and h^4 and 1/h^4
+    are finite and nonzero: then so are the Laplacian's scales 1/h^2 and the
+    squares 1/w^2 = 1/h^4 of w-normalized torus eigenfunctions that the
+    certificates sum. numpy float64 overflows h^4 to inf where float raises."""
     h = length / n
-    if not (h > 0.0 and 0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        h4 = np.float64(h) ** 4
+        inv_h4 = 1.0 / h4
+    if not (h > 0.0 and 0.0 < h4 < np.inf and inv_h4 < np.inf):
         raise ConfigError(f"length {length!r} over {n} nodes gives spacing h = {h:.3g}: "
-                          "it must be positive, with finite nonzero h^2 and 1/h^2")
+                          "it must be positive, with finite nonzero h^4 and 1/h^4")
     return h
 
 

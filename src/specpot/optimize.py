@@ -226,7 +226,9 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
 
     Stops on max_iters (>= 1), on objective stagnation, on a feasible
     criticality certificate at the current cluster (tried every cert_every
-    iterations, never at 0), or (gap targets) when the two clusters merge.
+    iterations, never at 0), or (gap targets) when the two clusters merge or
+    when no eigenvalue count proves the cluster of i complete (an eigenvalue
+    just above its edge, within solver accuracy, may belong to it).
     Deterministic given q0 and the schedule.
     """
     if max_iters < 1:
@@ -265,6 +267,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
         cert_residual = None
         if cj is not None and ci.contains(objective.j):
             stop_reason = "gap_degenerate"
+        elif not ci.complete:   # the direction needs ci's whole eigenspace
+            stop_reason = "cluster_unproven"
         elif cert_every and it % cert_every == 0:
             feasible, cert_residual = _certificate_stop(spec, ci, cj)
             if feasible:

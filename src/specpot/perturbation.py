@@ -114,10 +114,11 @@ def sample_probes(grid: DomainGrid, count: int, seed: int, style: str = "fourier
     if style not in ("fourier", "spike", "noise"):
         raise ValueError(f"unknown probe style {style!r}")
     rng = np.random.default_rng(seed)
+    modes = _fourier_modes(grid) if style == "fourier" else None
     probes = []
     for _ in range(count):
         for _attempt in range(16):
-            values = _draw_probe(grid, rng, style)
+            values = _draw_probe(grid, rng, style, modes)
             centered = project_mean_zero(grid, values)
             if np.max(np.abs(centered)) > 1e-12:
                 probes.append(make_direction(grid, centered, normalize=True))
@@ -127,7 +128,27 @@ def sample_probes(grid: DomainGrid, count: int, seed: int, style: str = "fourier
     return probes
 
 
-def _draw_probe(grid: DomainGrid, rng: np.random.Generator, style: str) -> np.ndarray:
+def _fourier_modes(grid: DomainGrid) -> list[np.ndarray]:
+    """The low-order modes a fourier probe combines, in the order its
+    coefficients are drawn: cos then sin of k = 1..4 in 1-D, of each
+    (kx, ky) in 0..2 x 0..2 but (0, 0) on the torus."""
+    if grid.ndim == 1:
+        return [fourier_mode(grid, k, kind) for k in range(1, 5) for kind in ("cos", "sin")]
+    assert isinstance(grid.kind, Torus2D)
+    lx, ly = grid.kind.length_x, grid.kind.length_y
+    x, y = grid.coords[:, 0], grid.coords[:, 1]
+    modes = []
+    for kx in range(0, 3):
+        for ky in range(0, 3):
+            if kx == 0 and ky == 0:
+                continue
+            phase = 2.0 * np.pi * (kx * x / lx + ky * y / ly)
+            modes += [np.cos(phase), np.sin(phase)]
+    return modes
+
+
+def _draw_probe(grid: DomainGrid, rng: np.random.Generator, style: str,
+                modes: list[np.ndarray] | None) -> np.ndarray:
     if style == "noise":
         return rng.standard_normal(grid.n_nodes)
     if style == "spike":
@@ -148,24 +169,10 @@ def _draw_probe(grid: DomainGrid, rng: np.random.Generator, style: str) -> np.nd
         dx = np.minimum(dx, lx - dx)
         dy = np.minimum(dy, ly - dy)
         return np.exp(-((dx**2 + dy**2) / width**2))
-    # fourier
-    if grid.ndim == 1:
-        values = np.zeros(grid.n_nodes)
-        for k in range(1, 5):
-            values += rng.standard_normal() * fourier_mode(grid, k, "cos")
-            values += rng.standard_normal() * fourier_mode(grid, k, "sin")
-        return values
-    assert isinstance(grid.kind, Torus2D)
-    lx, ly = grid.kind.length_x, grid.kind.length_y
-    x, y = grid.coords[:, 0], grid.coords[:, 1]
+    # fourier: one standard normal coefficient per mode
     values = np.zeros(grid.n_nodes)
-    for kx in range(0, 3):
-        for ky in range(0, 3):
-            if kx == 0 and ky == 0:
-                continue
-            phase = 2.0 * np.pi * (kx * x / lx + ky * y / ly)
-            values += rng.standard_normal() * np.cos(phase)
-            values += rng.standard_normal() * np.sin(phase)
+    for mode in modes:
+        values += rng.standard_normal() * mode
     return values
 
 

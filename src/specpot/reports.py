@@ -54,7 +54,8 @@ def write_node_csv(grid: DomainGrid, path, columns: dict[str, np.ndarray]) -> No
     named value columns in the order given."""
     coord_names = ["x"] if grid.ndim == 1 else ["x", "y"]
     table = np.column_stack([grid.coords.reshape(grid.n_nodes, -1), *columns.values()])
-    write_csv(path, coord_names + list(columns), ([fmt(v) for v in row] for row in table))
+    # tolist() gives Python floats, whose repr is fmt's string
+    write_csv(path, coord_names + list(columns), (map(repr, row) for row in table.tolist()))
 
 
 def gram_to_list(G: np.ndarray | None) -> list[float] | None:

@@ -7,6 +7,7 @@ eigenspaces are compared through their w-orthogonal projectors, since the
 bases inside a cluster are arbitrary.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -62,9 +63,15 @@ def projector(spec, cluster):
 def assert_matches(spec, oracle):
     """Equal eigenvalues, multiplicities and projectors of every dense cluster
     lying wholly inside the computed pairs."""
-    k = spec.count
-    lam = oracle.eigenvalues[:k]
+    lam = oracle.eigenvalues[:spec.count]
     assert np.max(np.abs(spec.eigenvalues - lam) / (1.0 + np.abs(lam))) <= 1e-10
+    assert_eigenspaces_match(spec, oracle)
+
+
+def assert_eigenspaces_match(spec, oracle):
+    """Equal multiplicities and projectors of every dense cluster lying wholly
+    inside the computed pairs."""
+    k = spec.count
     i = 1
     while i <= k:
         dense = detect_cluster(oracle, i)
@@ -172,3 +179,26 @@ def test_missed_copy_recovered(monkeypatch):
         assert_matches(spec, oracle)
         assert oracle.eigenvalues[k] >= spec.complete_below
     assert not detect_cluster(spec, 4).complete
+
+
+@pytest.mark.parametrize("domain", ["circle", "neumann"])
+def test_small_length_matches_dense(domain):
+    # At length 1e-2 over 64 nodes ||H|| is 1.6e8, and rounding in H f alone
+    # leaves the ground pair a residual of ~4e-8 (1 + |lambda|), above
+    # RESIDUAL_TOL: the solve is accepted under the floor 8 eps ||H||. Dense
+    # eigh is itself off by ~eps ||H|| there (-1.1e-8 for lambda_1 = 0), so the
+    # eigenvalues are held to the closed form (4/h^2) sin^2(k pi / n) on the
+    # circle and sin^2(k pi / 2n) on the Neumann interval, the eigenspaces to
+    # the dense oracle.
+    kind, bc = DOMAINS[domain]
+    n = 64
+    grid = build_grid(type(kind)(1e-2), n, bc)
+    q = Potential.zero(grid)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, 2)
+    assert cluster.complete
+    h = grid.spacing[0]
+    periods = 1.0 if domain == "circle" else 2.0
+    exact = np.sort(4.0 / h**2 * np.sin(np.pi * np.arange(n) / (periods * n)) ** 2)
+    lam = exact[:spec.count]
+    assert np.max(np.abs(spec.eigenvalues - lam) / (1.0 + lam)) <= 1e-10
+    assert_eigenspaces_match(spec, dense_oracle(grid, q))

@@ -117,12 +117,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
 
     def test_extreme_length_exit_code(self, tmp_path, capsys):
-        # h^2 overflows at 1e300 and underflows to 0 at 1e-300
+        # h^2 overflows at 1e300 and underflows to 0 at 1e-300; h^4 does at
+        # 1e80 and 1e-150, where the 8 x 8 torus once reported lambda_1 = -3.27e285
         interval = CIRCLE_DOMAIN.replace("kind=circle", "kind=interval").replace(
             "bc=closed", "bc=dirichlet")
         for name, domain in (("circle", CIRCLE_DOMAIN), ("interval", interval),
                              ("torus", TORUS_DOMAIN)):
-            for length in ("1e300", "1e-300"):
+            for length in ("1e300", "1e-300", "1e80", "1e-150"):
                 body = domain.replace("length=6.283185307179586", f"length={length}")
                 cfg = write_cfg(tmp_path, body + "\n[potential]\npreset=zero\n",
                                 f"{name}{length}.cfg")
@@ -209,6 +210,21 @@ class TestCriticalityCommand:
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["status"] == "infeasible"
         assert cert["separating_direction_csv"] == "separating_direction.csv"
+
+    def test_small_domain_frame(self, tmp_path):
+        # The ground pair's residual sits at the rounding floor 8 eps ||H|| here,
+        # above 1e-8 (1 + |lambda|). The Gram witness has trace = volume (1e-12
+        # on the torus), so frame directions are cut relative to the largest
+        # Gram eigenvalue, not below an absolute 1e-12 that would drop them all.
+        for name, domain, length, n in (("circle", CIRCLE_DOMAIN, "1e-2", 128),
+                                        ("torus", TORUS_DOMAIN, "1e-6", 64)):
+            body = domain.replace("length=6.283185307179586", f"length={length}")
+            cfg = write_cfg(tmp_path, body + "\n[potential]\npreset=zero\n"
+                            "\n[task]\nindex=2\nprobes=10\n\n[output]\nseed=5\n", f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["criticality", "--config", cfg, "--out", str(out)]) == 0
+            assert load_report(out)["payload"]["verdict"] == "critical"
+            assert len((out / "frame.csv").read_text().splitlines()) == 1 + n
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"

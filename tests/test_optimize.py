@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +208,20 @@ class TestRunOptimizer:
                                max_iters=100, cert_every=0)
         assert result.objective <= 1e-3
         assert result.stop_reason in ("gap_degenerate", "stagnation", "certificate")
+
+    def test_unproven_cluster_stops(self, monkeypatch):
+        # the direction needs the whole eigenspace of i's cluster: when no count
+        # proves it complete, the run records the iterate and stops, not raises
+        def unproven(spec, i):
+            return dataclasses.replace(detect_cluster(spec, i), complete=False)
+
+        monkeypatch.setattr(optimize, "detect_cluster", unproven)
+        obj = ObjectiveSpec("gap", 2, 3, sense="minimize")
+        q0 = Potential.fourier(SMALL_CIRCLE, (0.03, 0.05), (0.02,))
+        result = run_optimizer(SMALL_CIRCLE, obj, ConstraintSpec(0.0, 2.0), q0,
+                               Schedule("polyak", target=0.0), max_iters=20)
+        assert result.stop_reason == "cluster_unproven"
+        assert (result.iterations, len(result.log.records), result.aborted) == (1, 2, False)
 
     def test_certificate_stop_at_constant(self, circle_grid):
         # starting exactly at the maximizer: the certificate fires immediately

@@ -31,3 +31,11 @@ def test_suite_deterministic_in_seed():
     a = suite_gap_critical(5)
     b = suite_gap_critical(5)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_gap_no_min_stops_on_an_unproven_cluster():
+    # at seed 24 the gap(2,3) run reaches lambda_3 - lambda_2 = 2.06e-6, just
+    # above the cluster tolerance: lambda_3 then lies within solver accuracy
+    # of lambda_2's cluster edge, so no count proves that cluster complete and
+    # the run stops on "cluster_unproven" instead of raising
+    assert run_suite("gap-no-min", 24)["passed"]
