@@ -4,7 +4,7 @@ Subcommands: spectrum, derivative, criticality, gap, optimize, verify. Each
 takes --config <path> and --out <dir>, writes a report.json plus CSV/JSON
 artifacts into the output directory, and exits 0 only when every verdict
 passed and no errors occurred. Exit code 2 signals a configuration error and
-1 a solver error (an eigensolve that failed its residual or count check,
+1 a solver error (a failed residual or count check, or an unproven cluster,
 printed as ``solver error: ...``), besides failed verdicts.
 """
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 from .certificates import CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
-from .errors import ConfigError, DegenerateGapError, SolverError
+from .errors import ConfigError, IncompleteClusterError, SolverError
 from .optimize import ConstraintSpec, ObjectiveSpec, Schedule, project_feasible, run_optimizer
 from .perturbation import (
     ProbeDirection,
     fd_eigenvalue_derivative,
-    fd_richardson_derivative,
     make_direction,
     one_sided_derivatives,
     sample_probes,
@@ -228,7 +227,7 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     d = one_sided_derivatives(spec, i, u)
     critical = d.opposite_signs
     fd_central = fd_eigenvalue_derivative(grid, q, i, u, t)
-    fd_rich = fd_richardson_derivative(grid, q, i, u, t)
+    fd_rich = (4.0 * fd_eigenvalue_derivative(grid, q, i, u, t / 2.0) - fd_central) / 3.0
     rank = cluster.rank_of(i)
     interior = 0 < rank < cluster.multiplicity - 1
     report = new_report("derivative", cfg.sections)
@@ -310,10 +309,7 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     table = []
     if not cert.degenerate:
         for u_id, u in enumerate(sample_probes(grid, probes, seed, "fourier")):
-            try:
-                d = gap_one_sided_derivatives(spec, i, j, u)
-            except DegenerateGapError:
-                break
+            d = gap_one_sided_derivatives(spec, i, j, u)
             critical = d.opposite_signs
             rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(critical)])
             table.append({"u_id": f"u{u_id}", "left": d.left, "right": d.right,
@@ -432,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, IncompleteClusterError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 

@@ -196,11 +196,3 @@ def fd_eigenvalue_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDir
 
     return (value(t) - value(-t)) / (2.0 * t)
 
-
-def fd_richardson_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                             t: float = 1e-4) -> float:
-    """Richardson-extrapolated central difference, O(t^4) truncation."""
-    coarse = fd_eigenvalue_derivative(grid, q, i, u, t)
-    fine = fd_eigenvalue_derivative(grid, q, i, u, t / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-

@@ -8,8 +8,8 @@ are computed, from a fixed start so that solves repeat bit for bit:
   steps below the spectrum, then block inverse iteration at the Ritz values,
   all through odd-even reduction (see ``banded``).
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
-  (ARPACK) below the spectrum, or by shift-invert block iteration when that
-  misses an eigenvalue; scipy is imported only there.
+  (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
+  misses an eigenvalue, both on one SuperLU factor; scipy loads only there.
 
 Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
 an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
@@ -34,8 +34,7 @@ from .errors import ConfigError, IncompleteClusterError, SolverError
 CLUSTER_TOL_REL = 1e-6
 EXTRA_PAIRS = 6         # pairs a solve for index i computes beyond i
 RESIDUAL_TOL = 1e-8
-MAX_BLOCK_STEPS = 200   # shift-invert block steps of a torus re-solve
-START_VECTOR_SEED = 0   # start block in 1-D, ARPACK start vector on the torus
+START_VECTOR_SEED = 0   # start blocks in 1-D and of torus re-solves, ARPACK start vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +131,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     in its place, so it is accepted only when an eigenvalue count at x finds
     no eigenvalue it missed. x lies just above the k-th value's cluster, or
     just below the highest computed cluster when the two meet. Otherwise the
-    solve is repeated once with more pairs, on the torus by block iteration,
+    solve is repeated once with more pairs, on the torus by block Lanczos,
     and a second miss raises SolverError. ``complete_below`` is x, or the
     first pair a re-solve computed beyond the k returned when that is lower.
     """
@@ -141,13 +140,12 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         raise SolverError(f"operator shape {H.shape} does not match grid size {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    solvers = (_lowest_pairs_banded, _lowest_pairs_banded)
     if isinstance(grid.kind, Torus2D):
         if k > n // 2:
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
                               f"asked for {k}")
-        solvers, most = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True)), n - 1
-    else:
-        solvers, most = (_lowest_pairs_banded, _lowest_pairs_banded), n
+        solvers = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True))
     solve_k = k
     for lowest_pairs in solvers:
         evals, evecs = lowest_pairs(grid, H, solve_k)
@@ -157,7 +155,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         count = count_eigenvalues_below(H, x)
         if solved == count:
             break
-        solve_k = min(most, max(solve_k, count) + EXTRA_PAIRS)
+        solve_k = min(n, max(solve_k, count) + EXTRA_PAIRS)
     else:
         raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
     if len(evals) > k:
@@ -209,9 +207,9 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     sigma = min(q) - 1 lies strictly below lambda_1 and H - sigma I is
     positive definite: the k eigenvalues nearest sigma are the k lowest.
     Lanczos (ARPACK) from one start vector finds extra copies of a multiple
-    eigenvalue only through rounding; ``block`` takes subspace iteration on
-    min(n, 2k) columns instead, which holds every copy (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 14), until the k residuals converge.
+    eigenvalue only through rounding; ``block`` takes block Lanczos (Golub &
+    Van Loan 10.3) on min(n, k + 2) seeded columns, which holds every copy up
+    to that multiplicity, until the k Ritz pairs of H pass ``banded``'s rule.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -222,15 +220,29 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     lu = _symmetric_lu(H, sigma)
     rng = np.random.default_rng(START_VECTOR_SEED)
     if block:
-        basis = rng.standard_normal((n, min(n, 2 * k)))
-        for _ in range(MAX_BLOCK_STEPS):
-            basis, _ = np.linalg.qr(lu.solve(basis))
-            theta, coeffs = np.linalg.eigh(basis.T @ (H @ basis))
-            theta, vecs = theta[:k], basis @ coeffs[:, :k]
-            residuals = np.linalg.norm(H @ vecs - vecs * theta, axis=0)
-            if np.all(residuals <= banded.CONVERGED_REL * (1.0 + np.abs(theta))):
-                break
-        return theta, vecs
+        floor = 8.0 * banded.EPS * _norm_bound(grid, H)
+        new, _ = np.linalg.qr(rng.standard_normal((n, min(n, k + 2))))
+        basis, projected = np.empty((n, 0)), np.empty((0, 0))   # projected = basis^T H basis
+        try:
+            while True:
+                h_new, basis = H @ new, np.hstack([basis, new])
+                cross = basis.T @ h_new   # the new columns of projected
+                projected = np.block([[projected, cross[: -new.shape[1]]], [cross.T]])
+                theta, coeffs = np.linalg.eigh(projected)
+                if not np.all(np.isfinite(theta)):
+                    raise SolverError("block Lanczos eigensolve produced non-finite values")
+                theta, vecs = theta[:k], basis @ coeffs[:, :k]
+                residuals = np.linalg.norm(H @ vecs - vecs * theta, axis=0)
+                if basis.shape[1] == n or np.all(residuals <= np.maximum(
+                        banded.CONVERGED_REL * (1.0 + np.abs(theta)), floor)):
+                    return theta, vecs
+                # SuperLU solves one column at a time faster than a block at once
+                new = np.column_stack([lu.solve(column) for column in new.T])
+                for _ in range(2):
+                    new, _ = np.linalg.qr(new - basis @ (basis.T @ new))
+                new = new[:, : n - basis.shape[1]]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"block Lanczos eigensolve failed: {exc}") from exc
     inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # not the constant vector: at a constant potential that is the ground state
     v0 = rng.standard_normal(n)

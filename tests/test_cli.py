@@ -293,6 +293,17 @@ class TestGapCommand:
                         "\n[task]\nindex=3\njindex=2\n\n[output]\nseed=4\n")
         assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("jindex", [3, 4])
+    def test_unproven_cluster_is_a_solver_error(self, tmp_path, capsys, jindex):
+        # lambda_3 lies just outside lambda_2's cluster tolerance but within
+        # solver accuracy of its edge, so no count proves that cluster complete
+        domain = CIRCLE_DOMAIN.replace("nodes=128", "nodes=256")
+        cfg = write_cfg(tmp_path, domain + "\n[potential]\npreset=fourier\ncoeffs=0,2e-6\n"
+                        f"\n[task]\nindex=2\njindex={jindex}\n\n[output]\nseed=4\n")
+        assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "solver error: cluster at 2 is not proven complete by an eigenvalue count\n"
+
 
 class TestOptimizeCommand:
     def test_dirichlet_ascent(self, tmp_path):

@@ -69,8 +69,8 @@ def test_single_value_knobs_are_constants():
     assert optimize.POLYAK_RELAXATION == 0.5
     assert not {"step", "points"} & set(inspect.signature(optimize._confirm_descent).parameters)
     assert optimize.LINE_SEARCH_POINTS == 3
-    for fd in (perturbation.fd_eigenvalue_derivative, perturbation.fd_richardson_derivative):
-        assert "k" not in inspect.signature(fd).parameters
+    assert "k" not in inspect.signature(perturbation.fd_eigenvalue_derivative).parameters
+    assert not hasattr(perturbation, "fd_richardson_derivative")
     assert spectral.EXTRA_PAIRS == 6
     assert not hasattr(specpot, "ClusterDerivativeMatrix")
     assert not hasattr(specpot, "is_critical_probe")
