@@ -321,6 +321,25 @@ class TestOptimizeCommand:
         header = (out / "iterates.csv").read_text().splitlines()[0]
         assert header == "iter,objective,step,mult_i,residual,mean_error,box_error"
 
+    def test_polyak_stops_at_target(self, tmp_path):
+        # lambda_1 <= mean(q) on a Neumann interval: the Polyak run stops on
+        # its known target, and its report is the same bytes on every run
+        body = ("[domain]\nkind=interval\nlength=3.141592653589793\nnodes=64\nbc=neumann\n"
+                "\n[potential]\npreset=fourier\ncoeffs=0,0.4,-0.3\n"
+                "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\nmean=0.0\nbound=2.0\n"
+                "iters=300\nschedule=polyak\npolyak_target=0\ncert_every=0\n")
+        cfg = write_cfg(tmp_path, body)
+        texts = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+            payload = load_report(out)["payload"]
+            assert payload["stop_reason"] == "target"
+            assert payload["iterations"] < 300 and abs(payload["objective"]) <= 1e-12
+            lines = (out / "report.json").read_text().splitlines()
+            texts.append("\n".join(l for l in lines if '"timestamp"' not in l))
+        assert texts[0] == texts[1]
+
     def test_nan_constraint_rejected(self, tmp_path):
         for key in ("mean", "bound"):
             task = {"mean": "0.0", "bound": "8.0", key: "nan"}

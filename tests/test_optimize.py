@@ -10,6 +10,7 @@ from specpot import optimize
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
 from specpot.errors import ConfigError
 from specpot.optimize import (
+    MAX_BOUND,
     ConstraintSpec,
     IterateLog,
     IterateRecord,
@@ -23,6 +24,22 @@ from specpot.optimize import (
 from specpot.spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 
 SMALL_CIRCLE = build_grid(Circle(), 32, BoundaryCondition.CLOSED)
+
+
+def bisection_projection(grid, values, constraint):
+    """Reference projection: bisection on the shift mu over the bracket
+    [-B - max v, B - min v], on which the clipped mean runs from -B to B."""
+    B, c = constraint.bound_B, constraint.mean_c
+    lo, hi = -B - np.max(values), B - np.min(values)
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        if mean_value(grid, np.clip(values + mu, -B, B)) < c:
+            lo = mu
+        else:
+            hi = mu
+        if hi - lo <= 1e-16 * max(1.0, B):
+            break
+    return np.clip(values + 0.5 * (lo + hi), -B, B)
 
 
 class TestSpecs:
@@ -109,6 +126,27 @@ class TestProjectFeasible:
         again = project_feasible(g, out, con).values
         assert np.max(np.abs(again - out)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        u=arrays(np.float64, 32, elements=st.floats(-3, 3)),
+        c_frac=st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 1.0])),
+        B=st.one_of(st.floats(0.1, 5), st.just(MAX_BOUND)),
+    )
+    @example(u=np.zeros(32), c_frac=0.5, B=1.0)
+    @example(u=np.where(np.arange(32) % 2, 2.0, -2.5), c_frac=0.1, B=1.0)   # every entry clipped
+    @example(u=np.full(32, 3.0), c_frac=-1.0, B=MAX_BOUND)
+    @example(u=np.linspace(-3, 3, 32), c_frac=1.0, B=MAX_BOUND)
+    def test_matches_bisection(self, u, c_frac, B):
+        # the breakpoint search and the bisection it replaced find the same
+        # projection; v spans up to 3 B, so inputs outside the box are common
+        g = SMALL_CIRCLE
+        con = ConstraintSpec(c_frac * B, B)
+        v = B * u
+        out = project_feasible(g, v, con).values
+        assert np.max(np.abs(out)) <= B
+        assert abs(mean_value(g, out) - con.mean_c) <= 1e-15 * max(1.0, B)
+        assert np.max(np.abs(out - bisection_projection(g, v, con))) <= 1e-12 * max(1.0, B)
+
 
 class TestSubgradientDirection:
     def test_dirichlet_matches_explicit(self, dirichlet_zero_spec, dirichlet_grid):
@@ -188,6 +226,34 @@ class TestRunOptimizer:
         objs = result.log.objectives()
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
+    def test_polyak_ascent_stops_at_target(self, circle_grid):
+        # lambda_1 <= mean(q) = 0 with equality only at constants: a Polyak
+        # run knows its optimal value and stops when it gets there
+        con = ConstraintSpec(0.0, 2.0)
+        obj = ObjectiveSpec("eigenvalue", 1, sense="maximize")
+        raw = Potential.fourier(circle_grid, (0.4, -0.3), (0.2,)).values
+        q0 = Potential.from_values(circle_grid, 0.6 * raw / np.max(np.abs(raw)))
+        result = run_optimizer(circle_grid, obj, con, q0, Schedule("polyak", target=0.0),
+                               max_iters=300, cert_every=0)
+        assert result.stop_reason == "target"
+        assert abs(result.log.records[-1].objective) <= 1e-12
+        assert result.iterations < 300
+        assert not result.aborted
+
+    @pytest.mark.parametrize("kind, reason", [("polyak", "target"), ("sqrt", "stagnation"),
+                                              ("constant", "stagnation")])
+    def test_only_polyak_stops_at_target(self, kind, reason):
+        # at the constant potential lambda_1 already equals the target; only
+        # a Polyak run reads it, while the sqrt and constant runs, handed the
+        # same target, stop because the ascent direction vanishes there
+        con = ConstraintSpec(0.0, 1.0)
+        obj = ObjectiveSpec("eigenvalue", 1, sense="maximize")
+        schedule = Schedule(kind, s0=None if kind == "polyak" else 0.1, target=0.0)
+        result = run_optimizer(SMALL_CIRCLE, obj, con, Potential.zero(SMALL_CIRCLE), schedule,
+                               max_iters=20, cert_every=0)
+        assert result.stop_reason == reason
+        assert result.iterations == 1
+
     def test_dirichlet_ascent_saturates(self):
         g = build_grid(Interval(np.pi), 128, BoundaryCondition.DIRICHLET)
         con = ConstraintSpec(0.0, 10.0)
@@ -208,6 +274,17 @@ class TestRunOptimizer:
                                max_iters=100, cert_every=0)
         assert result.objective <= 1e-3
         assert result.stop_reason in ("gap_degenerate", "stagnation", "certificate")
+
+    def test_polyak_gap_run_merges_before_target(self, circle_grid):
+        # the clusters of 2 and 3 merge (within the cluster tolerance) long
+        # before the gap reaches TARGET_TOL, so a gap run never stops on target
+        con = ConstraintSpec(0.0, 2.0)
+        obj = ObjectiveSpec("gap", 2, 3, sense="minimize")
+        q0 = Potential.fourier(circle_grid, (0.03, 0.05), (0.02,))
+        result = run_optimizer(circle_grid, obj, con, q0, Schedule("polyak", target=0.0),
+                               max_iters=100)
+        assert result.stop_reason in ("gap_degenerate", "certificate")
+        assert result.objective > optimize.TARGET_TOL
 
     def test_unproven_cluster_stops(self, monkeypatch):
         # the direction needs the whole eigenspace of i's cluster: when no count
