@@ -358,7 +358,11 @@ def cmd_optimize(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "aborted": result.aborted,
     }
     if _wants_csv(cfg):
-        result.log.write_csv(outdir / "iterates.csv")
+        write_csv(outdir / "iterates.csv",
+                  ["iter", "objective", "step", "mult_i", "residual", "mean_error", "box_error"],
+                  ([r.iteration, fmt(r.objective), fmt(r.step), r.mult_i,
+                    "" if r.cert_residual is None else fmt(r.cert_residual),
+                    fmt(r.mean_error), fmt(r.box_error)] for r in result.log))
         write_node_csv(grid, outdir / "final_potential.csv", {"q": result.potential.values})
         report["artifacts"]["iterates_csv"] = "iterates.csv"
         report["artifacts"]["final_potential_csv"] = "final_potential.csv"

@@ -11,7 +11,7 @@ tight tolerances in about a hundred iterations per run or fewer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .perturbation import (
     mixed_probe_suite,
     one_sided_derivatives,
 )
-from .reports import write_csv
 from .spectral import (
     Cluster,
     SpectralData,
@@ -124,33 +123,18 @@ class IterateRecord:
     box_error: float = 0.0
 
 
-@dataclass
-class IterateLog:
-    records: list[IterateRecord] = field(default_factory=list)
-
-    def append(self, rec: IterateRecord) -> None:
-        self.records.append(rec)
-
-    def objectives(self) -> list[float]:
-        return [r.objective for r in self.records]
-
-    def write_csv(self, path) -> None:
-        write_csv(path, ["iter", "objective", "step", "mult_i", "residual", "mean_error",
-                         "box_error"],
-                  ([r.iteration, repr(r.objective), repr(r.step), r.mult_i,
-                    "" if r.cert_residual is None else repr(r.cert_residual),
-                    repr(r.mean_error), repr(r.box_error)] for r in self.records))
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
     potential: Potential
-    log: IterateLog
+    log: list[IterateRecord]
     stop_reason: str
     iterations: int
     objective: float
     box_saturated_fraction: float
-    aborted: bool = False
+
+    @property
+    def aborted(self) -> bool:
+        return self.stop_reason == "solver_error"
 
 
 def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec) -> Potential:
@@ -262,9 +246,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     elif schedule.kind != "polyak" and schedule.s0 is None:
         schedule = Schedule(schedule.kind, s0=0.1 * constraint.bound_B, target=schedule.target)
 
-    log = IterateLog()
+    log: list[IterateRecord] = []
     stop_reason = "max_iters"
-    aborted = False
 
     def solve(pot: Potential) -> tuple[SpectralData, Cluster]:
         return spectrum_with_complete_cluster(grid, pot, objective.top_index)
@@ -277,8 +260,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     try:
         spec, top = solve(q)
     except SolverError:
-        return OptimizeResult(q, log, "solver_error", 0, np.nan, _saturation(q, constraint),
-                              aborted=True)
+        return OptimizeResult(q, log, "solver_error", 0, np.nan, _saturation(q, constraint))
     ci, cj = clusters(spec, top)
     obj = _objective_value(spec, objective)
     last_step = 0.0
@@ -299,9 +281,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
         if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
             break
 
-        objs = log.objectives()
-        if len(objs) > STAGNATION_WINDOW:
-            window = objs[-STAGNATION_WINDOW:]
+        if len(log) > STAGNATION_WINDOW:
+            window = [r.objective for r in log[-STAGNATION_WINDOW:]]
             if max(window) - min(window) <= STAGNATION_TOL:
                 stop_reason = "stagnation"
                 break
@@ -324,7 +305,6 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             try:
                 cand_spec, cand_top = solve(candidate)
             except SolverError:
-                aborted = True
                 stop_reason = "solver_error"
                 break
             cand_obj = _objective_value(cand_spec, objective)
@@ -336,14 +316,14 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 accepted = True
                 break
             step /= 2.0
-        if aborted:
+        if stop_reason == "solver_error":
             break
         if not accepted:
             stop_reason = "stagnation"
             break
 
     log.append(_record(grid, constraint, it + 1, obj, last_step, ci.multiplicity, None, q))
-    return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint), aborted)
+    return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint))
 
 
 def _record(grid, constraint, iteration, obj, step, mult, cert_residual, q) -> IterateRecord:
@@ -375,14 +355,13 @@ def _certificate_stop(spec: SpectralData, ci: Cluster,
 
 @dataclass(frozen=True, eq=False)
 class RefuteResult:
-    witness: ProbeDirection | None
+    witness: ProbeDirection | None   # a confirmed descent direction, or None
     derivative: float
-    confirmed: bool
     candidates_tried: int
 
     @property
     def found(self) -> bool:
-        return self.witness is not None and self.confirmed
+        return self.witness is not None
 
 
 def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int = 200,
@@ -407,8 +386,8 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
             sides.append((make_direction(grid, -u.values, normalize=True), -d.left))
         for v, slope in sides:
             if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v, spec.eigenvalue(i)):
-                return RefuteResult(v, slope, True, tried)
-    return RefuteResult(None, 0.0, False, tried)
+                return RefuteResult(v, slope, tried)
+    return RefuteResult(None, 0.0, tried)
 
 
 def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int, seed: int):

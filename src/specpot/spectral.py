@@ -13,7 +13,8 @@ are computed, from a fixed start so that solves repeat bit for bit:
 
 Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
 an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
-no eigenvalue below the top computed cluster may be missing. A cluster is
+no eigenvalue below the top computed cluster may be missing; ``eigensolve``
+alone accepts or rejects what a solver returns. A cluster is
 complete only when such a count covers its upper edge (``Cluster.complete``);
 there is no other completeness rule. Eigenvectors are returned orthonormal in
 the weighted inner product <f, g>_w of the grid.
@@ -134,6 +135,10 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     solve is repeated once with more pairs, on the torus by block Lanczos,
     and a second miss raises SolverError. ``complete_below`` is x, or the
     first pair a re-solve computed beyond the k returned when that is lower.
+
+    This is every solver's one acceptance gate: a ``LinAlgError``, a
+    non-finite pair (both before the count) or a residual above RESIDUAL_TOL
+    (1 + |lambda|) and the rounding floor 8 eps ||H|| raises SolverError.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -148,7 +153,12 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
         solvers = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True))
     solve_k = k
     for lowest_pairs in solvers:
-        evals, evecs = lowest_pairs(grid, H, solve_k)
+        try:
+            evals, evecs = lowest_pairs(grid, H, solve_k)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"eigensolve failed: {exc}") from exc
+        if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
+            raise SolverError("eigensolve produced non-finite values")
         tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
         x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
         solved = int(np.count_nonzero(evals < x))
@@ -190,13 +200,7 @@ def _norm_bound(grid: DomainGrid, H) -> float:
 
 def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator,
                          k: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        evals, evecs = banded.lowest_pairs(H.bands, k, START_VECTOR_SEED)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"banded eigensolve failed: {exc}") from exc
-    if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
-        raise SolverError("banded eigensolve produced non-finite values")
-    return evals, evecs
+    return banded.lowest_pairs(H.bands, k, START_VECTOR_SEED)
 
 
 def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
@@ -223,26 +227,23 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
         floor = 8.0 * banded.EPS * _norm_bound(grid, H)
         new, _ = np.linalg.qr(rng.standard_normal((n, min(n, k + 2))))
         basis, projected = np.empty((n, 0)), np.empty((0, 0))   # projected = basis^T H basis
-        try:
-            while True:
-                h_new, basis = H @ new, np.hstack([basis, new])
-                cross = basis.T @ h_new   # the new columns of projected
-                projected = np.block([[projected, cross[: -new.shape[1]]], [cross.T]])
-                theta, coeffs = np.linalg.eigh(projected)
-                if not np.all(np.isfinite(theta)):
-                    raise SolverError("block Lanczos eigensolve produced non-finite values")
-                theta, vecs = theta[:k], basis @ coeffs[:, :k]
-                residuals = np.linalg.norm(H @ vecs - vecs * theta, axis=0)
-                if basis.shape[1] == n or np.all(residuals <= np.maximum(
-                        banded.CONVERGED_REL * (1.0 + np.abs(theta)), floor)):
-                    return theta, vecs
-                # SuperLU solves one column at a time faster than a block at once
-                new = np.column_stack([lu.solve(column) for column in new.T])
-                for _ in range(2):
-                    new, _ = np.linalg.qr(new - basis @ (basis.T @ new))
-                new = new[:, : n - basis.shape[1]]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"block Lanczos eigensolve failed: {exc}") from exc
+        while True:
+            h_new, basis = H @ new, np.hstack([basis, new])
+            cross = basis.T @ h_new   # the new columns of projected
+            projected = np.block([[projected, cross[: -new.shape[1]]], [cross.T]])
+            theta, coeffs = np.linalg.eigh(projected)
+            if not np.all(np.isfinite(theta)):   # the loop would never converge
+                raise SolverError("block Lanczos eigensolve produced non-finite values")
+            theta, vecs = theta[:k], basis @ coeffs[:, :k]
+            residuals = np.linalg.norm(H @ vecs - vecs * theta, axis=0)
+            if basis.shape[1] == n or np.all(residuals <= np.maximum(
+                    banded.CONVERGED_REL * (1.0 + np.abs(theta)), floor)):
+                return theta, vecs
+            # SuperLU solves one column at a time faster than a block at once
+            new = np.column_stack([lu.solve(column) for column in new.T])
+            for _ in range(2):
+                new, _ = np.linalg.qr(new - basis @ (basis.T @ new))
+            new = new[:, : n - basis.shape[1]]
     inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # not the constant vector: at a constant potential that is the ground state
     v0 = rng.standard_normal(n)

@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specpot import optimize
+from specpot import cli, optimize
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
 from specpot.errors import ConfigError
 from specpot.optimize import (
     MAX_BOUND,
     ConstraintSpec,
-    IterateLog,
     IterateRecord,
+    OptimizeResult,
     ObjectiveSpec,
     Schedule,
     project_feasible,
@@ -217,13 +217,13 @@ class TestRunOptimizer:
         assert np.max(np.abs(result.potential.values)) <= 1e-2
         assert result.objective >= -1e-4
         # feasibility held at every iterate
-        for rec in result.log.records:
+        for rec in result.log:
             assert rec.mean_error <= 1e-10
             assert rec.box_error <= 1e-12
         # upper bound respected throughout
-        assert max(result.log.objectives()) <= 0.0 + 1e-9
+        objs = [r.objective for r in result.log]
+        assert max(objs) <= 0.0 + 1e-9
         # monotone ascent on the (always simple) ground state
-        objs = result.log.objectives()
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
     def test_polyak_ascent_stops_at_target(self, circle_grid):
@@ -236,7 +236,7 @@ class TestRunOptimizer:
         result = run_optimizer(circle_grid, obj, con, q0, Schedule("polyak", target=0.0),
                                max_iters=300, cert_every=0)
         assert result.stop_reason == "target"
-        assert abs(result.log.records[-1].objective) <= 1e-12
+        assert abs(result.log[-1].objective) <= 1e-12
         assert result.iterations < 300
         assert not result.aborted
 
@@ -260,7 +260,7 @@ class TestRunOptimizer:
         obj = ObjectiveSpec("eigenvalue", 1, sense="maximize")
         result = run_optimizer(g, obj, con, Potential.zero(g),
                                Schedule("constant", s0=2.0), max_iters=120, cert_every=0)
-        objs = result.log.objectives()
+        objs = [r.objective for r in result.log]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
         assert result.objective > objs[0] + 1.0
         assert result.stop_reason in ("max_iters", "stagnation")
@@ -298,7 +298,7 @@ class TestRunOptimizer:
         result = run_optimizer(SMALL_CIRCLE, obj, ConstraintSpec(0.0, 2.0), q0,
                                Schedule("polyak", target=0.0), max_iters=20)
         assert result.stop_reason == "cluster_unproven"
-        assert (result.iterations, len(result.log.records), result.aborted) == (1, 2, False)
+        assert (result.iterations, len(result.log), result.aborted) == (1, 2, False)
 
     def test_certificate_stop_at_constant(self, circle_grid):
         # starting exactly at the maximizer: the certificate fires immediately
@@ -309,7 +309,7 @@ class TestRunOptimizer:
         assert result.stop_reason in ("certificate", "stagnation")
         if result.stop_reason == "certificate":
             assert any(r.cert_residual is not None and r.cert_residual <= 1e-8
-                       for r in result.log.records)
+                       for r in result.log)
 
     def test_maximizer_endpoint_degeneracy(self, circle_grid):
         # a feasible-certificate stop for Maximize lambda_2 away from the box
@@ -331,12 +331,18 @@ class TestRunOptimizer:
         with pytest.raises(ConfigError):
             run_optimizer(circle_grid, obj, con, Potential.constant(circle_grid, 3.0), None, 5)
 
-    def test_log_csv_columns(self, tmp_path):
-        log = IterateLog([IterateRecord(1, 0.5, 0.1, 1),
-                          IterateRecord(2, 0.6, 0.05, 2, 3e-9, 1e-15, 2.5e-13)])
-        path = tmp_path / "iterates.csv"
-        log.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+    def test_log_csv_columns(self, tmp_path, monkeypatch):
+        # the optimize command writes one iterates.csv row per log record
+        log = [IterateRecord(1, 0.5, 0.1, 1), IterateRecord(2, 0.6, 0.05, 2, 3e-9, 1e-15, 2.5e-13)]
+        result = OptimizeResult(Potential.zero(SMALL_CIRCLE), log, "max_iters", 1, 0.6, 0.0)
+        monkeypatch.setattr(cli, "run_optimizer", lambda *args, **kwargs: result)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[domain]\nkind=circle\nlength=6.283185307179586\nnodes=32\nbc=closed\n"
+                       "\n[potential]\npreset=zero\n"
+                       "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\nmean=0.0\n"
+                       "bound=1.0\n")
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "iterates.csv").read_text().strip().splitlines()
         assert lines[0] == "iter,objective,step,mult_i,residual,mean_error,box_error"
         assert lines[1] == "1,0.5,0.1,1,,0.0,0.0"
         assert lines[2] == "2,0.6,0.05,2,3e-09,1e-15,2.5e-13"

@@ -135,6 +135,28 @@ class TestEigensolve:
         with pytest.raises(SolverError):
             eigensolve(circle_grid, np.eye(10), 2)
 
+    @pytest.mark.parametrize("fault, message", [("nan", "non-finite"),
+                                                ("linalg", "did not converge")])
+    @pytest.mark.parametrize("solver, grid_name", [("_lowest_pairs_banded", "circle_grid"),
+                                                   ("_lowest_pairs_sparse", "torus_grid")])
+    def test_solver_fault_is_a_solver_error(self, fault, message, solver, grid_name, request,
+                                            monkeypatch):
+        # eigensolve is every solver's one gate; a NaN in one eigenvector
+        # column would pass a residual test written as "any residual above the bound"
+        grid = request.getfixturevalue(grid_name)
+        solve = getattr(spectral, solver)
+
+        def faulty(grid, H, k, **kwargs):
+            if fault == "linalg":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            evals, evecs = solve(grid, H, k, **kwargs)
+            evecs[:, 1] = np.nan
+            return evals, evecs
+
+        monkeypatch.setattr(spectral, solver, faulty)
+        with pytest.raises(SolverError, match=message):
+            eigensolve(grid, assemble(grid, Potential.zero(grid)), 4)
+
 
 class TestDetectCluster:
     def test_circle_double(self, circle_zero_spec):

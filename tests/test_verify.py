@@ -1,7 +1,8 @@
 import pytest
 
+from specpot import spectral
 from specpot.errors import ConfigError
-from specpot.verify import SUITE_ORDER, SUITES, run_suite, suite_gap_critical
+from specpot.verify import SUITE_ORDER, SUITES, run_suite, suite_gap_critical, suite_thm12
 
 
 def test_registry_names():
@@ -39,3 +40,19 @@ def test_gap_no_min_stops_on_an_unproven_cluster():
     # of lambda_2's cluster edge, so no count proves that cluster complete and
     # the run stops on "cluster_unproven" instead of raising
     assert run_suite("gap-no-min", 24)["passed"]
+
+
+@pytest.mark.parametrize("suite, solves", [(suite_thm12, 4), (suite_gap_critical, 2)])
+def test_one_solve_per_potential(suite, solves, monkeypatch):
+    # thm12 reads lambda_1..lambda_5 and f_1 from one solve at each of its 4
+    # potentials; gap-critical solves the zero potential once per mesh
+    calls = []
+    solve = spectral.eigensolve
+
+    def counted(grid, H, k, potential=None):
+        calls.append(k)
+        return solve(grid, H, k, potential)
+
+    monkeypatch.setattr(spectral, "eigensolve", counted)
+    assert suite(7)["passed"]
+    assert len(calls) == solves
