@@ -14,7 +14,9 @@ the interval. Nothing here forms an n x n matrix.
   positive definite and diagonally dominant, then block inverse iteration
   at the Ritz values with a Rayleigh-Ritz step over [V, Y] until the
   residuals are at solver accuracy (Parlett, The Symmetric Eigenvalue
-  Problem, ch. 4 and 7).
+  Problem, ch. 4 and 7). Given a start block, eigenvectors of a nearby
+  operator, it skips the shift-invert steps and goes straight to inverse
+  iteration.
 - Both kinds of shifted solve use odd-even (cyclic) reduction, which takes
   ceil(log2 n) vectorized steps. At a shift near an eigenvalue a pivot of an
   inner reduction step can vanish; the reduction then stops and the system
@@ -210,7 +212,8 @@ def shifted_solve(bands: np.ndarray, shifts: np.ndarray, rhs: np.ndarray,
     return np.vstack([(u - z * last).reshape(n - 1, p), last.reshape(1, p)])
 
 
-def lowest_pairs(bands: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def lowest_pairs(bands: np.ndarray, k: int, seed: int,
+                 start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of the banded operator, ascending, with
     Euclidean-orthonormal eigenvectors.
 
@@ -218,21 +221,27 @@ def lowest_pairs(bands: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.n
     sigma lies 1 + 8 eps ||H|| below the Gershgorin bound
     min_i (H_ii - sum_j |H_ij|), so H - sigma I is strictly diagonally
     dominant even after rounding, when |q| dwarfs the Laplacian, and the
-    shift-invert steps are stable. Inverse iteration then refines only the
-    columns not yet at solver accuracy; residuals are measured against
-    max(1e-10 (1 + |lambda|), 8 eps ||H||), the level at which rounding in
-    H V alone stops progress.
+    shift-invert steps are stable. A ``start``, at least k orthonormal
+    eigenvectors of a nearby operator, replaces the first k seeded columns
+    and the shift-invert steps; nothing here checks that such a warm solve
+    found the k lowest pairs, the caller's eigenvalue count does. Inverse
+    iteration then refines only the columns not yet at solver accuracy;
+    residuals are measured against max(1e-10 (1 + |lambda|), 8 eps ||H||),
+    the level at which rounding in H V alone stops progress.
     """
     n = bands.shape[1]
     p = min(n, k + 2)
     op = BandedOperator(bands)
     norm = _norm_bound(bands)
     floor = 8.0 * EPS * norm
-    diag, off = bands
-    sigma = float(np.min(diag - np.abs(off) - np.abs(np.roll(off, 1)))) - (1.0 + floor)
     basis = np.random.default_rng(seed).standard_normal((n, p))
-    for _ in range(SHIFT_INVERT_STEPS):
-        basis, _ = np.linalg.qr(shifted_solve(bands, np.array([sigma]), basis))
+    if start is None:
+        diag, off = bands
+        sigma = float(np.min(diag - np.abs(off) - np.abs(np.roll(off, 1)))) - (1.0 + floor)
+        for _ in range(SHIFT_INVERT_STEPS):
+            basis, _ = np.linalg.qr(shifted_solve(bands, np.array([sigma]), basis))
+    else:
+        basis, _ = np.linalg.qr(np.hstack([start[:, :k], basis[:, : p - k]]))
     theta, vecs, h_vecs = _rayleigh_ritz(op, basis, p)
     for _ in range(MAX_REFINEMENTS):
         residuals = np.linalg.norm(h_vecs - vecs * theta, axis=0)

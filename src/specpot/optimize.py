@@ -249,8 +249,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     log: list[IterateRecord] = []
     stop_reason = "max_iters"
 
-    def solve(pot: Potential) -> tuple[SpectralData, Cluster]:
-        return spectrum_with_complete_cluster(grid, pot, objective.top_index)
+    def solve(pot: Potential, start: SpectralData | None = None) -> tuple[SpectralData, Cluster]:
+        return spectrum_with_complete_cluster(grid, pot, objective.top_index, start)
 
     def clusters(spec: SpectralData, top: Cluster) -> tuple[Cluster, Cluster | None]:
         if objective.target == "eigenvalue":   # top is the cluster of i; there is no j
@@ -303,7 +303,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 grid, q.values + objective.sigma * step * direction.values, constraint
             )
             try:
-                cand_spec, cand_top = solve(candidate)
+                cand_spec, cand_top = solve(candidate, start=spec)
             except SolverError:
                 stop_reason = "solver_error"
                 break

@@ -1,12 +1,16 @@
 """Operator assembly, eigensolves, cluster detection, potential recovery.
 
 The operator is H = -Laplacian_h + diag(q), and only the k lowest eigenpairs
-are computed, from a fixed start so that solves repeat bit for bit:
+are computed, from a fixed seeded start or from a given earlier spectrum, so
+that solves repeat bit for bit:
 
 - On the interval and the circle H is a ``banded.BandedOperator`` (its two
   bands, with the circle's wrap entry), solved with numpy alone: shift-invert
   steps below the spectrum, then block inverse iteration at the Ritz values,
-  all through odd-even reduction (see ``banded``).
+  all through odd-even reduction (see ``banded``). A solve handed the
+  spectrum of a nearby potential (``start``; the optimizer passes its
+  current iterate's) starts warm from its eigenvectors and skips the
+  shift-invert steps; a re-solve after a count miss is always cold.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
   misses an eigenvalue, both on one SuperLU factor; scipy loads only there.
@@ -121,7 +125,8 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
     return BandedOperator(grid.laplacian + np.stack([values, np.zeros_like(values)]))
 
 
-def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) -> SpectralData:
+def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
+               start: SpectralData | None = None) -> SpectralData:
     """Lowest k eigenpairs of the assembled operator, w-orthonormalized.
 
     Degenerate blocks come out in whatever basis the solver picks; each
@@ -135,6 +140,12 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
     solve is repeated once with more pairs, on the torus by block Lanczos,
     and a second miss raises SolverError. ``complete_below`` is x, or the
     first pair a re-solve computed beyond the k returned when that is lower.
+
+    ``start``, an earlier solve on the same grid with at least k pairs,
+    makes the first 1-D solve start from its eigenvectors (``banded``'s warm
+    start); the torus and a start with fewer pairs are solved cold. The count
+    judges a warm solve like any other, and the re-solve after a miss starts
+    cold from the seeded block, so a pair the warm start lost is never kept.
 
     This is every solver's one acceptance gate: a ``LinAlgError``, a
     non-finite pair (both before the count) or a residual above RESIDUAL_TOL
@@ -151,6 +162,8 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None) 
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
                               f"asked for {k}")
         solvers = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True))
+    elif start is not None and start.count >= k:
+        solvers = (partial(_lowest_pairs_banded, start=start), _lowest_pairs_banded)
     solve_k = k
     for lowest_pairs in solvers:
         try:
@@ -198,9 +211,11 @@ def _norm_bound(grid: DomainGrid, H) -> float:
     return sum(banded._norm_bound(bands) for bands in grid.laplacian) + float(np.max(np.abs(q)))
 
 
-def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator,
-                         k: int) -> tuple[np.ndarray, np.ndarray]:
-    return banded.lowest_pairs(H.bands, k, START_VECTOR_SEED)
+def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator, k: int,
+                         start: SpectralData | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # sqrt(w) turns the start's w-orthonormal eigenvectors Euclidean-orthonormal
+    warm = None if start is None else start.eigenvectors * np.sqrt(grid.weight)
+    return banded.lowest_pairs(H.bands, k, START_VECTOR_SEED, warm)
 
 
 def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
@@ -320,21 +335,24 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
     return Cluster(lo + 1, hi - lo + 1, float(center), tol, complete)
 
 
-def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential,
-                                   i: int) -> tuple[SpectralData, Cluster]:
+def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
+                                   start: SpectralData | None = None
+                                   ) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
     The first solve takes k = i + EXTRA_PAIRS pairs. When its cluster is not
     ``complete``, the eigenvalues below the cluster's upper edge are counted
     and the solve is repeated once with EXTRA_PAIRS pairs more than that
     count (or k); SolverError when the cluster is still not proven complete.
-    Line searches, finite differences and gaps take index-i spectra from here.
+    Line searches, finite differences and gaps take index-i spectra from
+    here. ``start`` goes to every ``eigensolve``, which starts warm from it
+    when it holds enough pairs.
     """
     n = grid.n_nodes
     H = assemble(grid, q)
     k = min(n, i + EXTRA_PAIRS)
     for _ in range(2):
-        spec = eigensolve(grid, H, k, potential=q)
+        spec = eigensolve(grid, H, k, potential=q, start=start)
         cluster = detect_cluster(spec, i)
         if cluster.complete:
             return spec, cluster

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specpot import spectral
+from specpot import banded, spectral
 from specpot.certificates import criticality_certificate
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
 from specpot.spectral import (
@@ -179,6 +179,70 @@ def test_missed_copy_recovered(monkeypatch):
         assert_matches(spec, oracle)
         assert oracle.eigenvalues[k] >= spec.complete_below
     assert not detect_cluster(spec, 4).complete
+
+
+def warm_flags(monkeypatch) -> list[bool]:
+    """Records, for each banded solve from here on, whether it started warm."""
+    flags = []
+    solve = banded.lowest_pairs
+
+    def recorded(bands, k, seed, start=None):
+        flags.append(start is not None)
+        return solve(bands, k, seed, start)
+
+    monkeypatch.setattr(banded, "lowest_pairs", recorded)
+    return flags
+
+
+def assert_count_agrees(grid, q, spec):
+    """The Sturm count at complete_below finds exactly the pairs solved below it."""
+    x = spec.complete_below
+    assert count_eigenvalues_below(assemble(grid, q), x) == int(np.count_nonzero(
+        spec.eigenvalues < x))
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+@pytest.mark.parametrize("potential", ["constant", "low-mode", "uniform"])
+def test_warm_start_matches_dense(domain, potential, monkeypatch):
+    # an optimizer-sized move away from the start's potential and back: each
+    # warm solve passes the count without a re-solve and matches the dense
+    # oracle at the cold solve's tolerances, both where the move splits the
+    # double eigenvalues of the constant circle and where it lands on them
+    kind, bc = DOMAINS[domain]
+    grid = build_grid(kind, 256, bc)
+    q = make_potential(grid, potential, 3)
+    start, _ = spectrum_with_complete_cluster(grid, q, 2)
+    moved = Potential.from_values(grid, q.values + 0.1 * make_potential(grid, "low-mode", 4).values)
+    flags = warm_flags(monkeypatch)
+    for target in (moved, q):
+        start, cluster = spectrum_with_complete_cluster(grid, target, 2, start)
+        oracle = dense_oracle(grid, target)
+        assert_matches(start, oracle)
+        dense_cluster = detect_cluster(oracle, 2)
+        assert cluster.complete
+        assert (cluster.first_index, cluster.multiplicity) == (
+            dense_cluster.first_index, dense_cluster.multiplicity)
+        assert_count_agrees(grid, target, start)
+    assert flags == [True, True]
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_warm_start_without_ground_state_is_resolved_cold(domain, monkeypatch):
+    # a start of the exact eigenvectors of lambda_2..lambda_8 converges at
+    # once to those seven pairs; the count below them finds eight
+    # eigenvalues, and the cold re-solve from the seeded block recovers the
+    # ground state
+    kind, bc = DOMAINS[domain]
+    grid = build_grid(kind, 256, bc)
+    q = make_potential(grid, "low-mode", 5)
+    oracle = dense_oracle(grid, q)
+    bad = SpectralData(oracle.eigenvalues[1:8], oracle.eigenvectors[:, 1:8], grid, q)
+    flags = warm_flags(monkeypatch)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, 1, bad)
+    assert flags == [True, False]
+    assert_matches(spec, oracle)
+    assert cluster.complete and (cluster.first_index, cluster.multiplicity) == (1, 1)
+    assert_count_agrees(grid, q, spec)
 
 
 @pytest.mark.parametrize("domain", ["circle", "neumann"])

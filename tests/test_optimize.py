@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specpot import cli, optimize
+from specpot import banded, cli, optimize, spectral
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
 from specpot.errors import ConfigError
 from specpot.optimize import (
@@ -239,6 +239,39 @@ class TestRunOptimizer:
         assert abs(result.log[-1].objective) <= 1e-12
         assert result.iterations < 300
         assert not result.aborted
+
+    @pytest.mark.parametrize("domain", ["circle_grid", "neumann_grid"])
+    def test_candidate_solves_start_warm(self, domain, request, monkeypatch):
+        # each candidate is solved from the eigenvectors of the iterate it
+        # steps from, without the shift-invert steps of a cold solve: these
+        # thm11-style ascents pay 1.2-1.4 shifted solves per eigensolve, where
+        # solves from the seeded block pay 4.1-5.0. The start is a function
+        # of the run alone, so two runs agree bit for bit.
+        grid = request.getfixturevalue(domain)
+        counts = {"solves": 0, "shifted": 0}
+        solve, shifted = spectral.eigensolve, banded.shifted_solve
+
+        def counted_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_shifted(*args, **kwargs):
+            counts["shifted"] += 1
+            return shifted(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigensolve", counted_solve)
+        monkeypatch.setattr(banded, "shifted_solve", counted_shifted)
+        sines = (0.2, -0.4) if domain == "circle_grid" else ()
+        raw = Potential.fourier(grid, (0.5, -0.3, 0.2), sines).values
+        q0 = Potential.from_values(grid, 0.8 * raw / np.max(np.abs(raw)))
+        first, second = (run_optimizer(grid, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 2.0),
+                                       q0, Schedule("polyak", target=0.0), max_iters=400,
+                                       cert_every=0) for _ in range(2))
+        assert first.stop_reason == "target"
+        assert counts["shifted"] <= 2.5 * counts["solves"]
+        assert [dataclasses.astuple(r) for r in first.log] == [
+            dataclasses.astuple(r) for r in second.log]
+        assert first.potential.values.tobytes() == second.potential.values.tobytes()
 
     @pytest.mark.parametrize("kind, reason", [("polyak", "target"), ("sqrt", "stagnation"),
                                               ("constant", "stagnation")])

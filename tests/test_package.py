@@ -57,6 +57,23 @@ def test_no_cluster_tolerance_or_start_knobs():
     assert "truncated" not in {f.name for f in dataclasses.fields(specpot.Cluster)}
 
 
+def test_warm_start_has_no_knob():
+    # the optimizer starts each candidate's solve from its iterate's spectrum
+    # on its own: no argument, config key or environment variable turns that
+    # on or off, and START_VECTOR_SEED is the one seed of a cold start block
+    from specpot import banded, cli, optimize, spectral
+
+    assert list(inspect.signature(optimize.run_optimizer).parameters) == [
+        "grid", "objective", "constraint", "q0", "schedule", "max_iters", "cert_every"]
+    keys = {key for schema in cli.SCHEMAS.values() for allowed, _ in schema.values()
+            for key in allowed}
+    assert [key for key in keys if "start" in key or "warm" in key] == []
+    sources = [path.read_text() for path in (SRC / "specpot").glob("*.py")]
+    assert not any("environ" in text or "getenv" in text for text in sources)
+    assert [name for name in dir(spectral) if "SEED" in name] == ["START_VECTOR_SEED"]
+    assert [name for name in dir(banded) if "SEED" in name] == []
+
+
 def test_single_value_knobs_are_constants():
     # one node weight, one Polyak relaxation, one line-search length, one
     # pair-headroom rule, one derivative path, and the torus keeps per-axis

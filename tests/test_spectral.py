@@ -185,9 +185,9 @@ class TestDetectCluster:
         ks = []
         solve = spectral.eigensolve
 
-        def counted(grid, H, k, potential=None):
+        def counted(grid, H, k, potential=None, start=None):
             ks.append(k)
-            return solve(grid, H, k, potential)
+            return solve(grid, H, k, potential, start)
 
         monkeypatch.setattr(spectral, "eigensolve", counted)
         spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)

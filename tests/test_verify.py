@@ -49,9 +49,9 @@ def test_one_solve_per_potential(suite, solves, monkeypatch):
     calls = []
     solve = spectral.eigensolve
 
-    def counted(grid, H, k, potential=None):
+    def counted(grid, H, k, potential=None, start=None):
         calls.append(k)
-        return solve(grid, H, k, potential)
+        return solve(grid, H, k, potential, start)
 
     monkeypatch.setattr(spectral, "eigensolve", counted)
     assert suite(7)["passed"]
