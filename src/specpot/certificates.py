@@ -321,8 +321,6 @@ def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,
         recovered = recover_potential(spec.grid, frame, cluster.value)
         if spec.potential is not None:
             recovered_deviation = float(np.max(np.abs(recovered.values - spec.potential.values)))
-
-    if cert.status is CertificateStatus.FEASIBLE:
         verdict = "critical" if sufficiency else "feasible (necessary condition only)"
     elif cert.status is CertificateStatus.INFEASIBLE:
         verdict = "not critical"

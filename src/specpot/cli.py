@@ -31,7 +31,6 @@ from .perturbation import (
 )
 from .reports import (
     certificate_payload,
-    eigenvalues_payload,
     fmt,
     gap_certificate_payload,
     new_report,
@@ -48,7 +47,7 @@ from .verify import run_suite
 
 _DOMAIN = ({"kind", "length", "nodes", "bc"}, {"kind", "length", "nodes", "bc"})
 _POTENTIAL = ({"preset", "value", "coeffs", "sin_coeffs", "path"}, {"preset"})
-_OUTPUT = ({"directory", "formats", "seed"}, set())
+_OUTPUT = ({"directory", "seed"}, set())
 
 SCHEMAS: dict[str, dict[str, tuple[set[str], set[str]]]] = {
     "spectrum": {
@@ -195,6 +194,15 @@ def _positive_probes(task: dict[str, str], default: int) -> int:
     return probes
 
 
+def _write_direction(grid: DomainGrid, outdir: Path, report: dict, cert) -> str | None:
+    """Write an infeasible certificate's separating direction; its file name, or None."""
+    if cert.status is not CertificateStatus.INFEASIBLE:
+        return None
+    write_node_csv(grid, outdir / "separating_direction.csv", {"u": cert.separating_direction.values})
+    report["artifacts"]["separating_direction_csv"] = "separating_direction.csv"
+    return "separating_direction.csv"
+
+
 def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     grid = grid_from_mapping(cfg.section("domain"))
     q = _build_potential(grid, cfg.section("potential"))
@@ -203,13 +211,12 @@ def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         raise ConfigError(f"modes must be in 1..{grid.n_nodes}, got {modes}")
     spec = solve_spectrum(grid, q, modes)
     report = new_report("spectrum", cfg.sections)
-    report["eigenvalues"] = eigenvalues_payload(spec)
+    report["eigenvalues"] = spec.eigenvalues.tolist()
     write_json(outdir / "eigenvalues.json", {"eigenvalues": report["eigenvalues"]})
-    if _wants_csv(cfg):
-        modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
-        write_node_csv(grid, outdir / "eigenvectors.csv",
-                       {"w": np.full(grid.n_nodes, grid.weight), **modes})
-        report["artifacts"]["eigenvectors_csv"] = "eigenvectors.csv"
+    modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
+    write_node_csv(grid, outdir / "eigenvectors.csv",
+                   {"w": np.full(grid.n_nodes, grid.weight), **modes})
+    report["artifacts"]["eigenvectors_csv"] = "eigenvectors.csv"
     report["artifacts"]["eigenvalues_json"] = "eigenvalues.json"
     return report, 0
 
@@ -231,7 +238,7 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     rank = cluster.rank_of(i)
     interior = 0 < rank < cluster.multiplicity - 1
     report = new_report("derivative", cfg.sections)
-    report["eigenvalues"] = eigenvalues_payload(spec)
+    report["eigenvalues"] = spec.eigenvalues.tolist()
     report["payload"] = {
         "index": i,
         "multiplicity": cluster.multiplicity,
@@ -262,18 +269,13 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     spec, _ = spectrum_with_complete_cluster(grid, q, i)
     crit = full_criticality_report(spec, i, probes=probes, seed=seed)
     report = new_report("criticality", cfg.sections)
-    report["eigenvalues"] = eigenvalues_payload(spec)
+    report["eigenvalues"] = spec.eigenvalues.tolist()
     report["payload"] = crit.to_dict()
-
-    direction_csv = None
     cert = crit.certificate
-    if cert.status is CertificateStatus.INFEASIBLE and _wants_csv(cfg):
-        direction_csv = "separating_direction.csv"
-        write_node_csv(grid, outdir / direction_csv, {"u": cert.separating_direction.values})
-        report["artifacts"]["separating_direction_csv"] = direction_csv
+    direction_csv = _write_direction(grid, outdir, report, cert)
     write_json(outdir / "certificate.json", certificate_payload(cert, direction_csv))
     report["artifacts"]["certificate_json"] = "certificate.json"
-    if cert.status is CertificateStatus.FEASIBLE and _wants_csv(cfg):
+    if cert.status is CertificateStatus.FEASIBLE:
         write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(crit.frame)})
         report["artifacts"]["frame_csv"] = "frame.csv"
         write_node_csv(grid, outdir / "recovered_potential.csv", {"q": crit.recovered.values})
@@ -296,12 +298,8 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     cert = gap_certificate(spec, ci, cj)
 
     report = new_report("gap", cfg.sections)
-    report["eigenvalues"] = eigenvalues_payload(spec)
-    direction_csv = None
-    if cert.status is CertificateStatus.INFEASIBLE and _wants_csv(cfg):
-        direction_csv = "separating_direction.csv"
-        write_node_csv(grid, outdir / direction_csv, {"u": cert.separating_direction.values})
-        report["artifacts"]["separating_direction_csv"] = direction_csv
+    report["eigenvalues"] = spec.eigenvalues.tolist()
+    direction_csv = _write_direction(grid, outdir, report, cert)
     write_json(outdir / "gap_certificate.json", gap_certificate_payload(cert, direction_csv))
     report["artifacts"]["gap_certificate_json"] = "gap_certificate.json"
 
@@ -314,10 +312,8 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
             rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(critical)])
             table.append({"u_id": f"u{u_id}", "left": d.left, "right": d.right,
                           "critical": bool(critical)})
-    if _wants_csv(cfg):
-        write_csv(outdir / "gap_derivatives.csv",
-                  ["u_id", "i", "left", "right", "critical"], rows)
-        report["artifacts"]["gap_derivatives_csv"] = "gap_derivatives.csv"
+    write_csv(outdir / "gap_derivatives.csv", ["u_id", "i", "left", "right", "critical"], rows)
+    report["artifacts"]["gap_derivatives_csv"] = "gap_derivatives.csv"
     report["payload"] = {
         "index": i,
         "jindex": j,
@@ -357,15 +353,14 @@ def cmd_optimize(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "box_saturated_fraction": result.box_saturated_fraction,
         "aborted": result.aborted,
     }
-    if _wants_csv(cfg):
-        write_csv(outdir / "iterates.csv",
-                  ["iter", "objective", "step", "mult_i", "residual", "mean_error", "box_error"],
-                  ([r.iteration, fmt(r.objective), fmt(r.step), r.mult_i,
-                    "" if r.cert_residual is None else fmt(r.cert_residual),
-                    fmt(r.mean_error), fmt(r.box_error)] for r in result.log))
-        write_node_csv(grid, outdir / "final_potential.csv", {"q": result.potential.values})
-        report["artifacts"]["iterates_csv"] = "iterates.csv"
-        report["artifacts"]["final_potential_csv"] = "final_potential.csv"
+    write_csv(outdir / "iterates.csv",
+              ["iter", "objective", "step", "mult_i", "residual", "mean_error", "box_error"],
+              ([r.iteration, fmt(r.objective), fmt(r.step), r.mult_i,
+                "" if r.cert_residual is None else fmt(r.cert_residual),
+                fmt(r.mean_error), fmt(r.box_error)] for r in result.log))
+    write_node_csv(grid, outdir / "final_potential.csv", {"q": result.potential.values})
+    report["artifacts"]["iterates_csv"] = "iterates.csv"
+    report["artifacts"]["final_potential_csv"] = "final_potential.csv"
     code = 1 if result.aborted else 0
     return report, code
 
@@ -376,23 +371,11 @@ def cmd_verify(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     outcome = run_suite(suite, seed)
     report = new_report("verify", cfg.sections)
     report["payload"] = outcome
-    report["verdicts"] = _flatten_checks(outcome)
+    # one suite, or "all" holding one level of suites
+    report["verdicts"] = [dict(c, suite=s["suite"])
+                          for s in outcome.get("suites", [outcome]) for c in s["checks"]]
     passed = outcome["passed"]
     return report, 0 if passed else 1
-
-
-def _flatten_checks(outcome: dict) -> list[dict]:
-    if "checks" in outcome:
-        return [dict(c, suite=outcome["suite"]) for c in outcome["checks"]]
-    flat: list[dict] = []
-    for sub in outcome.get("suites", []):
-        flat.extend(_flatten_checks(sub))
-    return flat
-
-
-def _wants_csv(cfg: ParsedConfig) -> bool:
-    formats = cfg.section("output").get("formats", "json,csv")
-    return "csv" in [f.strip().lower() for f in formats.split(",")]
 
 
 COMMANDS = {

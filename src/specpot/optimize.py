@@ -214,9 +214,7 @@ def _step_size(schedule: Schedule, t: int, objective_value: float,
     if nrm2 <= 1e-30:
         return 0.0
     step = POLYAK_RELAXATION * gap / nrm2
-    if direction.sup_norm > 0:
-        step = min(step, 2.0 * constraint.bound_B / direction.sup_norm)
-    return float(step)
+    return float(min(step, 2.0 * constraint.bound_B / direction.sup_norm))
 
 
 def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: ConstraintSpec,
@@ -343,12 +341,9 @@ def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
 
 
 def _certificate_stop(spec: SpectralData, ci: Cluster,
-                      cj: Cluster | None) -> tuple[bool, float | None]:
-    """Certificate decision at the current cluster(s), cj for gap targets:
-    (feasible, residual). Residual is None only when the attempt is not
-    applicable."""
-    if not ci.complete or (cj is not None and not cj.complete):
-        return False, None
+                      cj: Cluster | None) -> tuple[bool, float]:
+    """Certificate decision at the current complete cluster(s), cj for gap
+    targets: (feasible, residual)."""
     cert = criticality_certificate(spec, ci) if cj is None else gap_certificate(spec, ci, cj)
     return cert.status is CertificateStatus.FEASIBLE, cert.residual
 
@@ -385,7 +380,7 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
         if two_sided and d.left > DESCENT_THRESHOLD:   # -u descends
             sides.append((make_direction(grid, -u.values, normalize=True), -d.left))
         for v, slope in sides:
-            if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v, spec.eigenvalue(i)):
+            if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v, spec):
                 return RefuteResult(v, slope, tried)
     return RefuteResult(None, 0.0, tried)
 
@@ -413,12 +408,16 @@ def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int,
 
 
 def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,
-                     value: float) -> bool:
-    """Strictly decreasing lambda_i(q + t u) from value = lambda_i(q) over
-    t = s, 2s, ... with s = LINE_SEARCH_STEP, LINE_SEARCH_POINTS points."""
+                     spec: SpectralData) -> bool:
+    """Strictly decreasing lambda_i(q + t u) from lambda_i(q), read from q's
+    spectrum spec, over t = s, 2s, ... with s = LINE_SEARCH_STEP,
+    LINE_SEARCH_POINTS points. Each point's solve starts warm from the
+    previous point's spectrum (q's for the first)."""
+    value = spec.eigenvalue(i)
     for p in range(1, LINE_SEARCH_POINTS + 1):
         shifted = Potential.from_values(grid, q.values + p * LINE_SEARCH_STEP * u.values)
-        lower = spectrum_with_complete_cluster(grid, shifted, i)[0].eigenvalue(i)
+        spec = spectrum_with_complete_cluster(grid, shifted, i, start=spec)[0]
+        lower = spec.eigenvalue(i)
         if lower >= value - 1e-12:
             return False
         value = lower

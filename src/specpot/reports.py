@@ -15,7 +15,6 @@ import numpy as np
 from . import __version__
 from .certificates import GapCertificate, GramCertificate
 from .domain import DomainGrid
-from .spectral import SpectralData
 
 
 def new_report(command: str, config_echo: dict) -> dict:
@@ -43,10 +42,6 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def fmt(x) -> str:
     return repr(float(x))
-
-
-def eigenvalues_payload(spec: SpectralData) -> list[float]:
-    return [float(v) for v in spec.eigenvalues]
 
 
 def write_node_csv(grid: DomainGrid, path, columns: dict[str, np.ndarray]) -> None:

@@ -7,10 +7,10 @@ that solves repeat bit for bit:
 - On the interval and the circle H is a ``banded.BandedOperator`` (its two
   bands, with the circle's wrap entry), solved with numpy alone: shift-invert
   steps below the spectrum, then block inverse iteration at the Ritz values,
-  all through odd-even reduction (see ``banded``). A solve handed the
-  spectrum of a nearby potential (``start``; the optimizer passes its
-  current iterate's) starts warm from its eigenvectors and skips the
-  shift-invert steps; a re-solve after a count miss is always cold.
+  all through odd-even reduction (see ``banded``). A solve handed a nearby
+  potential's spectrum (``start``: the optimizer's current iterate, the
+  line search's previous point) starts warm from its eigenvectors and skips
+  the shift-invert steps; a re-solve after a count miss is always cold.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
   misses an eigenvalue, both on one SuperLU factor; scipy loads only there.

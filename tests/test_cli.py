@@ -99,6 +99,13 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "boundry" in err
 
+    def test_formats_is_an_unknown_key(self, tmp_path, capsys):
+        # every command writes all its artifacts; there is no format switch
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n"
+                        "\n[output]\nformats=json\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "formats" in capsys.readouterr().err
+
     def test_missing_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n")
         assert main(["spectrum", "--config", cfg]) == 2

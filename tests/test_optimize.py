@@ -424,15 +424,33 @@ class TestRefuteLocalMin:
         # point, and no second solve at q
         calls = []
 
-        def counted(grid, q, i):
+        def counted(grid, q, i, start=None):
             calls.append(i)
-            return spectrum_with_complete_cluster(grid, q, i)
+            return spectrum_with_complete_cluster(grid, q, i, start)
 
         monkeypatch.setattr(optimize, "spectrum_with_complete_cluster", counted)
         q = Potential.fourier(neumann_grid, (0.5, -0.2, 0.3))
         result = refute_local_min(neumann_grid, q, 2, probe_budget=200, seed=4)
         assert result.found and result.candidates_tried == 1
         assert len(calls) == 1 + optimize.LINE_SEARCH_POINTS
+
+    def test_line_search_starts_warm(self, neumann_grid, monkeypatch):
+        # each line-search point lies 1e-3 along u from a potential just
+        # solved, so its solve starts from that spectrum: the whole refutation
+        # (a cold solve at q, then three warm points) pays 8 shifted solves,
+        # where four cold solves pay 20
+        calls = []
+        shifted = banded.shifted_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return shifted(*args, **kwargs)
+
+        monkeypatch.setattr(banded, "shifted_solve", counted)
+        q = Potential.fourier(neumann_grid, (0.5, -0.2, 0.3))
+        result = refute_local_min(neumann_grid, q, 2, probe_budget=200, seed=4)
+        assert result.found
+        assert len(calls) <= 10
 
     def test_index_guard(self, circle_grid):
         with pytest.raises(ValueError):

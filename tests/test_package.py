@@ -104,6 +104,17 @@ def test_single_value_knobs_are_constants():
     assert not hasattr(verify, "_gap_value")
 
 
+def test_every_command_writes_every_artifact():
+    # [output] holds only where to write and the seed: no switch drops an
+    # artifact, and the eigenvalue list is spec.eigenvalues.tolist()
+    from specpot import cli, reports
+
+    assert {frozenset(schema["output"][0]) for schema in cli.SCHEMAS.values()} == {
+        frozenset({"directory", "seed"})}
+    assert not hasattr(cli, "_wants_csv")
+    assert not hasattr(reports, "eigenvalues_payload")
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but never reads; names in __all__ count as read."""
     imported = {}

@@ -215,8 +215,9 @@ class TestGapDerivatives:
 
     def test_same_cluster_rejected(self, circle_zero_spec, circle_grid):
         u = make_direction(circle_grid, np.cos(2 * circle_grid.coords))
-        with pytest.raises(DegenerateGapError):
-            gap_one_sided_derivatives(circle_zero_spec, 2, 3, u)
+        for i, j in ((2, 3), (2, 2)):
+            with pytest.raises(DegenerateGapError):
+                gap_one_sided_derivatives(circle_zero_spec, i, j, u)
 
     def test_simple_pair_matches_fd(self, dirichlet_grid):
         rng = np.random.default_rng(9)
