@@ -90,7 +90,9 @@ SCHEMAS: dict[str, dict[str, tuple[set[str], set[str]]]] = {
 }
 
 _NEEDS_SEED = {"criticality", "gap", "verify"}
-MAX_PROBES = 1000   # 5x the criticality default; every probe vector is built up front
+# 5x the criticality default; it bounds the probe loop's time, not its memory:
+# probes are drawn one at a time
+MAX_PROBES = 1000
 
 
 def _require_seed(cfg: ParsedConfig, command: str) -> int | None:

@@ -16,7 +16,9 @@ reports.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -101,22 +103,52 @@ def gap_one_sided_derivatives(spec: SpectralData, i: int, j: int,
     return DirectionalDerivative(left=dj.left - di.left, right=dj.right - di.right)
 
 
-def sample_probes(grid: DomainGrid, count: int, seed: int, style: str = "fourier") -> list[ProbeDirection]:
-    """Deterministic pseudo-random mean-zero probes, sup-normalized to 1.
+class ProbeSuite:
+    """Deterministic pseudo-random mean-zero probes, sup-normalized to 1,
+    drawn one at a time as they are reached.
 
-    Styles: "fourier" (random low-order modes), "spike" (localized bumps),
-    "noise" (white noise per node).
+    The suite holds only its parts, (count, seed, style) each, so its memory
+    is one probe's, not count probes'. Every pass draws each part in order
+    from a fresh generator seeded with the part's seed, so passes repeat
+    bit for bit; ``suite[k]`` draws the first k + 1 probes and keeps the
+    last. Styles: "fourier" (random low-order modes), "spike" (localized
+    bumps), "noise" (white noise per node).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if style not in ("fourier", "spike", "noise"):
-        raise ValueError(f"unknown probe style {style!r}")
-    rng = np.random.default_rng(seed)
-    modes = _fourier_modes(grid) if style == "fourier" else None
-    # no style draws a constant: normal coefficients on independent modes,
-    # white noise, a bump 0.05-0.2 L wide
-    return [make_direction(grid, project_mean_zero(grid, _draw_probe(grid, rng, style, modes)),
-                           normalize=True) for _ in range(count)]
+
+    def __init__(self, grid: DomainGrid, parts: list[tuple[int, int, str]]):
+        for count, _, style in parts:
+            if count < 1:
+                raise ValueError("count must be >= 1")
+            if style not in ("fourier", "spike", "noise"):
+                raise ValueError(f"unknown probe style {style!r}")
+        self.grid = grid
+        # a SeedSequence rejects a bad seed here and seeds the same stream as the int
+        self.parts = [(count, np.random.SeedSequence(seed), style) for count, seed, style in parts]
+
+    def __len__(self) -> int:
+        return sum(count for count, _, _ in self.parts)
+
+    def __iter__(self) -> Iterator[ProbeDirection]:
+        grid = self.grid
+        for count, seed, style in self.parts:
+            rng = np.random.default_rng(seed)
+            modes = _fourier_modes(grid) if style == "fourier" else None
+            # no style draws a constant: normal coefficients on independent
+            # modes, white noise, a bump 0.05-0.2 L wide
+            for _ in range(count):
+                yield make_direction(grid, project_mean_zero(grid, _draw_probe(grid, rng, style, modes)),
+                                     normalize=True)
+
+    def __getitem__(self, k: int) -> ProbeDirection:
+        if not -len(self) <= k < len(self):
+            raise IndexError("probe index out of range")
+        return next(islice(self, k % len(self), None))
+
+
+def sample_probes(grid: DomainGrid, count: int, seed: int, style: str = "fourier") -> ProbeSuite:
+    """``count`` probes of one style from ``seed``, drawn lazily; count < 1 or
+    an unknown style raises ValueError here, not when the probes are drawn."""
+    return ProbeSuite(grid, [(count, seed, style)])
 
 
 def _fourier_modes(grid: DomainGrid) -> list[np.ndarray]:
@@ -167,15 +199,16 @@ def _draw_probe(grid: DomainGrid, rng: np.random.Generator, style: str,
     return values
 
 
-def mixed_probe_suite(grid: DomainGrid, count: int, seed: int) -> list[ProbeDirection]:
-    """Probe suite mixing the three styles, deterministic in the seed."""
+def mixed_probe_suite(grid: DomainGrid, count: int, seed: int) -> ProbeSuite:
+    """``count`` probes mixing the three styles, deterministic in the seed and
+    drawn lazily: count - 2 (count // 3) fourier, then count // 3 spike and
+    count // 3 noise probes. count < 1 raises ValueError here."""
     seeds = np.random.SeedSequence(seed).generate_state(3)
     per = count // 3
-    probes = sample_probes(grid, count - 2 * per, int(seeds[0]), "fourier")
+    parts = [(count - 2 * per, int(seeds[0]), "fourier")]
     if per:
-        probes += sample_probes(grid, per, int(seeds[1]), "spike")
-        probes += sample_probes(grid, per, int(seeds[2]), "noise")
-    return probes
+        parts += [(per, int(seeds[1]), "spike"), (per, int(seeds[2]), "noise")]
+    return ProbeSuite(grid, parts)
 
 
 def fd_eigenvalue_derivative(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,

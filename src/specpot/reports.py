@@ -49,8 +49,9 @@ def write_node_csv(grid: DomainGrid, path, columns: dict[str, np.ndarray]) -> No
     named value columns in the order given."""
     coord_names = ["x"] if grid.ndim == 1 else ["x", "y"]
     table = np.column_stack([grid.coords.reshape(grid.n_nodes, -1), *columns.values()])
-    # tolist() gives Python floats, whose repr is fmt's string
-    write_csv(path, coord_names + list(columns), (map(repr, row) for row in table.tolist()))
+    # tolist() gives Python floats, whose repr is fmt's string; one row at a
+    # time keeps a single row of them alive
+    write_csv(path, coord_names + list(columns), (map(repr, row.tolist()) for row in table))
 
 
 def gram_to_list(G: np.ndarray | None) -> list[float] | None:

@@ -79,7 +79,8 @@ def oracle_write_node_csv(grid, path, columns):
 
 
 def assert_same_probes(probes, oracle):
-    assert isinstance(probes, list)
+    # probes are drawn as they are reached: a second pass must repeat the first
+    assert [u.values.tobytes() for u in probes] == [u.values.tobytes() for u in probes]
     assert len(probes) == len(oracle)
     for u, v in zip(probes, oracle):
         assert np.array_equal(u.values, v.values)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from specpot.domain import BoundaryCondition, Torus2D, build_grid
 from specpot.domain import Potential, mean_value
 from specpot.errors import DegenerateGapError
 from specpot.perturbation import (
@@ -275,3 +278,35 @@ class TestSampleProbes:
         mine = central_fd(circle_grid, q, 1, u, 1e-4)
         theirs = fd_eigenvalue_derivative(circle_grid, q, 1, u, 1e-4)
         assert mine == pytest.approx(theirs, abs=1e-14)
+
+
+class TestProbeSuite:
+    """Probes are drawn one at a time as a pass reaches them."""
+
+    def test_iterating_holds_one_probe(self):
+        # a 200-probe list on the 64x64 torus holds 200 x 4096 doubles, 6.6 MB
+        grid = build_grid(Torus2D(2.0 * np.pi, 2.0 * np.pi), 64, BoundaryCondition.CLOSED)
+        tracemalloc.start()
+        try:
+            for _ in mixed_probe_suite(grid, 200, 7):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_passes_repeat_and_agree_with_len_and_index(self, torus_grid):
+        suite = mixed_probe_suite(torus_grid, 31, 29)
+        first = [u.values.tobytes() for u in suite]
+        assert [u.values.tobytes() for u in suite] == first
+        assert len(suite) == len(first) == 31
+        assert suite[0].values.tobytes() == first[0]
+        assert suite[-1].values.tobytes() == first[-1]
+        with pytest.raises(IndexError):
+            suite[31]
+
+    def test_bad_input_raises_before_drawing(self, circle_grid):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            mixed_probe_suite(circle_grid, 0, 0)
+        with pytest.raises(ValueError, match="unknown probe style 'plaid'"):
+            sample_probes(circle_grid, 5, 0, "plaid")
