@@ -6,8 +6,9 @@ non-existence of critical potentials shows up as box saturation, which the
 result records explicitly. Step schedules: the default diminishing s0/sqrt(t)
 rule, a constant step, and a Polyak step for runs whose optimal value is
 known in advance. A Polyak run stops as soon as it reaches that value to
-TARGET_TOL; this is what makes the verification experiments converge to
-tight tolerances in about a hundred iterations per run or fewer.
+TARGET_TOL. A Polyak lambda_1 ascent on a closed or Neumann grid steps in
+the Newton metric of lambda_1 near a constant potential (see run_optimizer)
+and gets there in under ten iterations; every other run steps plainly.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateStatus, criticality_certificate, gap_certificate
-from .domain import DomainGrid, Potential, mean_value, project_mean_zero
+from .domain import BoundaryCondition, DomainGrid, Potential, mean_value, project_mean_zero
 from .errors import ConfigError, SolverError
 from .perturbation import (
     ProbeDirection,
@@ -28,6 +29,7 @@ from .perturbation import (
 from .spectral import (
     Cluster,
     SpectralData,
+    assemble,
     detect_cluster,
     spectrum_with_complete_cluster,
 )
@@ -39,7 +41,7 @@ BACKTRACK_TOL = 1e-12
 DESCENT_THRESHOLD = 1e-6     # one-sided derivative a descent witness must beat
 LINE_SEARCH_STEP = 1e-3      # step of the line search confirming a witness
 LINE_SEARCH_POINTS = 3       # points t = s, 2s, 3s it must strictly descend over
-POLYAK_RELAXATION = 0.5      # lands on a quadratic model's minimizer, not across it
+POLYAK_RELAXATION = 0.5      # a plain step lands on a quadratic model's minimizer, not across it
 MAX_BOUND = 1e6              # keeps the breakpoint search's mean error (~1e-16 B) below 1e-8
 
 
@@ -95,9 +97,11 @@ class ConstraintSpec:
 class Schedule:
     """Step-size rule: "sqrt" (s0/sqrt(t)), "constant" (s0), or "polyak"
     (POLYAK_RELAXATION * |objective - target| / ||direction||_w^2, clipped to
-    the box width). A polyak run also stops, on "target", at the first iterate
-    with |objective - target| <= TARGET_TOL (1 + |target|); the other kinds
-    ignore target. s0, when given, must be positive."""
+    the box width; a lambda_1 ascent on a closed or Neumann grid takes
+    run_optimizer's Newton-metric step instead). A polyak run also stops, on
+    "target", at the first iterate with |objective - target| <= TARGET_TOL
+    (1 + |target|); the other kinds ignore target. s0, when given, must be
+    positive."""
 
     kind: str = "sqrt"
     s0: float | None = None
@@ -231,6 +235,15 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     above its edge, within solver accuracy, may belong to it). Every stop
     depends only on the current iterate and the log of this run, so the run
     is deterministic given q0 and the schedule.
+
+    A polyak run maximizing lambda_1 on a closed or Neumann grid (Theorem
+    1.1's setting) steps along d = L g, L = -Laplacian_h, by s = 2 |obj -
+    target| / <g, d>_w (clipped like the plain step) while lambda_1 is simple
+    and <g, d>_w > 0: near a constant, lambda_1's Hessian on mean-zero u is
+    about -(2/V) L^-1, and this is its Newton step. A metric step rejected
+    through all its halvings gives way to the plain step for the rest of the
+    run. Elsewhere L models nothing: Dirichlet ascents end on the box and
+    crawl in L, H - lambda_i is indefinite for i >= 2, and gap runs slow down.
     """
     if max_iters < 1:
         raise ConfigError(f"iters must be at least 1, got {max_iters}")
@@ -246,6 +259,10 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
 
     log: list[IterateRecord] = []
     stop_reason = "max_iters"
+    metric = None   # L = -Laplacian_h for the Newton-metric step, see above
+    if (schedule.kind == "polyak" and objective.target == "eigenvalue" and objective.i == 1
+            and objective.sense == "maximize" and grid.bc is not BoundaryCondition.DIRICHLET):
+        metric = assemble(grid, Potential.zero(grid))
 
     def solve(pot: Potential, start: SpectralData | None = None) -> tuple[SpectralData, Cluster]:
         return spectrum_with_complete_cluster(grid, pot, objective.top_index, start)
@@ -295,25 +312,36 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
             break
 
         simple_here = ci.multiplicity == 1 and (cj is None or cj.multiplicity == 1)
+        moves = [(direction, step)]
+        if metric is not None and simple_here:
+            newton = make_direction(grid, metric @ direction.values)
+            curvature = grid.inner(direction.values, newton.values)
+            if curvature > 0.0:
+                moves.insert(0, (newton, min(2.0 * abs(obj - schedule.target) / curvature,
+                                             2.0 * constraint.bound_B / newton.sup_norm)))
         accepted = False
-        for _halving in range(9):
-            candidate = project_feasible(
-                grid, q.values + objective.sigma * step * direction.values, constraint
-            )
-            try:
-                cand_spec, cand_top = solve(candidate, start=spec)
-            except SolverError:
-                stop_reason = "solver_error"
+        for move, step in moves:
+            for _halving in range(9):
+                candidate = project_feasible(
+                    grid, q.values + objective.sigma * step * move.values, constraint
+                )
+                try:
+                    cand_spec, cand_top = solve(candidate, start=spec)
+                except SolverError:
+                    stop_reason = "solver_error"
+                    break
+                cand_obj = _objective_value(cand_spec, objective)
+                improved = objective.sigma * (cand_obj - obj) >= -BACKTRACK_TOL
+                if improved or not simple_here:
+                    q, spec, obj = candidate, cand_spec, cand_obj
+                    ci, cj = clusters(spec, cand_top)
+                    last_step = step
+                    accepted = True
+                    break
+                step /= 2.0
+            if accepted or stop_reason == "solver_error":
                 break
-            cand_obj = _objective_value(cand_spec, objective)
-            improved = objective.sigma * (cand_obj - obj) >= -BACKTRACK_TOL
-            if improved or not simple_here:
-                q, spec, obj = candidate, cand_spec, cand_obj
-                ci, cj = clusters(spec, cand_top)
-                last_step = step
-                accepted = True
-                break
-            step /= 2.0
+            metric = None   # the metric step failed: this run steps plainly from here on
         if stop_reason == "solver_error":
             break
         if not accepted:

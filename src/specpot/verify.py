@@ -86,8 +86,8 @@ def suite_thm11(seed: int) -> dict:
     worst_lam = np.inf
     for label, grid in domains:
         for _ in range(5):
-            # Scale the start inside the box: clipping a too-large draw would
-            # plant corners whose high-frequency tail outlives the run.
+            # Scale the start inside the box rather than clip a too-large
+            # draw: the ascent's Newton metric models lambda_1 off the box faces.
             raw = _random_fourier(grid, rng, 1.0).values
             q0 = Potential.from_values(grid, 0.4 * constraint.bound_B * raw / np.max(np.abs(raw)))
             result = run_optimizer(grid, objective, constraint, q0,

@@ -244,9 +244,10 @@ class TestRunOptimizer:
     def test_candidate_solves_start_warm(self, domain, request, monkeypatch):
         # each candidate is solved from the eigenvectors of the iterate it
         # steps from, without the shift-invert steps of a cold solve: these
-        # thm11-style ascents pay 1.2-1.4 shifted solves per eigensolve, where
-        # solves from the seeded block pay 4.1-5.0. The start is a function
-        # of the run alone, so two runs agree bit for bit.
+        # thm11-style ascents take 5 iterations and pay 2.0-2.4 shifted solves
+        # per eigensolve, the cold first solve included, where solves from the
+        # seeded block pay 4.1-5.0. The start is a function of the run alone,
+        # so two runs agree bit for bit.
         grid = request.getfixturevalue(domain)
         counts = {"solves": 0, "shifted": 0}
         solve, shifted = spectral.eigensolve, banded.shifted_solve
@@ -379,6 +380,98 @@ class TestRunOptimizer:
         assert lines[0] == "iter,objective,step,mult_i,residual,mean_error,box_error"
         assert lines[1] == "1,0.5,0.1,1,,0.0,0.0"
         assert lines[2] == "2,0.6,0.05,2,3e-09,1e-15,2.5e-13"
+
+
+class TestNewtonMetric:
+    """Polyak lambda_1 ascents on closed and Neumann grids step along L g,
+    L = -Laplacian_h; every other run keeps the plain subgradient step."""
+
+    def test_torus_ascent_reaches_target(self, torus_grid):
+        # the plain step takes 49 iterations from this start
+        x, y = torus_grid.coords.T
+        raw = np.cos(x) + 0.5 * np.sin(y) + 0.3 * np.cos(x + y)
+        q0 = Potential.from_values(torus_grid, 0.8 * 2.0 * raw / np.max(np.abs(raw)))
+        result = run_optimizer(torus_grid, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 2.0),
+                               q0, Schedule("polyak", target=0.0), max_iters=400, cert_every=0)
+        assert result.stop_reason == "target"
+        assert result.iterations <= 10
+
+    def test_dirichlet_ascent_stays_plain(self, dirichlet_grid, monkeypatch):
+        # L is no model of lambda_1 under Dirichlet (the box is active at the
+        # optimum): a metric run crawls to max_iters at 1.4996. The plain run
+        # reaches the target in 39 iterations and 35 shifted solves.
+        calls = []
+        shifted = banded.shifted_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return shifted(*args, **kwargs)
+
+        monkeypatch.setattr(banded, "shifted_solve", counted)
+        result = run_optimizer(dirichlet_grid, ObjectiveSpec("eigenvalue", 1),
+                               ConstraintSpec(0.0, 2.0), Potential.zero(dirichlet_grid),
+                               Schedule("polyak", target=1.5), max_iters=400, cert_every=0)
+        assert result.stop_reason == "target"
+        assert result.iterations <= 39
+        assert len(calls) <= 35
+
+    @pytest.mark.parametrize("objective, schedule, grid", [
+        (ObjectiveSpec("gap", 2, 3, sense="minimize"), Schedule("polyak", target=0.0), SMALL_CIRCLE),
+        (ObjectiveSpec("eigenvalue", 2), Schedule("polyak", target=1.0), SMALL_CIRCLE),
+        (ObjectiveSpec("eigenvalue", 1, sense="minimize"), Schedule("polyak", target=-1.0),
+         SMALL_CIRCLE),
+        (ObjectiveSpec("eigenvalue", 1), Schedule("sqrt"), SMALL_CIRCLE),
+        (ObjectiveSpec("eigenvalue", 1), Schedule("constant", s0=0.05), SMALL_CIRCLE),
+        (ObjectiveSpec("eigenvalue", 1), Schedule("polyak", target=1.5),
+         build_grid(Interval(np.pi), 32, BoundaryCondition.DIRICHLET)),
+    ], ids=["gap", "lambda2", "minimize", "sqrt", "constant", "dirichlet"])
+    def test_other_runs_never_build_the_metric(self, objective, schedule, grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("metric built")
+
+        monkeypatch.setattr(optimize, "assemble", refuse)
+        raw = Potential.fourier(grid, (0.3, -0.2, 0.1), (0.2,)).values
+        q0 = Potential.from_values(grid, raw - np.mean(raw))
+        first, second = (run_optimizer(grid, objective, ConstraintSpec(0.0, 2.0), q0, schedule,
+                                       max_iters=30, cert_every=0) for _ in range(2))
+        assert first.stop_reason != "solver_error"
+        assert [dataclasses.astuple(r) for r in first.log] == [
+            dataclasses.astuple(r) for r in second.log]
+        assert first.potential.values.tobytes() == second.potential.values.tobytes()
+
+    def test_rejected_metric_step_falls_back_to_plain(self, monkeypatch):
+        # A metric whose direction is nearly orthogonal to g gets a huge
+        # clipped step along which the concave lambda_1 falls at every
+        # halving. The run then takes the plain step at that iterate and
+        # never asks the metric again, so its log is the one of a run whose
+        # metric is never used (negative curvature).
+        grid = SMALL_CIRCLE
+        calls = []
+
+        class Poor:
+            def __matmul__(self, g):
+                calls.append(1)
+                mode = np.sin(3.0 * grid.coords)
+                return mode - g * grid.inner(mode, g) / grid.inner(g, g) + 1e-8 * g
+
+        class Negative:
+            def __matmul__(self, g):
+                return -g
+
+        raw = Potential.fourier(grid, (0.4, -0.3), (0.2,)).values
+        q0 = Potential.from_values(grid, 0.6 * raw / np.max(np.abs(raw)))
+        results = []
+        for metric in (Poor(), Negative()):
+            monkeypatch.setattr(optimize, "assemble", lambda grid, q, metric=metric: metric)
+            results.append(run_optimizer(grid, ObjectiveSpec("eigenvalue", 1),
+                                         ConstraintSpec(0.0, 2.0), q0,
+                                         Schedule("polyak", target=0.0), max_iters=400,
+                                         cert_every=0))
+        fallback, plain = results
+        assert len(calls) == 1
+        assert fallback.stop_reason == plain.stop_reason == "target"
+        assert [dataclasses.astuple(r) for r in fallback.log] == [
+            dataclasses.astuple(r) for r in plain.log]
 
 
 class TestRefuteLocalMin:
