@@ -27,6 +27,7 @@ from .spectral import (
     detect_cluster,
     eigensolve,
     recover_potential,
+    solve_spectra,
     solve_spectrum,
 )
 from .perturbation import (
@@ -73,6 +74,7 @@ __all__ = [
     "assemble",
     "eigensolve",
     "solve_spectrum",
+    "solve_spectra",
     "detect_cluster",
     "recover_potential",
     "ProbeDirection",

@@ -17,14 +17,24 @@ the interval. Nothing here forms an n x n matrix.
   Problem, ch. 4 and 7). Given a start block, eigenvectors of a nearby
   operator, it skips the shift-invert steps and goes straight to inverse
   iteration.
-- Both kinds of shifted solve use odd-even (cyclic) reduction, which takes
-  ceil(log2 n) vectorized steps. At a shift near an eigenvalue a pivot of an
-  inner reduction step can vanish; the reduction then stops and the system
-  left over is solved row by row with partial pivoting.
+- ``lowest_pairs`` also takes a group of operators, bands of shape
+  (g, 2, n) that share one off-diagonal (the Laplacian's) and differ only
+  in their diagonals. A group of one is the single solve. Each shifted
+  solve, QR and Rayleigh-Ritz step then serves the whole group in one numpy
+  call. Each member keeps its own shift, rounding floor and active columns,
+  and leaves the group once its k lowest columns converge. No decision is
+  taken over the group, so a member's pairs are bit for bit those of its
+  solve alone. ``group_size`` caps a group by the bytes of its working set.
+- Both kinds of shifted solve use odd-even (cyclic) reduction, in place,
+  which takes ceil(log2 n) vectorized steps. At a shift near an eigenvalue
+  a pivot of an inner reduction step can vanish; the reduction of that
+  operator's systems then stops and the system left over is solved row by
+  row with partial pivoting.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +43,13 @@ SHIFT_INVERT_STEPS = 2     # subspace steps at the definite shift before inverse
 MAX_REFINEMENTS = 12       # inverse-iteration steps; 3-4 reach solver accuracy
 CONVERGED_REL = 1e-10      # residual target relative to 1 + |lambda|
 REDUCTION_GUARD = 1.5e-8   # sqrt(eps) * ||H||: smaller pivots end the reduction
+# Peak working set of a group solve per member and per entry of its (n, k + 2)
+# block: 85-112 bytes by tracemalloc over groups of 5 to 50 circle and Neumann
+# members at n = 64 to 1024 and k = 2 and 7 (~100 KB a member at n = 256,
+# k = 2). GROUP_BYTES caps a group's working set, and with it the peak RSS a
+# batched solve adds: 8 members at n = 256, k = 2.
+MEMBER_BYTES = 120
+GROUP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +66,7 @@ class BandedOperator:
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
         diag, off = self.bands
-        if x.ndim == 2:
-            diag, off = diag[:, None], off[:, None]
-        y = diag * x
-        y[:-1] += off[:-1] * x[1:]
-        y[1:] += off[:-1] * x[:-1]
-        y[0] += off[-1] * x[-1]
-        y[-1] += off[-1] * x[0]
-        return y
+        return _apply(diag[None], off, x.reshape(1, len(x), -1)).reshape(x.shape)
 
     def toarray(self) -> np.ndarray:
         """The dense (n, n) matrix."""
@@ -68,9 +78,26 @@ class BandedOperator:
         return dense
 
 
-def _norm_bound(bands: np.ndarray) -> float:
-    """Row-sum bound on ||H||."""
-    return float(np.max(np.abs(bands[0])) + 2.0 * np.max(np.abs(bands[1])))
+def _apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H_j x_j for a group: diagonals (g, n), shared off-diagonal (n,), x (g, n, w)."""
+    y = diag[:, :, None] * x
+    band = off[:-1, None]
+    y[:, :-1] += band * x[:, 1:]
+    y[:, 1:] += band * x[:, :-1]
+    y[:, 0] += off[-1] * x[:, -1]
+    y[:, -1] += off[-1] * x[:, 0]
+    return y
+
+
+def _norm_bound(bands: np.ndarray):
+    """Row-sum bound on ||H||; one per operator of a (g, 2, n) group."""
+    return (np.max(np.abs(bands[..., 0, :]), axis=-1)
+            + 2.0 * np.max(np.abs(bands[..., 1, :]), axis=-1))
+
+
+def group_size(n: int, k: int) -> int:
+    """Members of a group solve of k pairs at n nodes whose working set fits GROUP_BYTES."""
+    return max(1, GROUP_BYTES // (MEMBER_BYTES * n * min(n, k + 2)))
 
 
 def count_below(bands: np.ndarray, x: float) -> int:
@@ -140,82 +167,110 @@ def _row_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: float) -> np.n
     return np.stack(x)
 
 
-def _reduce_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, guard: float,
-                  tiny: float) -> np.ndarray:
-    """Solve the symmetric tridiagonal systems T_s x = b_s by odd-even reduction.
+def _reduce_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: np.ndarray,
+                  guard: np.ndarray | None = None, members: np.ndarray | None = None) -> None:
+    """Solve the symmetric tridiagonal systems T_s x = b_s in place by odd-even reduction.
 
-    d (m, s) diagonals, e (m - 1,) shared off-diagonal, b (m, s, r). The
-    system is padded with identity rows to 2^L - 1 rows, so every step
-    eliminates the even rows, each coupled to two odd ones. With ``guard``
-    > 0 the reduction stops before a step with a pivot below ``guard`` and
-    hands the rest to the pivoted row solve.
+    d (m, s, 1) diagonals, e (m - 1, 1, 1) shared or (m - 1, s, 1) own
+    off-diagonals, b (m, s, r), with m = 2^L - 1 rows, so every step
+    eliminates the even rows, each coupled to two odd ones. d is overwritten
+    and b becomes the solution; a step keeps only views of them. With
+    ``guard`` (s, 1), the systems of one operator (one ``members`` label)
+    stop before a step in which a pivot of theirs lies below its guard and
+    go to the pivoted row solve, ``tiny`` (s,) replacing its zero pivots;
+    the others go on.
     """
-    m, s = d.shape
-    size = (1 << m.bit_length()) - 1
-    e = np.broadcast_to(e[:, None], (m - 1, 1))
-    if size > m:
-        d = np.concatenate([d, np.ones((size - m, s))])
-        e = np.concatenate([e, np.zeros((size - m, 1))])
-        b = np.concatenate([b, np.zeros((size - m,) + b.shape[1:])])
     steps = []
-    while len(d) > 1:
+    # no pivot below the largest guard: no system stops (one reduction call)
+    top = None if guard is None else guard.max()
+    while True:
         piv = d[0::2]
-        if guard and np.min(np.abs(piv)) < guard:
+        small = None
+        if top is not None and np.min(np.abs(piv)) < top:
+            small = np.abs(piv) < guard
+        if len(d) == 1 or (small is not None and small.any()):
             break
         left, right = e[0::2], e[1::2]
         f_left, f_right = left / piv[:-1], right / piv[1:]
-        b_even = b[0::2]
-        steps.append((piv[..., None], left[..., None], right[..., None], b_even))
-        d = d[1::2] - f_left * left - f_right * right
-        b = b[1::2] - f_left[..., None] * b_even[:-1] - f_right[..., None] * b_even[1:]
-        e = -f_right[:-1] * left[1:]
-    if len(d) == 1 and not (guard and abs(d).min() < guard):
-        x = b / d[..., None]
+        d_odd, b_even, b_odd = d[1::2], b[0::2], b[1::2]
+        d_odd -= f_left * left
+        d_odd -= f_right * right
+        # contiguous copies of the even rows: numpy reads strided rows
+        # slower than it copies them
+        even = b_even.copy()
+        b_odd -= f_left * even[:-1]
+        b_odd -= f_right * even[1:]
+        steps.append((piv, left, right, b_even, b_odd))
+        d, e, b = d_odd, -f_right[:-1] * left[1:], b_odd
+    if small is None or not small.any():   # one row left
+        b /= d
     else:
-        x = _row_solve(d, np.broadcast_to(e, (len(d) - 1, s)), b, tiny)
-    for piv, left, right, b_even in reversed(steps):
-        x_even = b_even.copy()
-        x_even[1:] -= right * x
-        x_even[:-1] -= left * x
-        x_even /= piv
-        full = np.empty((len(x_even) + len(x),) + x.shape[1:])
-        full[0::2] = x_even
-        full[1::2] = x
-        x = full
-    return x[:m]
+        stop = np.isin(members, members[small.any(axis=(0, 2))])
+        rest = ~stop
+        own = np.broadcast_to(e[..., 0], (len(d) - 1, d.shape[1]))
+        b[:, stop] = _row_solve(d[:, stop, 0], own[:, stop], b[:, stop], tiny[stop])
+        if rest.any():
+            b_rest = b[:, rest]
+            _reduce_solve(d[:, rest], e if e.shape[1] == 1 else e[:, rest], b_rest, tiny[rest],
+                          guard[rest], members[rest])
+            b[:, rest] = b_rest
+    for piv, left, right, b_even, x in reversed(steps):
+        even = b_even.copy()
+        even[1:] -= right * x
+        even[:-1] -= left * x
+        even /= piv
+        b_even[...] = even
 
 
-def shifted_solve(bands: np.ndarray, shifts: np.ndarray, rhs: np.ndarray,
-                  guard: float = 0.0) -> np.ndarray:
-    """Columns of (H - shift I)^-1 rhs, one shift per column or one for all.
+def shifted_solve(shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray, norm: np.ndarray,
+                  members: np.ndarray | None = None) -> np.ndarray:
+    """Solutions x_s of T_s x_s = rhs_s, where T_s has the diagonal
+    ``shifted[s]`` (an operator's diagonal minus a shift) and the shared
+    off-diagonal ``off``, wrap entry included.
 
-    Node n - 1 is bordered: the path of nodes 0..n-2 is solved by reduction
-    for the right-hand sides and for the coupling column c of node n - 1,
-    and the last unknown comes from its Schur complement. The wrap entry of
-    the circle lives in c, so the interval and the circle take one path.
+    shifted (s, n), rhs (s, n, r), norm (s,) the bound on ||H|| of each
+    system's operator; returns (s, n, r). Node n - 1 is bordered: the path of
+    nodes 0..n-2 is solved by reduction for the right-hand sides and for the
+    coupling column c of node n - 1, and the last unknown comes from its
+    Schur complement. The wrap entry of the circle lives in c, so the
+    interval and the circle take one path. ``members``, one operator label
+    per system, guards the reduction at REDUCTION_GUARD * norm (see
+    ``_reduce_solve``); without it the systems are definite and unguarded.
     """
-    diag, off = bands
-    n, p = rhs.shape
-    s = len(shifts)
-    shifted = diag[:, None] - shifts[None, :]
-    c = np.zeros(n - 1)
+    s, n, r = rhs.shape
+    m = n - 1
+    size = (1 << m.bit_length()) - 1   # identity rows pad the path to 2^L - 1
+    tiny = EPS * norm
+    c = np.zeros(m)
     c[0] = off[n - 1]
     c[n - 2] += off[n - 2]
-    tiny = EPS * _norm_bound(bands)
-    columns = np.concatenate([rhs[:-1].reshape(n - 1, s, p // s),
-                              np.broadcast_to(c[:, None, None], (n - 1, s, 1))], axis=2)
-    x = _reduce_solve(shifted[:-1], off[:-2], columns, guard, tiny)
-    u, z = x[:, :, :-1], x[:, :, -1:]
-    schur = shifted[-1][:, None] - np.einsum("i,isr->sr", c, z)
-    schur = np.where(schur == 0.0, tiny, schur)
-    last = (rhs[-1].reshape(s, p // s) - np.einsum("i,isr->sr", c, u)) / schur
-    return np.vstack([(u - z * last).reshape(n - 1, p), last.reshape(1, p)])
+    d = np.ones((size, s, 1))
+    d[:m, :, 0] = shifted[:, :-1].T
+    e = np.zeros((size - 1, 1, 1))
+    e[: m - 1, 0, 0] = off[:-2]
+    b = np.zeros((size, s, r + 1))
+    b[:m, :, :r] = np.swapaxes(rhs[:, :-1], 0, 1)
+    b[:m, :, r] = c[:, None]
+    guard = None if members is None else REDUCTION_GUARD * norm[:, None]
+    _reduce_solve(d, e, b, tiny, guard, members)
+    u, z = b[:m, :, :r], b[:m, :, r:]
+    schur = shifted[:, -1:] - np.einsum("i,isr->sr", c, z)
+    schur = np.where(schur == 0.0, tiny[:, None], schur)
+    last = (rhs[:, -1] - np.einsum("i,isr->sr", c, u)) / schur
+    u -= z * last
+    x = np.empty((s, n, r))
+    x[:, :-1] = np.swapaxes(u, 0, 1)
+    x[:, -1] = last
+    return x
 
 
 def lowest_pairs(bands: np.ndarray, k: int, seed: int,
                  start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of the banded operator, ascending, with
-    Euclidean-orthonormal eigenvectors.
+    Euclidean-orthonormal eigenvectors: (k,) values and (n, k) vectors, or
+    (g, k) and (g, n, k) for a group ``bands`` (g, 2, n) whose members share
+    one off-diagonal (only ``bands[0, 1]`` is read), with a ``start``
+    (g, n, >= k) if any.
 
     The block holds min(n, k + 2) vectors, seeded from ``seed``. The shift
     sigma lies 1 + 8 eps ||H|| below the Gershgorin bound
@@ -229,36 +284,93 @@ def lowest_pairs(bands: np.ndarray, k: int, seed: int,
     residuals are measured against max(1e-10 (1 + |lambda|), 8 eps ||H||),
     the level at which rounding in H V alone stops progress.
     """
-    n = bands.shape[1]
+    if bands.ndim == 3:
+        return _group_pairs(bands, k, seed, start)
+    evals, evecs = _group_pairs(bands[None], k, seed, None if start is None else start[None])
+    return evals[0], evecs[0]
+
+
+def _group_pairs(bands: np.ndarray, k: int, seed: int,
+                 start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``lowest_pairs`` of a (g, 2, n) group. The loop carries only the
+    members still refining: ``live`` holds their indices, and diag, norm,
+    floor, theta, vecs and h_vecs their rows."""
+    diag, off = bands[:, 0], bands[0, 1]
+    g, n = diag.shape
     p = min(n, k + 2)
-    op = BandedOperator(bands)
     norm = _norm_bound(bands)
     floor = 8.0 * EPS * norm
-    basis = np.random.default_rng(seed).standard_normal((n, p))
-    if start is None:
-        diag, off = bands
-        sigma = float(np.min(diag - np.abs(off) - np.abs(np.roll(off, 1)))) - (1.0 + floor)
-        for _ in range(SHIFT_INVERT_STEPS):
-            basis, _ = np.linalg.qr(shifted_solve(bands, np.array([sigma]), basis))
-    else:
-        basis, _ = np.linalg.qr(np.hstack([start[:, :k], basis[:, : p - k]]))
-    theta, vecs, h_vecs = _rayleigh_ritz(op, basis, p)
+    theta, vecs, h_vecs = _rayleigh_ritz(
+        diag, off, _first_basis(diag, off, norm, floor, p, k, seed, start), p)
+    evals, evecs = np.empty((g, min(k, p))), np.empty((g, n, min(k, p)))
+    live = np.arange(g)
     for _ in range(MAX_REFINEMENTS):
-        residuals = np.linalg.norm(h_vecs - vecs * theta, axis=0)
-        active = residuals > np.maximum(CONVERGED_REL * (1.0 + np.abs(theta)), floor)
-        if not active[:k].any():
-            break
-        step = shifted_solve(bands, theta[active], vecs[:, active], REDUCTION_GUARD * norm)
-        step /= np.max(np.abs(step), axis=0)
-        step[:, ~np.all(np.isfinite(step), axis=0)] = 0.0
-        basis, _ = np.linalg.qr(np.hstack([vecs, step]))
-        theta, vecs, h_vecs = _rayleigh_ritz(op, basis, p)
-    return theta[:k], vecs[:, :k]
+        residuals = np.linalg.norm(h_vecs - vecs * theta[:, None], axis=1)
+        active = residuals > np.maximum(CONVERGED_REL * (1.0 + np.abs(theta)), floor[:, None])
+        going = active[:, :k].any(axis=1)
+        if not going.all():
+            evals[live[~going]], evecs[live[~going]] = theta[~going, :k], vecs[~going, :, :k]
+            live, diag, norm, floor, theta, vecs, h_vecs, active = (
+                a[going] for a in (live, diag, norm, floor, theta, vecs, h_vecs, active))
+            if not len(live):
+                return evals, evecs
+        theta, vecs, h_vecs = _refine(diag, off, norm, theta, vecs, h_vecs, active, p)
+    evals[live], evecs[live] = theta[:, :k], vecs[:, :, :k]
+    return evals, evecs
 
 
-def _rayleigh_ritz(op: BandedOperator, basis: np.ndarray, p: int):
-    """Lowest p Ritz values, Ritz vectors and H times them over an orthonormal basis."""
-    h_basis = op @ basis
-    theta, coeffs = np.linalg.eigh(basis.T @ h_basis)
-    coeffs = coeffs[:, :p]
-    return theta[:p], basis @ coeffs, h_basis @ coeffs
+def _first_basis(diag, off, norm, floor, p: int, k: int, seed: int, start) -> np.ndarray:
+    """Each member's orthonormal block before inverse iteration: seeded
+    columns after the shift-invert steps, or the start's k columns and
+    p - k seeded ones."""
+    g, n = diag.shape
+    seeded = _seeded_block(seed, n, p)
+    if start is not None:
+        return np.linalg.qr(np.concatenate(
+            [start[:, :, :k], np.broadcast_to(seeded[:, : p - k], (g, n, p - k))], axis=2))[0]
+    sigma = np.min(diag - np.abs(off) - np.abs(np.roll(off, 1)), axis=1) - (1.0 + floor)
+    basis = np.broadcast_to(seeded, (g, n, p))
+    for _ in range(SHIFT_INVERT_STEPS):
+        basis, _ = np.linalg.qr(shifted_solve(diag - sigma[:, None], off, basis, norm))
+    return basis
+
+
+@lru_cache(maxsize=8)
+def _seeded_block(seed: int, n: int, p: int) -> np.ndarray:
+    """The seeded (n, p) start columns, drawn once per size and read-only."""
+    block = np.random.default_rng(seed).standard_normal((n, p))
+    block.flags.writeable = False
+    return block
+
+
+def _refine(diag, off, norm, theta, vecs, h_vecs, active, p: int):
+    """One inverse-iteration step at the Ritz values of each member's active
+    columns, then a Rayleigh-Ritz step over [V, Y]: the new theta, vecs and
+    h_vecs."""
+    # one system per active column, member by member, columns in order
+    owner = active.nonzero()[0]
+    step = shifted_solve(diag[owner] - theta[active][:, None], off,
+                         np.swapaxes(vecs, 1, 2)[active][:, :, None], norm[owner], owner)[:, :, 0]
+    step /= np.max(np.abs(step), axis=1, keepdims=True)
+    step[~np.all(np.isfinite(step), axis=1)] = 0.0
+    counts = active.sum(axis=1)
+    widths = set(counts.tolist())
+    if len(widths) == 1:   # as many new columns for every member
+        new = np.swapaxes(step.reshape(len(counts), -1, step.shape[1]), 1, 2)
+        return _rayleigh_ritz(diag, off, np.linalg.qr(np.concatenate([vecs, new], axis=2))[0], p)
+    first = np.cumsum(counts) - counts
+    for width in widths:
+        rows = np.flatnonzero(counts == width)
+        new = np.swapaxes(step[first[rows, None] + np.arange(width)], 1, 2)
+        basis, _ = np.linalg.qr(np.concatenate([vecs[rows], new], axis=2))
+        theta[rows], vecs[rows], h_vecs[rows] = _rayleigh_ritz(diag[rows], off, basis, p)
+    return theta, vecs, h_vecs
+
+
+def _rayleigh_ritz(diag: np.ndarray, off: np.ndarray, basis: np.ndarray, p: int):
+    """Lowest p Ritz values, Ritz vectors and H times them over each member's
+    orthonormal basis (g, n, w)."""
+    h_basis = _apply(diag, off, basis)
+    theta, coeffs = np.linalg.eigh(np.swapaxes(basis, 1, 2) @ h_basis)
+    coeffs = coeffs[:, :, :p]
+    return theta[:, :p], basis @ coeffs, h_basis @ coeffs

@@ -11,6 +11,12 @@ that solves repeat bit for bit:
   potential's spectrum (``start``: the optimizer's current iterate, the
   line search's previous point) starts warm from its eigenvectors and skips
   the shift-invert steps; a re-solve after a count miss is always cold.
+  ``solve_spectra`` solves many potentials on one grid: their operators
+  share the Laplacian's off-diagonal, so each group of them takes one
+  batched first attempt (``banded.lowest_pairs`` on the stacked bands, in
+  groups of ``banded.group_size`` to bound the working set), and then each
+  member passes ``eigensolve``'s gate alone, a cold re-solve after a miss
+  included. Its spectra are bit for bit those of ``solve_spectrum``.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
   misses an eigenvalue, both on one SuperLU factor; scipy loads only there.
@@ -126,7 +132,8 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
 
 
 def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
-               start: SpectralData | None = None) -> SpectralData:
+               start: SpectralData | None = None,
+               first: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralData:
     """Lowest k eigenpairs of the assembled operator, w-orthonormalized.
 
     Degenerate blocks come out in whatever basis the solver picks; each
@@ -146,6 +153,9 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     start); the torus and a start with fewer pairs are solved cold. The count
     judges a warm solve like any other, and the re-solve after a miss starts
     cold from the seeded block, so a pair the warm start lost is never kept.
+    ``first``, the (k,) values and (n, k) vectors of a cold 1-D first solve
+    already made (``solve_spectra``'s batched one), takes the first solve's
+    place and is judged the same way.
 
     This is every solver's one acceptance gate: a ``LinAlgError``, a
     non-finite pair (both before the count) or a residual above RESIDUAL_TOL
@@ -162,6 +172,8 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
                               f"asked for {k}")
         solvers = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True))
+    elif first is not None:
+        solvers = (lambda grid, H, k: first, _lowest_pairs_banded)
     elif start is not None and start.count >= k:
         solvers = (partial(_lowest_pairs_banded, start=start), _lowest_pairs_banded)
     solve_k = k
@@ -306,6 +318,28 @@ def count_eigenvalues_below(H, x: float) -> int:
 def solve_spectrum(grid: DomainGrid, q: Potential, k: int) -> SpectralData:
     """Assemble and solve in one step."""
     return eigensolve(grid, assemble(grid, q), k, potential=q)
+
+
+def solve_spectra(grid: DomainGrid, potentials: list[Potential], k: int) -> list[SpectralData]:
+    """``solve_spectrum`` of each potential on one interval or circle grid,
+    bit for bit, with one batched first solve per group of
+    ``banded.group_size`` potentials. A group whose batched solve fails
+    with a ``LinAlgError`` is solved one potential at a time instead."""
+    if isinstance(grid.kind, Torus2D):
+        raise ValueError("solve_spectra takes interval and circle grids")
+    size = banded.group_size(grid.n_nodes, k)
+    spectra = []
+    for lo in range(0, len(potentials), size):
+        group = potentials[lo : lo + size]
+        ops = [assemble(grid, q) for q in group]
+        try:
+            firsts = zip(*banded.lowest_pairs(np.stack([H.bands for H in ops]), k,
+                                              START_VECTOR_SEED))
+        except np.linalg.LinAlgError:
+            firsts = [None] * len(group)
+        spectra += [eigensolve(grid, H, k, potential=q, first=pairs)
+                    for H, q, pairs in zip(ops, group, firsts)]
+    return spectra
 
 
 def detect_cluster(spec: SpectralData, i: int) -> Cluster:

@@ -22,6 +22,7 @@ from specpot.optimize import (
     subgradient_direction,
 )
 from specpot.spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
+from specpot.verify import _random_fourier
 
 SMALL_CIRCLE = build_grid(Circle(), 32, BoundaryCondition.CLOSED)
 
@@ -273,6 +274,39 @@ class TestRunOptimizer:
         assert [dataclasses.astuple(r) for r in first.log] == [
             dataclasses.astuple(r) for r in second.log]
         assert first.potential.values.tobytes() == second.potential.values.tobytes()
+
+    def test_gap_candidate_solves_start_warm(self, circle_grid, monkeypatch):
+        # gap-no-min's gap(2, 3) Polyak minimization at seed 7: 17 iterations,
+        # one cold first solve (5 shifted solves) and 16 warm candidate solves
+        # of one shifted solve each, 21 / 17 = 1.24 shifted solves per
+        # eigensolve before batched solves were added. A warm start that cost
+        # one more shifted solve in the whole run would exceed 1.25.
+        counts = {"solves": 0, "shifted": 0, "warm": 0}
+        solve, shifted, lowest = spectral.eigensolve, banded.shifted_solve, banded.lowest_pairs
+
+        def counted_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_shifted(*args, **kwargs):
+            counts["shifted"] += 1
+            return shifted(*args, **kwargs)
+
+        def counted_lowest(bands, k, seed, start=None):
+            counts["warm"] += start is not None
+            return lowest(bands, k, seed, start)
+
+        monkeypatch.setattr(spectral, "eigensolve", counted_solve)
+        monkeypatch.setattr(banded, "shifted_solve", counted_shifted)
+        monkeypatch.setattr(banded, "lowest_pairs", counted_lowest)
+        constraint = ConstraintSpec(0.0, 2.0)
+        rng = np.random.default_rng([7, 16])
+        q0 = project_feasible(circle_grid, _random_fourier(circle_grid, rng, 0.05), constraint)
+        result = run_optimizer(circle_grid, ObjectiveSpec("gap", 2, 3, sense="minimize"),
+                               constraint, q0, Schedule("polyak", target=0.0), max_iters=200)
+        assert result.objective <= 1e-3
+        assert counts["warm"] == counts["solves"] - 1
+        assert counts["shifted"] <= 1.25 * counts["solves"]
 
     @pytest.mark.parametrize("kind, reason", [("polyak", "target"), ("sqrt", "stagnation"),
                                               ("constant", "stagnation")])

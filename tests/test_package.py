@@ -20,7 +20,7 @@ import numpy as np
 import specpot.cli
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
 from specpot.optimize import ConstraintSpec, ObjectiveSpec, Schedule, run_optimizer
-from specpot.spectral import solve_spectrum, spectrum_with_complete_cluster
+from specpot.spectral import solve_spectra, solve_spectrum, spectrum_with_complete_cluster
 
 with tempfile.TemporaryDirectory() as tmp:
     cfg = Path(tmp) / "run.cfg"
@@ -32,6 +32,7 @@ for kind, bc in ((Circle(), "closed"), (Interval(), "neumann"), (Interval(), "di
     grid = build_grid(kind, 64, bc)
     q = Potential.from_values(grid, np.cos(3.0 * np.arange(64) / 64))
     spectrum_with_complete_cluster(grid, q, 2)
+    solve_spectra(grid, [q, Potential.zero(grid)], 2)
 # one ascent step of the thm11 path
 grid = build_grid(Circle(), 64, "closed")
 q0 = Potential.from_values(grid, 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64))

@@ -1,8 +1,15 @@
 import pytest
 
-from specpot import spectral
+from specpot import banded, spectral, verify
 from specpot.errors import ConfigError
-from specpot.verify import SUITE_ORDER, SUITES, run_suite, suite_gap_critical, suite_thm12
+from specpot.verify import (
+    SUITE_ORDER,
+    SUITES,
+    run_suite,
+    suite_gap_critical,
+    suite_thm11,
+    suite_thm12,
+)
 
 
 def test_registry_names():
@@ -56,3 +63,37 @@ def test_one_solve_per_potential(suite, solves, monkeypatch):
     monkeypatch.setattr(spectral, "eigensolve", counted)
     assert suite(7)["passed"]
     assert len(calls) == solves
+
+
+def test_thm11_sweep_solves_in_groups(monkeypatch):
+    # each domain's 50 random potentials take one batched first solve per
+    # group of banded.group_size and one Sturm count each; each constant
+    # potential takes a single solve and a count. One cold solve per random
+    # potential would make 102 single solves.
+    groups, singles, counts = [], [], []
+    solve, count = banded.lowest_pairs, banded.count_below
+
+    def recorded(bands, k, seed, start=None):
+        (groups if bands.ndim == 3 else singles).append(len(bands))
+        return solve(bands, k, seed, start)
+
+    def counted(bands, x):
+        counts.append(x)
+        return count(bands, x)
+
+    class SweepDone(Exception):
+        pass
+
+    def optimizer_reached(*args, **kwargs):
+        raise SweepDone
+
+    monkeypatch.setattr(banded, "lowest_pairs", recorded)
+    monkeypatch.setattr(banded, "count_below", counted)
+    monkeypatch.setattr(verify, "run_optimizer", optimizer_reached)
+    with pytest.raises(SweepDone):
+        suite_thm11(7)
+    size = banded.group_size(verify.N_1D, 2)
+    per_domain = [size] * (50 // size) + ([50 % size] if 50 % size else [])
+    assert groups == 2 * per_domain
+    assert len(singles) == 2
+    assert len(counts) == 102
