@@ -43,7 +43,8 @@ from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
 from .errors import ConfigError, IncompleteClusterError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
-EXTRA_PAIRS = 6         # pairs a solve for index i computes beyond i
+EXTRA_PAIRS = 6         # pairs a torus solve for index i computes beyond i
+EXTRA_PAIRS_1D = 2      # the same on interval and circle grids (see _headroom)
 RESIDUAL_TOL = 1e-8
 START_VECTOR_SEED = 0   # start blocks in 1-D and of torus re-solves, ARPACK start vector
 
@@ -144,9 +145,10 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     in its place, so it is accepted only when an eigenvalue count at x finds
     no eigenvalue it missed. x lies just above the k-th value's cluster, or
     just below the highest computed cluster when the two meet. Otherwise the
-    solve is repeated once with more pairs, on the torus by block Lanczos,
-    and a second miss raises SolverError. ``complete_below`` is x, or the
-    first pair a re-solve computed beyond the k returned when that is lower.
+    solve is repeated once with ``_headroom`` pairs more than the count (2 in
+    1-D, 6 on the torus), on the torus by block Lanczos, and a second miss
+    raises SolverError. ``complete_below`` is x, or the first pair a re-solve
+    computed beyond the k returned when that is lower.
 
     ``start``, an earlier solve on the same grid with at least k pairs,
     makes the first 1-D solve start from its eigenvectors (``banded``'s warm
@@ -190,7 +192,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
         count = count_eigenvalues_below(H, x)
         if solved == count:
             break
-        solve_k = min(n, max(solve_k, count) + EXTRA_PAIRS)
+        solve_k = min(n, max(solve_k, count) + _headroom(grid))
     else:
         raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
     if len(evals) > k:
@@ -212,6 +214,17 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
                           f"and the rounding floor {8.0 * banded.EPS * norm:.3e}")
     return SpectralData(evals.copy(), vecs, grid, potential, x)
+
+
+def _headroom(grid: DomainGrid) -> int:
+    """Pairs a solve for index i computes beyond i, the one headroom rule.
+
+    In 1-D H is a Jacobi or periodic Jacobi matrix, so no eigenvalue is more
+    than double and i + 2 pairs reach past the cluster of any index i. Torus
+    clusters are 4- and 8-fold at constant potentials, so it takes i + 6.
+    The eigenvalue count still decides completeness either way.
+    """
+    return EXTRA_PAIRS if isinstance(grid.kind, Torus2D) else EXTRA_PAIRS_1D
 
 
 def _norm_bound(grid: DomainGrid, H) -> float:
@@ -374,17 +387,19 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
                                    ) -> tuple[SpectralData, Cluster]:
     """Solve with enough eigenpairs that the cluster containing i is complete.
 
-    The first solve takes k = i + EXTRA_PAIRS pairs. When its cluster is not
-    ``complete``, the eigenvalues below the cluster's upper edge are counted
-    and the solve is repeated once with EXTRA_PAIRS pairs more than that
-    count (or k); SolverError when the cluster is still not proven complete.
+    The first solve takes k = i + ``_headroom`` pairs: i + 2 on interval and
+    circle grids, i + 6 on the torus. When its cluster is not ``complete``
+    (a 1-D cluster wider than 2 within tolerance, a torus cluster past
+    i + 6), the eigenvalues below the cluster's upper edge are counted and
+    the solve is repeated once with the same headroom above that count (or
+    k); SolverError when the cluster is still not proven complete.
     Line searches, finite differences and gaps take index-i spectra from
     here. ``start`` goes to every ``eigensolve``, which starts warm from it
     when it holds enough pairs.
     """
     n = grid.n_nodes
     H = assemble(grid, q)
-    k = min(n, i + EXTRA_PAIRS)
+    k = min(n, i + _headroom(grid))
     for _ in range(2):
         spec = eigensolve(grid, H, k, potential=q, start=start)
         cluster = detect_cluster(spec, i)
@@ -392,7 +407,7 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
             return spec, cluster
         edge = cluster.value + cluster.tol_used
         count = count_eigenvalues_below(H, edge)
-        k = min(n, max(k, count) + EXTRA_PAIRS)
+        k = min(n, max(k, count) + _headroom(grid))
     raise SolverError(f"{count} eigenvalues lie below {edge:.12g}; a solve of {spec.count} "
                       f"pairs does not prove the cluster of index {i} complete")
 

@@ -146,7 +146,7 @@ def suite_circle_critical(seed: int) -> dict:
     checks = []
     grid = _circle()
     q = Potential.constant(grid, 0.3)
-    spec = solve_spectrum(grid, q, 8)
+    spec, _ = spectrum_with_complete_cluster(grid, q, 2)
     report = full_criticality_report(spec, 2, probes=200, seed=seed)
     checks.append(verdict("circle const: certificate feasible",
                           report.certificate.status is CertificateStatus.FEASIBLE, None, None))
@@ -165,7 +165,7 @@ def suite_circle_critical(seed: int) -> dict:
     checks.append(verdict("circle const: verdict critical", report.verdict == "critical", None, None))
 
     grid_n = _interval(BoundaryCondition.NEUMANN)
-    spec_n = solve_spectrum(grid_n, Potential.zero(grid_n), 8)
+    spec_n, _ = spectrum_with_complete_cluster(grid_n, Potential.zero(grid_n), 2)
     report_n = full_criticality_report(spec_n, 2, probes=60, seed=seed + 1)
     f2 = spec_n.eigenvector(2)
     nonconstancy = float(np.max(f2**2) - np.min(f2**2))
@@ -206,7 +206,9 @@ def suite_gap_critical(seed: int) -> dict:
     """Gap criticality certificates on the circle at q = 0: (1,2) feasible
     with both cone elements constant; (2,4) decided stably across meshes."""
     checks = []
-    spectra = [solve_spectrum(g, Potential.zero(g), 10) for g in (_circle(), _circle(2 * N_1D))]
+    # one solve per mesh; a count proves the cluster of 4, the top index read
+    spectra = [spectrum_with_complete_cluster(g, Potential.zero(g), 4)[0]
+               for g in (_circle(), _circle(2 * N_1D))]
     spec = spectra[0]
     cert12 = gap_certificate(spec, detect_cluster(spec, 1), detect_cluster(spec, 2))
     checks.append(verdict("gap(1,2): feasible",

@@ -49,7 +49,8 @@ def test_public_names_resolve():
 
 def test_no_cluster_tolerance_or_start_knobs():
     # the cluster tolerance is the constant CLUSTER_TOL_REL, the first solve
-    # takes i + 6 pairs, and only an eigenvalue count makes a cluster complete
+    # takes i + 2 pairs in 1-D and i + 6 on the torus, and only an eigenvalue
+    # count makes a cluster complete
     knobs = [f"{name}({param})" for name in specpot.__all__
              if callable(getattr(specpot, name))
              for param in inspect.signature(getattr(specpot, name)).parameters
@@ -89,7 +90,8 @@ def test_single_value_knobs_are_constants():
     assert optimize.LINE_SEARCH_POINTS == 3
     assert "k" not in inspect.signature(perturbation.fd_eigenvalue_derivative).parameters
     assert not hasattr(perturbation, "fd_richardson_derivative")
-    assert spectral.EXTRA_PAIRS == 6
+    assert spectral.EXTRA_PAIRS == 6      # torus
+    assert spectral.EXTRA_PAIRS_1D == 2   # interval and circle
     assert not hasattr(specpot, "ClusterDerivativeMatrix")
     assert not hasattr(specpot, "is_critical_probe")
     # no helpers that only tests call: the separating direction is found only

@@ -19,9 +19,10 @@ from specpot.spectral import detect_cluster, solve_spectrum
 
 
 def central_fd(grid, q, i, u, t):
-    """Independent central difference quotient built from fresh eigensolves."""
-    plus = solve_spectrum(grid, Potential.from_values(grid, q.values + t * u.values), i + 6)
-    minus = solve_spectrum(grid, Potential.from_values(grid, q.values - t * u.values), i + 6)
+    """Independent central difference quotient built from fresh 1-D
+    eigensolves of i + 2 pairs, as many as ``fd_eigenvalue_derivative``'s."""
+    plus = solve_spectrum(grid, Potential.from_values(grid, q.values + t * u.values), i + 2)
+    minus = solve_spectrum(grid, Potential.from_values(grid, q.values - t * u.values), i + 2)
     return (plus.eigenvalue(i) - minus.eigenvalue(i)) / (2 * t)
 
 

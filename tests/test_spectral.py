@@ -8,6 +8,7 @@ from specpot.domain import BoundaryCondition, Circle, Interval, Potential, Torus
 from specpot.errors import ConfigError, SolverError
 from specpot.spectral import (
     assemble,
+    count_eigenvalues_below,
     detect_cluster,
     eigensolve,
     recover_potential,
@@ -18,6 +19,19 @@ from specpot.spectral import (
 
 def rel_err(a, b):
     return np.abs(a - b) / (1.0 + np.abs(b))
+
+
+def banded_solve_sizes(monkeypatch) -> list[int]:
+    """Records k of each 1-D banded solve from here on."""
+    ks = []
+    solve = spectral._lowest_pairs_banded
+
+    def counted(grid, H, k, start=None):
+        ks.append(k)
+        return solve(grid, H, k, start)
+
+    monkeypatch.setattr(spectral, "_lowest_pairs_banded", counted)
+    return ks
 
 
 class TestAssemble:
@@ -196,14 +210,45 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (14, 8)
 
     def test_whole_spectrum_cluster_complete(self):
-        # i + 6 reaches all 8 nodes: one solve computes the whole spectrum,
+        # i + 2 reaches all 8 nodes: one solve computes the whole spectrum,
         # so every cluster is complete, the top one included
         g = build_grid(Circle(), 8, BoundaryCondition.CLOSED)
-        spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 3)
+        spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 6)
         assert spec.count == g.n_nodes
         assert cl.complete
-        assert (cl.first_index, cl.multiplicity) == (2, 2)
+        assert (cl.first_index, cl.multiplicity) == (6, 2)
         assert detect_cluster(spec, g.n_nodes).complete
+
+    @pytest.mark.parametrize("bc, i, cluster", [
+        (BoundaryCondition.CLOSED, 2, (2, 2)), (BoundaryCondition.CLOSED, 3, (2, 2)),
+        (BoundaryCondition.NEUMANN, 2, (2, 1))])
+    def test_one_d_cluster_takes_i_plus_2(self, bc, i, cluster, monkeypatch):
+        # no eigenvalue of a (periodic) Jacobi matrix is more than double, so
+        # one solve of i + 2 pairs proves the 1-D cluster of i complete: the
+        # circle's double eigenvalue 1 from either of its indices, and the
+        # simple second Neumann eigenvalue
+        g = build_grid(Interval(np.pi) if bc is BoundaryCondition.NEUMANN else Circle(), 256, bc)
+        ks = banded_solve_sizes(monkeypatch)
+        spec, cl = spectrum_with_complete_cluster(g, Potential.constant(g, 0.3), i)
+        assert ks == [i + 2]
+        assert spec.count == i + 2
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == cluster
+
+    def test_near_triple_cluster_resolved(self, monkeypatch):
+        # q = 100 cos 3x has three wells on the circle: lambda_1..lambda_3 lie
+        # within 4e-8 (1 + |lambda_1|) of each other, a cluster wider than the
+        # 1-D headroom. The first solve's 3 pairs cannot prove it; the count
+        # at its edge finds 3 eigenvalues and the re-solve takes 3 + 2 pairs.
+        g = build_grid(Circle(), 256, BoundaryCondition.CLOSED)
+        q = Potential.from_values(g, 100.0 * np.cos(3.0 * g.coords))
+        ks = banded_solve_sizes(monkeypatch)
+        spec, cl = spectrum_with_complete_cluster(g, q, 1)
+        assert ks == [3, 5]
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == (1, 3)
+        edge = cl.value + cl.tol_used
+        assert count_eigenvalues_below(assemble(g, q), edge) == 3
 
 
 class TestTorusSparse:
