@@ -28,8 +28,9 @@ the interval. Nothing here forms an n x n matrix.
 - Both kinds of shifted solve use odd-even (cyclic) reduction, in place,
   which takes ceil(log2 n) vectorized steps. At a shift near an eigenvalue
   a pivot of an inner reduction step can vanish; the reduction of that
-  operator's systems then stops and the system left over is solved row by
-  row with partial pivoting.
+  system alone then stops, and the system left over is solved row by row
+  with partial pivoting. Each system decides on its own pivots, so its
+  solution does not depend on the systems solved beside it.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ EPS = float(np.finfo(float).eps)
 SHIFT_INVERT_STEPS = 2     # subspace steps at the definite shift before inverse iteration
 MAX_REFINEMENTS = 12       # inverse-iteration steps; 3-4 reach solver accuracy
 CONVERGED_REL = 1e-10      # residual target relative to 1 + |lambda|
-REDUCTION_GUARD = 1.5e-8   # sqrt(eps) * ||H||: smaller pivots end the reduction
+REDUCTION_GUARD = 1.5e-8   # sqrt(eps) * ||H||: a smaller pivot ends its system's reduction
 # Peak working set of a group solve per member and per entry of its (n, k + 2)
 # block: 85-112 bytes by tracemalloc over groups of 5 to 50 circle and Neumann
 # members at n = 64 to 1024 and k = 2 and 7 (~100 KB a member at n = 256,
@@ -168,26 +169,24 @@ def _row_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: float) -> np.n
 
 
 def _reduce_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: np.ndarray,
-                  guard: np.ndarray | None = None, members: np.ndarray | None = None) -> None:
+                  guard: np.ndarray) -> None:
     """Solve the symmetric tridiagonal systems T_s x = b_s in place by odd-even reduction.
 
     d (m, s, 1) diagonals, e (m - 1, 1, 1) shared or (m - 1, s, 1) own
     off-diagonals, b (m, s, r), with m = 2^L - 1 rows, so every step
     eliminates the even rows, each coupled to two odd ones. d is overwritten
-    and b becomes the solution; a step keeps only views of them. With
-    ``guard`` (s, 1), the systems of one operator (one ``members`` label)
-    stop before a step in which a pivot of theirs lies below its guard and
-    go to the pivoted row solve, ``tiny`` (s,) replacing its zero pivots;
+    and b becomes the solution; a step keeps only views of them. A system
+    with a pivot below its own ``guard`` (s, 1) stops before that step and
+    goes to the pivoted row solve, ``tiny`` (s,) replacing its zero pivots;
     the others go on.
     """
     steps = []
-    # no pivot below the largest guard: no system stops (one reduction call)
-    top = None if guard is None else guard.max()
+    top = guard.max()   # no pivot below the largest guard: no system stops
     while True:
         piv = d[0::2]
         small = None
-        if top is not None and np.min(np.abs(piv)) < top:
-            small = np.abs(piv) < guard
+        if np.min(np.abs(piv)) < top:
+            small = (np.abs(piv) < guard).any(axis=(0, 2))
         if len(d) == 1 or (small is not None and small.any()):
             break
         left, right = e[0::2], e[1::2]
@@ -205,14 +204,13 @@ def _reduce_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: np.ndarray,
     if small is None or not small.any():   # one row left
         b /= d
     else:
-        stop = np.isin(members, members[small.any(axis=(0, 2))])
-        rest = ~stop
+        rest = ~small
         own = np.broadcast_to(e[..., 0], (len(d) - 1, d.shape[1]))
-        b[:, stop] = _row_solve(d[:, stop, 0], own[:, stop], b[:, stop], tiny[stop])
+        b[:, small] = _row_solve(d[:, small, 0], own[:, small], b[:, small], tiny[small])
         if rest.any():
             b_rest = b[:, rest]
             _reduce_solve(d[:, rest], e if e.shape[1] == 1 else e[:, rest], b_rest, tiny[rest],
-                          guard[rest], members[rest])
+                          guard[rest])
             b[:, rest] = b_rest
     for piv, left, right, b_even, x in reversed(steps):
         even = b_even.copy()
@@ -222,8 +220,8 @@ def _reduce_solve(d: np.ndarray, e: np.ndarray, b: np.ndarray, tiny: np.ndarray,
         b_even[...] = even
 
 
-def shifted_solve(shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray, norm: np.ndarray,
-                  members: np.ndarray | None = None) -> np.ndarray:
+def shifted_solve(shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray,
+                  norm: np.ndarray) -> np.ndarray:
     """Solutions x_s of T_s x_s = rhs_s, where T_s has the diagonal
     ``shifted[s]`` (an operator's diagonal minus a shift) and the shared
     off-diagonal ``off``, wrap entry included.
@@ -233,26 +231,26 @@ def shifted_solve(shifted: np.ndarray, off: np.ndarray, rhs: np.ndarray, norm: n
     nodes 0..n-2 is solved by reduction for the right-hand sides and for the
     coupling column c of node n - 1, and the last unknown comes from its
     Schur complement. The wrap entry of the circle lives in c, so the
-    interval and the circle take one path. ``members``, one operator label
-    per system, guards the reduction at REDUCTION_GUARD * norm (see
-    ``_reduce_solve``); without it the systems are definite and unguarded.
+    interval and the circle take one path. Each system's reduction is
+    guarded at REDUCTION_GUARD * norm (see ``_reduce_solve``); the rows that
+    pad the path to 2^L - 1 have the diagonal ``norm``, above every guard.
     """
     s, n, r = rhs.shape
     m = n - 1
-    size = (1 << m.bit_length()) - 1   # identity rows pad the path to 2^L - 1
+    size = (1 << m.bit_length()) - 1   # padding rows fill the path to 2^L - 1
     tiny = EPS * norm
     c = np.zeros(m)
     c[0] = off[n - 1]
     c[n - 2] += off[n - 2]
-    d = np.ones((size, s, 1))
+    d = np.empty((size, s, 1))
     d[:m, :, 0] = shifted[:, :-1].T
+    d[m:, :, 0] = norm
     e = np.zeros((size - 1, 1, 1))
     e[: m - 1, 0, 0] = off[:-2]
     b = np.zeros((size, s, r + 1))
     b[:m, :, :r] = np.swapaxes(rhs[:, :-1], 0, 1)
     b[:m, :, r] = c[:, None]
-    guard = None if members is None else REDUCTION_GUARD * norm[:, None]
-    _reduce_solve(d, e, b, tiny, guard, members)
+    _reduce_solve(d, e, b, tiny, REDUCTION_GUARD * norm[:, None])
     u, z = b[:m, :, :r], b[:m, :, r:]
     schur = shifted[:, -1:] - np.einsum("i,isr->sr", c, z)
     schur = np.where(schur == 0.0, tiny[:, None], schur)
@@ -350,7 +348,7 @@ def _refine(diag, off, norm, theta, vecs, h_vecs, active, p: int):
     # one system per active column, member by member, columns in order
     owner = active.nonzero()[0]
     step = shifted_solve(diag[owner] - theta[active][:, None], off,
-                         np.swapaxes(vecs, 1, 2)[active][:, :, None], norm[owner], owner)[:, :, 0]
+                         np.swapaxes(vecs, 1, 2)[active][:, :, None], norm[owner])[:, :, 0]
     step /= np.max(np.abs(step), axis=1, keepdims=True)
     step[~np.all(np.isfinite(step), axis=1)] = 0.0
     counts = active.sum(axis=1)

@@ -25,8 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import Potential, project_mean_zero
-from .errors import SeparationError
+from .domain import Potential
 from .perturbation import (
     ProbeDirection,
     cluster_matrix,
@@ -153,10 +152,10 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertifi
     res = float(np.max(np.abs(b - A @ y)))
     if res <= FEASIBILITY_TOL:
         return GramCertificate(CertificateStatus.FEASIBLE, _unsvec(y, m), res, 1)
-    try:
-        u, margin = _definite_direction(spec, candidate, _lowest_slope(spec, cluster))
-    except SeparationError:
+    separation = _definite_direction(spec, candidate, _lowest_slope(spec, cluster))
+    if separation is None:
         return GramCertificate(CertificateStatus.UNDECIDED, None, res, 1)
+    u, margin = separation
     return GramCertificate(CertificateStatus.INFEASIBLE, None, res, 1,
                            separating_direction=u, margin=margin)
 
@@ -173,22 +172,21 @@ def _gap_slope(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster):
 
 
 def _definite_direction(spec: SpectralData, candidate: np.ndarray,
-                        margin_of) -> tuple[ProbeDirection, float]:
+                        margin_of) -> tuple[ProbeDirection, float] | None:
     """Verified separating direction, with its margin, from a candidate (the
     unattained feasibility residual, or the dual candidate): u, the candidate
     made mean-zero with sup-norm 1, or else -u, whichever first has
-    ``margin_of`` at least DEFINITENESS_MARGIN; SeparationError if neither."""
-    grid = spec.grid
-    u0 = project_mean_zero(grid, np.asarray(candidate, dtype=float))
-    sup = float(np.max(np.abs(u0)))
-    if sup <= 1e-13:
-        raise SeparationError("separation candidate has no mean-zero component")
-    for values in (u0 / sup, -u0 / sup):
-        u = make_direction(grid, values, normalize=True)
-        margin = margin_of(u)
+    ``margin_of`` at least DEFINITENESS_MARGIN; None if neither, or if the
+    candidate has no mean-zero part."""
+    try:
+        u = make_direction(spec.grid, candidate, normalize=True)
+    except ValueError:
+        return None
+    for v in (u, ProbeDirection(-u.values, 1.0)):
+        margin = margin_of(v)
         if margin >= DEFINITENESS_MARGIN:
-            return u, margin
-    raise SeparationError("the form is not definite along the candidate or its negative")
+            return v, margin
+    return None
 
 
 def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
@@ -240,11 +238,10 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
     Gj = _unsvec(y[di:], mj)
     if res <= FEASIBILITY_TOL and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8:
         return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, 1)
-    try:
-        u, margin = _definite_direction(spec, candidate[:n],
-                                        _gap_slope(spec, cluster_i, cluster_j))
-    except SeparationError:
+    separation = _definite_direction(spec, candidate[:n], _gap_slope(spec, cluster_i, cluster_j))
+    if separation is None:
         return GapCertificate(CertificateStatus.UNDECIDED, None, None, res, 1)
+    u, margin = separation
     return GapCertificate(CertificateStatus.INFEASIBLE, None, None, res, 1,
                           separating_direction=u, margin=margin)
 

@@ -19,7 +19,3 @@ class IncompleteClusterError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Eigensolver failure or unacceptable residual."""
-
-
-class SeparationError(RuntimeError):
-    """A candidate separating direction failed the definiteness verification."""

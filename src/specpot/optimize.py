@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateStatus, criticality_certificate, gap_certificate
-from .domain import BoundaryCondition, DomainGrid, Potential, mean_value, project_mean_zero
+from .domain import BoundaryCondition, DomainGrid, Potential, mean_value
 from .errors import ConfigError, SolverError
 from .perturbation import (
     ProbeDirection,
@@ -188,8 +188,9 @@ def _branch_function(spec: SpectralData, cluster: Cluster, i: int) -> np.ndarray
     branch at i: one fixed-point pass through the cluster matrix of the candidate
     direction (for a simple eigenvalue, whose 1 x 1 matrix has eigenvector 1, f_i)."""
     F = spec.basis(cluster)
-    seed_dir = make_direction(spec.grid, spec.eigenvector(i) ** 2)
-    if seed_dir.sup_norm <= 1e-14:
+    try:
+        seed_dir = make_direction(spec.grid, spec.eigenvector(i) ** 2, normalize=True)
+    except ValueError:   # a constant density: no mean-zero part
         return spec.eigenvector(i)
     _, vecs = np.linalg.eigh(cluster_matrix(spec, cluster, seed_dir))
     return F @ vecs[:, cluster.rank_of(i)]
@@ -428,11 +429,12 @@ def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int,
     for a in range(m):
         for b in range(a, m):
             raw = F[:, a] * F[:, b] if a != b else F[:, a] ** 2 - F[:, (a + 1) % m] ** 2
-            centered = project_mean_zero(grid, raw)
-            if np.max(np.abs(raw)) <= 1e-14 or np.max(np.abs(centered)) <= 1e-14:
+            try:
+                u = make_direction(grid, raw, normalize=True)
+            except ValueError:   # no mean-zero part
                 continue
-            for sign in (1.0, -1.0):
-                yield make_direction(grid, sign * raw, normalize=True), False
+            yield u, False
+            yield ProbeDirection(-u.values, 1.0), False
 
 
 def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,

@@ -371,11 +371,24 @@ def test_group_size_does_not_change_bits(monkeypatch):
             assert_same_bits(first, other)
 
 
-def test_reduction_guard_is_taken_per_operator(monkeypatch):
-    # member 0's first shift is its own diagonal entry at node 2, so a pivot
-    # of the first reduction step vanishes: both of member 0's systems go to
-    # the pivoted row solve at once, while member 1's system reduces to the
-    # end. Each member's solutions are bit for bit those of its solve alone.
+def record_row_solves(monkeypatch):
+    """The (rows, systems) shape of every ``banded._row_solve`` call from now on."""
+    shapes = []
+    row_solve = banded._row_solve
+
+    def recorded(d, e, b, tiny):
+        shapes.append(d.shape)
+        return row_solve(d, e, b, tiny)
+
+    monkeypatch.setattr(banded, "_row_solve", recorded)
+    return shapes
+
+
+def test_reduction_guard_is_taken_per_system(monkeypatch):
+    # system 0's shift is member 0's own diagonal entry at node 2, so a pivot
+    # of its first reduction step vanishes: it alone goes to the pivoted row
+    # solve, while its sibling at shift 0.3 and member 1's system reduce to
+    # the end. Each system's solution is bit for bit that of its solve alone.
     grid = build_grid(Circle(2.0 * np.pi), 64, BoundaryCondition.CLOSED)
     bands = np.stack([assemble(grid, make_potential(grid, "uniform", j)).bands for j in (3, 4)])
     diag, off = bands[:, 0], bands[0, 1]
@@ -383,20 +396,30 @@ def test_reduction_guard_is_taken_per_operator(monkeypatch):
     shifts = np.array([diag[0, 2], 0.3, 0.3])
     rhs = np.random.default_rng(5).standard_normal((3, 64, 1))
     norm = banded._norm_bound(bands)[owner]
-    row_solves = []
-    row_solve = banded._row_solve
-
-    def recorded(d, e, b, tiny):
-        row_solves.append(d.shape)
-        return row_solve(d, e, b, tiny)
-
-    monkeypatch.setattr(banded, "_row_solve", recorded)
-    both = banded.shifted_solve(diag[owner] - shifts[:, None], off, rhs, norm, owner)
-    assert row_solves == [(63, 2)]
-    for rows in ([0, 1], [2]):
-        alone = banded.shifted_solve(diag[owner[rows]] - shifts[rows, None], off, rhs[rows],
-                                     norm[rows], owner[rows])
-        assert both[rows].tobytes() == alone.tobytes()
+    row_solves = record_row_solves(monkeypatch)
+    together = banded.shifted_solve(diag[owner] - shifts[:, None], off, rhs, norm)
+    assert row_solves == [(63, 1)]
     for j in range(3):
+        alone = banded.shifted_solve(diag[owner[j], None] - shifts[j], off, rhs[j, None],
+                                     norm[j, None])
+        assert together[j].tobytes() == alone[0].tobytes()
         dense = banded.BandedOperator(bands[owner[j]]).toarray() - shifts[j] * np.eye(64)
-        assert np.allclose(dense @ both[j], rhs[j], rtol=0.0, atol=1e-8)
+        assert np.allclose(dense @ together[j], rhs[j], rtol=0.0, atol=1e-8)
+
+
+def test_padded_large_norm_path_reduces(monkeypatch):
+    # n = 1000 pads the 999-node path to 1023 rows, and ||H|| ~ 4e8 puts the
+    # guard near 6: the padding rows' pivots (the diagonal ||H||) never stop
+    # a reduction, so only systems at a vanishing pivot of their own reach
+    # the row solve, a row or two each, not the whole path.
+    grid = build_grid(Circle(0.1), 1000, BoundaryCondition.CLOSED)
+    q = Potential.from_values(grid, np.cos(2.0 * np.pi * np.arange(1000) / 1000))
+    row_solves = record_row_solves(monkeypatch)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, 2)
+    assert cluster.complete
+    assert sum(rows for rows, _ in row_solves) <= 8
+    oracle = dense_oracle(grid, q)
+    norm = float(banded._norm_bound(assemble(grid, q).bands))
+    error = np.max(np.abs(spec.eigenvalues - oracle.eigenvalues[:spec.count]))
+    assert error <= 64 * banded.EPS * norm
+    assert_eigenspaces_match(spec, oracle)

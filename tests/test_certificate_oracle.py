@@ -23,7 +23,6 @@ from specpot.certificates import (
     gap_certificate,
 )
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid
-from specpot.errors import SeparationError
 from specpot.perturbation import cluster_matrix
 from specpot.spectral import detect_cluster, spectrum_with_complete_cluster
 
@@ -88,10 +87,10 @@ def oracle_criticality(spec, cluster):
     G = _unsvec(y, m)
     if feasible and np.linalg.eigvalsh(G)[0] >= PSD_TOL:
         return CertificateStatus.FEASIBLE, G, None, None
-    try:
-        u = _definite_direction(spec, b - A @ y, _lowest_slope(spec, cluster))[0]
-    except SeparationError:
+    separation = _definite_direction(spec, b - A @ y, _lowest_slope(spec, cluster))
+    if separation is None:
         return CertificateStatus.UNDECIDED, None, None, None
+    u = separation[0]
     margin = float(np.min(np.abs(np.linalg.eigvalsh(cluster_matrix(spec, cluster, u)))))
     return CertificateStatus.INFEASIBLE, None, u.values, margin
 
@@ -118,10 +117,10 @@ def oracle_gap(spec, ci, cj):
     if (feasible and min(np.linalg.eigvalsh(Gi)[0], np.linalg.eigvalsh(Gj)[0]) >= PSD_TOL
             and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8):
         return CertificateStatus.FEASIBLE, (Gi, Gj), None, None
-    try:
-        u = _definite_direction(spec, A[:n] @ y, _gap_slope(spec, ci, cj))[0]
-    except SeparationError:
+    separation = _definite_direction(spec, A[:n] @ y, _gap_slope(spec, ci, cj))
+    if separation is None:
         return CertificateStatus.UNDECIDED, None, None, None
+    u = separation[0]
     mu = np.linalg.eigvalsh(cluster_matrix(spec, ci, u))
     nu = np.linalg.eigvalsh(cluster_matrix(spec, cj, u))
     margin = float(min(abs(nu[0] - mu[-1]), abs(nu[-1] - mu[0])))

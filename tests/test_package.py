@@ -107,6 +107,16 @@ def test_single_value_knobs_are_constants():
     assert not hasattr(verify, "_gap_value")
 
 
+def test_one_reduction_guard_and_one_zero_direction_rule():
+    # each banded shifted system is guarded on its own pivots: no operator
+    # labels and no unguarded mode; and "no mean-zero part" is
+    # make_direction's ValueError alone, with no exception type of its own
+    from specpot import banded, errors
+
+    assert "members" not in inspect.signature(banded.shifted_solve).parameters
+    assert not hasattr(errors, "SeparationError")
+
+
 def test_every_command_writes_every_artifact():
     # [output] holds only where to write and the seed: no switch drops an
     # artifact, and the eigenvalue list is spec.eigenvalues.tolist()

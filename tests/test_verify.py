@@ -66,10 +66,10 @@ def test_one_solve_per_potential(suite, solves, monkeypatch):
 
 
 def test_thm11_sweep_solves_in_groups(monkeypatch):
-    # each domain's 50 random potentials take one batched first solve per
-    # group of banded.group_size and one Sturm count each; each constant
-    # potential takes a single solve and a count. One cold solve per random
-    # potential would make 102 single solves.
+    # each domain's 50 random potentials and its constant potential take one
+    # batched first solve per group of banded.group_size and one Sturm count
+    # each, and no single solve. One cold solve per potential would make 102
+    # single solves.
     groups, singles, counts = [], [], []
     solve, count = banded.lowest_pairs, banded.count_below
 
@@ -93,7 +93,8 @@ def test_thm11_sweep_solves_in_groups(monkeypatch):
     with pytest.raises(SweepDone):
         suite_thm11(7)
     size = banded.group_size(verify.N_1D, 2)
-    per_domain = [size] * (50 // size) + ([50 % size] if 50 % size else [])
+    per_domain = [size] * (51 // size) + ([51 % size] if 51 % size else [])
     assert groups == 2 * per_domain
-    assert len(singles) == 2
+    assert len(per_domain) == 7
+    assert singles == []
     assert len(counts) == 102
