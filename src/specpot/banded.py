@@ -352,12 +352,8 @@ def _refine(diag, off, norm, theta, vecs, h_vecs, active, p: int):
     step /= np.max(np.abs(step), axis=1, keepdims=True)
     step[~np.all(np.isfinite(step), axis=1)] = 0.0
     counts = active.sum(axis=1)
-    widths = set(counts.tolist())
-    if len(widths) == 1:   # as many new columns for every member
-        new = np.swapaxes(step.reshape(len(counts), -1, step.shape[1]), 1, 2)
-        return _rayleigh_ritz(diag, off, np.linalg.qr(np.concatenate([vecs, new], axis=2))[0], p)
     first = np.cumsum(counts) - counts
-    for width in widths:
+    for width in set(counts.tolist()):
         rows = np.flatnonzero(counts == width)
         new = np.swapaxes(step[first[rows, None] + np.arange(width)], 1, 2)
         basis, _ = np.linalg.qr(np.concatenate([vecs[rows], new], axis=2))

@@ -290,8 +290,10 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
         elif not ci.complete:   # the direction needs ci's whole eigenspace
             stop_reason = "cluster_unproven"
         elif cert_every and it % cert_every == 0:
-            feasible, cert_residual = _certificate_stop(spec, ci, cj)
-            if feasible:
+            cert = (criticality_certificate(spec, ci) if cj is None
+                    else gap_certificate(spec, ci, cj))
+            cert_residual = cert.residual
+            if cert.status is CertificateStatus.FEASIBLE:
                 stop_reason = "certificate"
         log.append(_record(grid, constraint, it, obj, last_step, ci.multiplicity, cert_residual, q))
         if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
@@ -367,14 +369,6 @@ def _record(grid, constraint, iteration, obj, step, mult, cert_residual, q) -> I
 
 def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
     return float(np.mean(np.abs(np.abs(q.values) - constraint.bound_B) <= 1e-9))
-
-
-def _certificate_stop(spec: SpectralData, ci: Cluster,
-                      cj: Cluster | None) -> tuple[bool, float]:
-    """Certificate decision at the current complete cluster(s), cj for gap
-    targets: (feasible, residual)."""
-    cert = criticality_certificate(spec, ci) if cj is None else gap_certificate(spec, ci, cj)
-    return cert.status is CertificateStatus.FEASIBLE, cert.residual
 
 
 @dataclass(frozen=True, eq=False)

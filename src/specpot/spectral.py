@@ -24,10 +24,10 @@ that solves repeat bit for bit:
 Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
 an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
 no eigenvalue below the top computed cluster may be missing; ``eigensolve``
-alone accepts or rejects what a solver returns. A cluster is
-complete only when such a count covers its upper edge (``Cluster.complete``);
-there is no other completeness rule. Eigenvectors are returned orthonormal in
-the weighted inner product <f, g>_w of the grid.
+alone accepts or rejects what a solver returns, and keeps each pair's residual.
+A cluster is complete only when such a count covers its upper edge and those
+residuals resolve it (``Cluster.complete``), with no other rule. Eigenvectors
+are returned orthonormal in the weighted inner product <f, g>_w of the grid.
 """
 from __future__ import annotations
 
@@ -65,6 +65,9 @@ class SpectralData:
     # every eigenvalue of the operator below this point is among the returned
     # ones, as an eigenvalue count showed; -inf when nothing was counted
     complete_below: float = -np.inf
+    # (K,) ||H f - lambda f||_w of each pair, as eigensolve measured it; None
+    # when built elsewhere, where complete_below stays -inf
+    residuals: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -161,7 +164,8 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
 
     This is every solver's one acceptance gate: a ``LinAlgError``, a
     non-finite pair (both before the count) or a residual above RESIDUAL_TOL
-    (1 + |lambda|) and the rounding floor 8 eps ||H|| raises SolverError.
+    (1 + |lambda|) and the rounding floor 8 eps ||H|| raises SolverError. The
+    residuals it measured are the spectrum's ``residuals``.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -213,7 +217,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
         worst = float(np.max(rel * norm / (1.0 + np.abs(evals))))
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
                           f"and the rounding floor {8.0 * banded.EPS * norm:.3e}")
-    return SpectralData(evals.copy(), vecs, grid, potential, x)
+    return SpectralData(evals.copy(), vecs, grid, potential, x, rel * norm)
 
 
 def _headroom(grid: DomainGrid) -> int:
@@ -360,8 +364,11 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
 
     It is complete when the whole spectrum was computed, or when its upper
     edge lies below ``spec.complete_below`` and no computed eigenvalue lies
-    within solver accuracy of the edge: then the solve's eigenvalue count
-    shows that no eigenvalue up to the edge is missing.
+    within the solve's accuracy of the edge, sqrt(K) times its largest residual
+    (Kahan's bound for K Ritz values; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 11): then the solve's eigenvalue count shows that no
+    eigenvalue up to the edge is missing. An accuracy at or above the
+    tolerance proves no cluster complete.
     """
     spec._check_index(i)
     lam = spec.eigenvalues
@@ -374,11 +381,10 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
     while hi < spec.count - 1 and abs(lam[hi + 1] - center) <= tol:
         hi += 1
     edge = center + tol
-    # Ritz values with orthonormal vectors lie within sqrt(K) residual
-    # norms of as many eigenvalues; lam[hi] and lam[hi + 1] lie nearest the edge
-    accuracy = math.sqrt(spec.count) * RESIDUAL_TOL * (1.0 + abs(edge))
+    # lam[hi], lam[hi + 1] lie nearest the edge; a finite complete_below has residuals
     complete = spec.count == spec.grid.n_nodes or bool(
-        edge < spec.complete_below and all(abs(x - edge) > accuracy for x in lam[hi : hi + 2]))
+        edge < spec.complete_below and np.min(np.abs(lam[hi : hi + 2] - edge))
+        > math.sqrt(spec.count) * np.max(spec.residuals))
     return Cluster(lo + 1, hi - lo + 1, float(center), tol, complete)
 
 

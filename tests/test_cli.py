@@ -302,10 +302,12 @@ class TestGapCommand:
 
     @pytest.mark.parametrize("jindex", [3, 4])
     def test_unproven_cluster_is_a_solver_error(self, tmp_path, capsys, jindex):
-        # lambda_3 lies just outside lambda_2's cluster tolerance but within
-        # solver accuracy of its edge, so no count proves that cluster complete
+        # lambda_3 lies within ~2e-14 of the edge of lambda_2's cluster
+        # tolerance, well within the accuracy the solve measured, so no count
+        # proves that cluster complete
         domain = CIRCLE_DOMAIN.replace("nodes=128", "nodes=256")
-        cfg = write_cfg(tmp_path, domain + "\n[potential]\npreset=fourier\ncoeffs=0,2e-6\n"
+        cfg = write_cfg(tmp_path, domain + "\n[potential]\npreset=fourier\n"
+                        "coeffs=0,1.9999488e-6\n"
                         f"\n[task]\nindex=2\njindex={jindex}\n\n[output]\nseed=4\n")
         assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

@@ -117,6 +117,16 @@ def test_one_reduction_guard_and_one_zero_direction_rule():
     assert not hasattr(errors, "SeparationError")
 
 
+def test_one_accuracy_rule():
+    # a cluster reads the residuals eigensolve measured, not an assumed
+    # accuracy; and the optimizer decides its certificate stop inline
+    from specpot import optimize, spectral
+
+    assert "residuals" in {f.name for f in dataclasses.fields(specpot.SpectralData)}
+    assert "RESIDUAL_TOL" not in inspect.getsource(spectral.detect_cluster)
+    assert not hasattr(optimize, "_certificate_stop")
+
+
 def test_every_command_writes_every_artifact():
     # [output] holds only where to write and the seed: no switch drops an
     # artifact, and the eigenvalue list is spec.eigenvalues.tolist()

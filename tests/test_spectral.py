@@ -88,6 +88,11 @@ class TestEigensolve:
             r = H @ f - lam * f
             res = np.sqrt(circle_grid.inner(r, r))
             assert res <= 1e-8 * (1 + abs(lam))
+            # the residual the gate measured, which clusters read. Both sums
+            # are roundings of size eps ||H|| here (~1.5e-12), so they agree
+            # to 1e-12 (1 + |lambda|) and to 10% of each other, not to the
+            # last digit
+            assert abs(spec.residuals[i - 1] - res) <= min(0.1 * res, 1e-12 * (1 + abs(lam)))
 
     def test_constant_potential_same_eigenspaces(self, circle_grid):
         base = solve_spectrum(circle_grid, Potential.zero(circle_grid), 5)
@@ -218,6 +223,20 @@ class TestDetectCluster:
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (6, 2)
         assert detect_cluster(spec, g.n_nodes).complete
+
+    def test_large_norm_grid_proves_only_what_it_resolves(self):
+        # a circle of length 0.001 at n = 2000 has ||H|| ~ 1.6e13: lambda_1 = 1
+        # comes back with an error ~4x its cluster tolerance of 2e-6, and the
+        # measured residuals (~4e-3) say so, so no count proves its cluster
+        # complete; lambda_2's cluster, tolerance ~39, is resolved
+        g = build_grid(Circle(0.001), 2000, BoundaryCondition.CLOSED)
+        q = Potential.constant(g, 1.0)
+        with pytest.raises(SolverError, match="does not prove the cluster of index 1"):
+            spectrum_with_complete_cluster(g, q, 1)
+        spec, cl = spectrum_with_complete_cluster(g, q, 2)
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == (2, 2)
+        assert np.sqrt(spec.count) * np.max(spec.residuals) < 1e-3 * cl.tol_used
 
     @pytest.mark.parametrize("bc, i, cluster", [
         (BoundaryCondition.CLOSED, 2, (2, 2)), (BoundaryCondition.CLOSED, 3, (2, 2)),
