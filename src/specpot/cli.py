@@ -196,13 +196,19 @@ def _positive_probes(task: dict[str, str], default: int) -> int:
     return probes
 
 
+def _artifact(report: dict, outdir: Path, name: str) -> Path:
+    """outdir / name, listed in the report's artifacts under name with "." as "_"."""
+    report["artifacts"][name.replace(".", "_")] = name
+    return outdir / name
+
+
 def _write_direction(grid: DomainGrid, outdir: Path, report: dict, cert) -> str | None:
     """Write an infeasible certificate's separating direction; its file name, or None."""
     if cert.status is not CertificateStatus.INFEASIBLE:
         return None
-    write_node_csv(grid, outdir / "separating_direction.csv", {"u": cert.separating_direction.values})
-    report["artifacts"]["separating_direction_csv"] = "separating_direction.csv"
-    return "separating_direction.csv"
+    path = _artifact(report, outdir, "separating_direction.csv")
+    write_node_csv(grid, path, {"u": cert.separating_direction.values})
+    return path.name
 
 
 def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
@@ -214,12 +220,11 @@ def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     spec = solve_spectrum(grid, q, modes)
     report = new_report("spectrum", cfg.sections)
     report["eigenvalues"] = spec.eigenvalues.tolist()
-    write_json(outdir / "eigenvalues.json", {"eigenvalues": report["eigenvalues"]})
+    write_json(_artifact(report, outdir, "eigenvalues.json"),
+               {"eigenvalues": report["eigenvalues"]})
     modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
-    write_node_csv(grid, outdir / "eigenvectors.csv",
+    write_node_csv(grid, _artifact(report, outdir, "eigenvectors.csv"),
                    {"w": np.full(grid.n_nodes, grid.weight), **modes})
-    report["artifacts"]["eigenvectors_csv"] = "eigenvectors.csv"
-    report["artifacts"]["eigenvalues_json"] = "eigenvalues.json"
     return report, 0
 
 
@@ -254,10 +259,9 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         # interior ranks use the sorted-branch extension
         "branch_rule": "sorted-extension (interior of cluster)" if interior else "extremal",
     }
-    write_csv(outdir / "derivatives.csv",
+    write_csv(_artifact(report, outdir, "derivatives.csv"),
               ["u_id", "i", "left", "right", "critical", "fd_central", "fd_richardson"],
               [["u0", i, fmt(d.left), fmt(d.right), int(critical), fmt(fd_central), fmt(fd_rich)]])
-    report["artifacts"]["derivatives_csv"] = "derivatives.csv"
     return report, 0
 
 
@@ -275,13 +279,13 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     report["payload"] = crit.to_dict()
     cert = crit.certificate
     direction_csv = _write_direction(grid, outdir, report, cert)
-    write_json(outdir / "certificate.json", certificate_payload(cert, direction_csv))
-    report["artifacts"]["certificate_json"] = "certificate.json"
+    write_json(_artifact(report, outdir, "certificate.json"),
+               certificate_payload(cert, direction_csv))
     if cert.status is CertificateStatus.FEASIBLE:
-        write_node_csv(grid, outdir / "frame.csv", {f"g{p+1}": f for p, f in enumerate(crit.frame)})
-        report["artifacts"]["frame_csv"] = "frame.csv"
-        write_node_csv(grid, outdir / "recovered_potential.csv", {"q": crit.recovered.values})
-        report["artifacts"]["recovered_potential_csv"] = "recovered_potential.csv"
+        write_node_csv(grid, _artifact(report, outdir, "frame.csv"),
+                       {f"g{p+1}": f for p, f in enumerate(crit.frame)})
+        write_node_csv(grid, _artifact(report, outdir, "recovered_potential.csv"),
+                       {"q": crit.recovered.values})
     return report, 0
 
 
@@ -302,8 +306,8 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     report = new_report("gap", cfg.sections)
     report["eigenvalues"] = spec.eigenvalues.tolist()
     direction_csv = _write_direction(grid, outdir, report, cert)
-    write_json(outdir / "gap_certificate.json", gap_certificate_payload(cert, direction_csv))
-    report["artifacts"]["gap_certificate_json"] = "gap_certificate.json"
+    write_json(_artifact(report, outdir, "gap_certificate.json"),
+               gap_certificate_payload(cert, direction_csv))
 
     rows = []
     table = []
@@ -314,8 +318,8 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
             rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(critical)])
             table.append({"u_id": f"u{u_id}", "left": d.left, "right": d.right,
                           "critical": bool(critical)})
-    write_csv(outdir / "gap_derivatives.csv", ["u_id", "i", "left", "right", "critical"], rows)
-    report["artifacts"]["gap_derivatives_csv"] = "gap_derivatives.csv"
+    write_csv(_artifact(report, outdir, "gap_derivatives.csv"),
+              ["u_id", "i", "left", "right", "critical"], rows)
     report["payload"] = {
         "index": i,
         "jindex": j,
@@ -355,14 +359,13 @@ def cmd_optimize(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "box_saturated_fraction": result.box_saturated_fraction,
         "aborted": result.aborted,
     }
-    write_csv(outdir / "iterates.csv",
+    write_csv(_artifact(report, outdir, "iterates.csv"),
               ["iter", "objective", "step", "mult_i", "residual", "mean_error", "box_error"],
               ([r.iteration, fmt(r.objective), fmt(r.step), r.mult_i,
                 "" if r.cert_residual is None else fmt(r.cert_residual),
                 fmt(r.mean_error), fmt(r.box_error)] for r in result.log))
-    write_node_csv(grid, outdir / "final_potential.csv", {"q": result.potential.values})
-    report["artifacts"]["iterates_csv"] = "iterates.csv"
-    report["artifacts"]["final_potential_csv"] = "final_potential.csv"
+    write_node_csv(grid, _artifact(report, outdir, "final_potential.csv"),
+                   {"q": result.potential.values})
     code = 1 if result.aborted else 0
     return report, code
 

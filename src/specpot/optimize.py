@@ -101,7 +101,7 @@ class Schedule:
     run_optimizer's Newton-metric step instead). A polyak run also stops, on
     "target", at the first iterate with |objective - target| <= TARGET_TOL
     (1 + |target|); the other kinds ignore target. s0, when given, must be
-    positive."""
+    positive; a sqrt or constant run without it steps with s0 = 0.1 B."""
 
     kind: str = "sqrt"
     s0: float | None = None
@@ -177,12 +177,6 @@ def project_feasible(grid: DomainGrid, q, constraint: ConstraintSpec) -> Potenti
     return Potential.from_values(grid, np.clip(values + mu, -B, B))
 
 
-def _objective_value(spec: SpectralData, objective: ObjectiveSpec) -> float:
-    if objective.target == "eigenvalue":
-        return spec.eigenvalue(objective.i)
-    return spec.eigenvalue(objective.j) - spec.eigenvalue(objective.i)
-
-
 def _branch_function(spec: SpectralData, cluster: Cluster, i: int) -> np.ndarray:
     """Eigenfunction of i's cluster whose squared density drives the governing
     branch at i: one fixed-point pass through the cluster matrix of the candidate
@@ -210,10 +204,14 @@ def subgradient_direction(spec: SpectralData, objective: ObjectiveSpec, ci: Clus
 
 def _step_size(schedule: Schedule, t: int, objective_value: float,
                direction: ProbeDirection, grid: DomainGrid, constraint: ConstraintSpec) -> float:
+    """Step of iteration t; 0.0 when the direction vanishes. s0 defaults to 0.1 B."""
+    if direction.sup_norm <= 1e-15:
+        return 0.0
+    s0 = 0.1 * constraint.bound_B if schedule.s0 is None else schedule.s0
     if schedule.kind == "constant":
-        return float(schedule.s0)
+        return float(s0)
     if schedule.kind == "sqrt":
-        return float(schedule.s0) / np.sqrt(t)
+        return float(s0) / np.sqrt(t)
     gap = abs(objective_value - schedule.target)
     nrm2 = grid.inner(direction.values, direction.values)
     if nrm2 <= 1e-30:
@@ -253,106 +251,91 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     if np.max(np.abs(q0.values)) > constraint.bound_B + 1e-8 or abs(q0.mean - constraint.mean_c) > 1e-8:
         raise ConfigError("q0 violates the constraint set")
     q = project_feasible(grid, q0, constraint)
-    if schedule is None:
-        schedule = Schedule("sqrt", s0=0.1 * constraint.bound_B)
-    elif schedule.kind != "polyak" and schedule.s0 is None:
-        schedule = Schedule(schedule.kind, s0=0.1 * constraint.bound_B, target=schedule.target)
+    schedule = schedule or Schedule()
 
     log: list[IterateRecord] = []
-    stop_reason = "max_iters"
     metric = None   # L = -Laplacian_h for the Newton-metric step, see above
     if (schedule.kind == "polyak" and objective.target == "eigenvalue" and objective.i == 1
             and objective.sense == "maximize" and grid.bc is not BoundaryCondition.DIRICHLET):
         metric = assemble(grid, Potential.zero(grid))
 
-    def solve(pot: Potential, start: SpectralData | None = None) -> tuple[SpectralData, Cluster]:
-        return spectrum_with_complete_cluster(grid, pot, objective.top_index, start)
-
-    def clusters(spec: SpectralData, top: Cluster) -> tuple[Cluster, Cluster | None]:
+    def solve(pot: Potential, start: SpectralData | None = None):
+        """(spectrum, cluster of i, of j or None, objective) at pot."""
+        spec, top = spectrum_with_complete_cluster(grid, pot, objective.top_index, start)
         if objective.target == "eigenvalue":   # top is the cluster of i; there is no j
-            return top, None
-        return detect_cluster(spec, objective.i), top
+            return spec, top, None, spec.eigenvalue(objective.i)
+        return (spec, detect_cluster(spec, objective.i), top,
+                spec.eigenvalue(objective.j) - spec.eigenvalue(objective.i))
 
-    try:
-        spec, top = solve(q)
-    except SolverError:
-        return OptimizeResult(q, log, "solver_error", 0, np.nan, _saturation(q, constraint))
-    ci, cj = clusters(spec, top)
-    obj = _objective_value(spec, objective)
-    last_step = 0.0
-    for it in range(1, max_iters + 1):
-        cert_residual = None
-        if cj is not None and ci.contains(objective.j):
-            stop_reason = "gap_degenerate"
-        elif (schedule.kind == "polyak"
-              and abs(obj - schedule.target) <= TARGET_TOL * (1.0 + abs(schedule.target))):
-            stop_reason = "target"
-        elif not ci.complete:   # the direction needs ci's whole eigenspace
-            stop_reason = "cluster_unproven"
-        elif cert_every and it % cert_every == 0:
-            cert = (criticality_certificate(spec, ci) if cj is None
-                    else gap_certificate(spec, ci, cj))
-            cert_residual = cert.residual
-            if cert.status is CertificateStatus.FEASIBLE:
-                stop_reason = "certificate"
-        log.append(_record(grid, constraint, it, obj, last_step, ci.multiplicity, cert_residual, q))
-        if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
-            break
+    it, obj = 0, np.nan
+    try:   # a SolverError from any solve ends the run on "solver_error"
+        spec, ci, cj, obj = solve(q)
+        stop_reason, last_step = "max_iters", 0.0
+        for it in range(1, max_iters + 1):
+            cert_residual = None
+            if cj is not None and ci.contains(objective.j):
+                stop_reason = "gap_degenerate"
+            elif (schedule.kind == "polyak"
+                  and abs(obj - schedule.target) <= TARGET_TOL * (1.0 + abs(schedule.target))):
+                stop_reason = "target"
+            elif not ci.complete:   # the direction needs ci's whole eigenspace
+                stop_reason = "cluster_unproven"
+            elif cert_every and it % cert_every == 0:
+                cert = (criticality_certificate(spec, ci) if cj is None
+                        else gap_certificate(spec, ci, cj))
+                cert_residual = cert.residual
+                if cert.status is CertificateStatus.FEASIBLE:
+                    stop_reason = "certificate"
+            log.append(_record(grid, constraint, it, obj, last_step, ci.multiplicity,
+                               cert_residual, q))
+            if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
+                break
 
-        if len(log) > STAGNATION_WINDOW:
+            direction = subgradient_direction(spec, objective, ci, cj)
+            step = _step_size(schedule, it, obj, direction, grid, constraint)
             window = [r.objective for r in log[-STAGNATION_WINDOW:]]
-            if max(window) - min(window) <= STAGNATION_TOL:
+            if step <= 0.0 or len(log) > STAGNATION_WINDOW and np.ptp(window) <= STAGNATION_TOL:
                 stop_reason = "stagnation"
                 break
 
-        direction = subgradient_direction(spec, objective, ci, cj)
-        if direction.sup_norm <= 1e-15:
-            stop_reason = "stagnation"
-            break
-        step = _step_size(schedule, it, obj, direction, grid, constraint)
-        if step <= 0.0:
-            stop_reason = "stagnation"
-            break
-
-        simple_here = ci.multiplicity == 1 and (cj is None or cj.multiplicity == 1)
-        moves = [(direction, step)]
-        if metric is not None and simple_here:
-            newton = make_direction(grid, metric @ direction.values)
-            curvature = grid.inner(direction.values, newton.values)
-            if curvature > 0.0:
-                moves.insert(0, (newton, min(2.0 * abs(obj - schedule.target) / curvature,
-                                             2.0 * constraint.bound_B / newton.sup_norm)))
-        accepted = False
-        for move, step in moves:
-            for _halving in range(9):
-                candidate = project_feasible(
-                    grid, q.values + objective.sigma * step * move.values, constraint
-                )
-                try:
-                    cand_spec, cand_top = solve(candidate, start=spec)
-                except SolverError:
-                    stop_reason = "solver_error"
-                    break
-                cand_obj = _objective_value(cand_spec, objective)
-                improved = objective.sigma * (cand_obj - obj) >= -BACKTRACK_TOL
-                if improved or not simple_here:
-                    q, spec, obj = candidate, cand_spec, cand_obj
-                    ci, cj = clusters(spec, cand_top)
-                    last_step = step
-                    accepted = True
-                    break
-                step /= 2.0
-            if accepted or stop_reason == "solver_error":
+            simple_here = ci.multiplicity == 1 and (cj is None or cj.multiplicity == 1)
+            moves = [(direction, step)]
+            if metric is not None and simple_here:
+                newton = make_direction(grid, metric @ direction.values)
+                curvature = grid.inner(direction.values, newton.values)
+                if curvature > 0.0:
+                    moves.insert(0, (newton, min(2.0 * abs(obj - schedule.target) / curvature,
+                                                 2.0 * constraint.bound_B / newton.sup_norm)))
+            found = _line_search(grid, constraint, q, objective.sigma, moves,
+                                 lambda pot: solve(pot, start=spec),
+                                 lambda value: objective.sigma * (value - obj) >= -BACKTRACK_TOL
+                                 or not simple_here)
+            if found is None:
+                stop_reason = "stagnation"
                 break
-            metric = None   # the metric step failed: this run steps plainly from here on
-        if stop_reason == "solver_error":
-            break
-        if not accepted:
-            stop_reason = "stagnation"
-            break
-
-    log.append(_record(grid, constraint, it + 1, obj, last_step, ci.multiplicity, None, q))
+            index, q, (spec, ci, cj, obj), last_step = found
+            if index:   # the metric step failed: this run steps plainly from here on
+                metric = None
+    except SolverError:
+        stop_reason = "solver_error"
+    if log:   # the run got past its first solve: record where it ended
+        log.append(_record(grid, constraint, it + 1, obj, last_step, ci.multiplicity, None, q))
     return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint))
+
+
+def _line_search(grid: DomainGrid, constraint: ConstraintSpec, q: Potential, sigma: float,
+                 moves, solve, accept):
+    """The first candidate, the feasible projection of q + sigma step move,
+    whose objective accept takes: the moves in order, each step halved up to
+    8 times. (move index, candidate, solve(candidate), step), or None."""
+    for index, (move, step) in enumerate(moves):
+        for _halving in range(9):
+            candidate = project_feasible(grid, q.values + sigma * step * move.values, constraint)
+            solved = solve(candidate)
+            if accept(solved[-1]):
+                return index, candidate, solved, step
+            step /= 2.0
+    return None
 
 
 def _record(grid, constraint, iteration, obj, step, mult, cert_residual, q) -> IterateRecord:

@@ -398,7 +398,10 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
     (a 1-D cluster wider than 2 within tolerance, a torus cluster past
     i + 6), the eigenvalues below the cluster's upper edge are counted and
     the solve is repeated once with the same headroom above that count (or
-    k); SolverError when the cluster is still not proven complete.
+    k); SolverError when the cluster is still not proven complete. A
+    cluster whose edge the solve's count already covered lacks accuracy,
+    not pairs: its residuals do not resolve the edge, and SolverError says
+    so at once.
     Line searches, finite differences and gaps take index-i spectra from
     here. ``start`` goes to every ``eigensolve``, which starts warm from it
     when it holds enough pairs.
@@ -412,6 +415,9 @@ def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
         if cluster.complete:
             return spec, cluster
         edge = cluster.value + cluster.tol_used
+        if edge < spec.complete_below:
+            raise SolverError(f"a solve of {spec.count} pairs does not prove the cluster of "
+                              f"index {i} complete: its residuals do not resolve {edge:.12g}")
         count = count_eigenvalues_below(H, edge)
         k = min(n, max(k, count) + _headroom(grid))
     raise SolverError(f"{count} eigenvalues lie below {edge:.12g}; a solve of {spec.count} "

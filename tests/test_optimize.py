@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from specpot import banded, cli, optimize, spectral
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
-from specpot.errors import ConfigError
+from specpot.errors import ConfigError, SolverError
 from specpot.optimize import (
     MAX_BOUND,
     ConstraintSpec,
@@ -414,6 +415,70 @@ class TestRunOptimizer:
         assert lines[0] == "iter,objective,step,mult_i,residual,mean_error,box_error"
         assert lines[1] == "1,0.5,0.1,1,,0.0,0.0"
         assert lines[2] == "2,0.6,0.05,2,3e-09,1e-15,2.5e-13"
+
+
+class TestOptimizerExits:
+    """Each way a run can end early, reached from an input that takes it."""
+
+    GRID = build_grid(Circle(), 64, BoundaryCondition.CLOSED)
+
+    def run(self, schedule, max_iters):
+        return run_optimizer(self.GRID, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 1.0),
+                             Potential.fourier(self.GRID, (0.3,)), schedule, max_iters,
+                             cert_every=0)
+
+    @staticmethod
+    def fail_on_call(monkeypatch, call):
+        calls = []
+        solve = optimize.spectrum_with_complete_cluster
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == call:
+                raise SolverError("injected")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "spectrum_with_complete_cluster", failing)
+
+    def test_first_solve_fails(self, monkeypatch):
+        self.fail_on_call(monkeypatch, 1)
+        result = self.run(Schedule("constant", s0=0.05), 20)
+        assert (result.stop_reason, result.iterations, result.log) == ("solver_error", 0, [])
+        assert np.isnan(result.objective)
+        assert result.aborted
+
+    def test_candidate_solve_fails(self, monkeypatch):
+        # call 1 is the first solve, call 2 the candidate of iteration 1
+        self.fail_on_call(monkeypatch, 3)
+        result = self.run(Schedule("constant", s0=0.05), 20)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("solver_error", 2, 3)
+        assert result.aborted
+
+    def test_window_stagnation(self):
+        # steps of 1e-13 move lambda_1 by far less than STAGNATION_TOL, so the
+        # first full window of 50 records after the first stops the run
+        result = self.run(Schedule("constant", s0=1e-13), 100)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 51, 52)
+
+    def test_zero_step_stagnation(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_step_size", lambda *args: 0.0)
+        result = self.run(Schedule("constant", s0=0.05), 20)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 1, 2)
+
+    def test_no_candidate_accepted(self, tmp_path):
+        # lambda_2 of this circle run falls at every one of the 9 halvings of
+        # the sqrt step at iteration 23; its direction and step are nonzero
+        # and the window is not full, so the rejected line search stops it
+        body = ("[domain]\nkind=circle\nlength=6.283185307179586\nnodes=128\nbc=closed\n"
+                "\n[potential]\npreset=fourier\ncoeffs=0.4\n"
+                "\n[task]\ntarget=eigenvalue\nindex=2\nsense=maximize\nmean=0.0\nbound=1.0\n"
+                "cert_every=5\niters=60\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body)
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        payload = json.loads((tmp_path / "o" / "report.json").read_text())["payload"]
+        assert (payload["stop_reason"], payload["iterations"]) == ("stagnation", 23)
+        assert not payload["aborted"]
 
 
 class TestNewtonMetric:

@@ -127,6 +127,15 @@ def test_one_accuracy_rule():
     assert not hasattr(optimize, "_certificate_stop")
 
 
+def test_one_site_per_optimizer_outcome():
+    # the optimizer's solve closure returns the objective, and one handler
+    # ends the run on any failed solve, the first or a candidate's
+    from specpot import optimize
+
+    assert not hasattr(optimize, "_objective_value")
+    assert inspect.getsource(optimize.run_optimizer).count("except SolverError") == 1
+
+
 def test_every_command_writes_every_artifact():
     # [output] holds only where to write and the seed: no switch drops an
     # artifact, and the eigenvalue list is spec.eigenvalues.tolist()

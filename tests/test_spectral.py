@@ -155,13 +155,16 @@ class TestEigensolve:
             eigensolve(circle_grid, np.eye(10), 2)
 
     @pytest.mark.parametrize("fault, message", [("nan", "non-finite"),
-                                                ("linalg", "did not converge")])
+                                                ("linalg", "did not converge"),
+                                                ("rotated", "eigenpair residual")])
     @pytest.mark.parametrize("solver, grid_name", [("_lowest_pairs_banded", "circle_grid"),
                                                    ("_lowest_pairs_sparse", "torus_grid")])
     def test_solver_fault_is_a_solver_error(self, fault, message, solver, grid_name, request,
                                             monkeypatch):
         # eigensolve is every solver's one gate; a NaN in one eigenvector
-        # column would pass a residual test written as "any residual above the bound"
+        # column would pass a residual test written as "any residual above the
+        # bound". A first column rotated by 1e-6 toward the top one keeps
+        # every value, so the count agrees and only the residual catches it.
         grid = request.getfixturevalue(grid_name)
         solve = getattr(spectral, solver)
 
@@ -169,7 +172,10 @@ class TestEigensolve:
             if fault == "linalg":
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             evals, evecs = solve(grid, H, k, **kwargs)
-            evecs[:, 1] = np.nan
+            if fault == "rotated":
+                evecs[:, 0] = np.cos(1e-6) * evecs[:, 0] + np.sin(1e-6) * evecs[:, -1]
+            else:
+                evecs[:, 1] = np.nan
             return evals, evecs
 
         monkeypatch.setattr(spectral, solver, faulty)
@@ -224,15 +230,27 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (6, 2)
         assert detect_cluster(spec, g.n_nodes).complete
 
-    def test_large_norm_grid_proves_only_what_it_resolves(self):
+    def test_large_norm_grid_proves_only_what_it_resolves(self, monkeypatch):
         # a circle of length 0.001 at n = 2000 has ||H|| ~ 1.6e13: lambda_1 = 1
         # comes back with an error ~4x its cluster tolerance of 2e-6, and the
         # measured residuals (~4e-3) say so, so no count proves its cluster
-        # complete; lambda_2's cluster, tolerance ~39, is resolved
+        # complete; more pairs cannot mend that, so the first solve's failure
+        # is reported as one of accuracy. lambda_2's cluster, tolerance ~39,
+        # is resolved
         g = build_grid(Circle(0.001), 2000, BoundaryCondition.CLOSED)
         q = Potential.constant(g, 1.0)
-        with pytest.raises(SolverError, match="does not prove the cluster of index 1"):
+        solves = []
+        solve = spectral.eigensolve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigensolve", counted)
+        with pytest.raises(SolverError, match="does not prove the cluster of index 1") as err:
             spectrum_with_complete_cluster(g, q, 1)
+        assert "residuals" in str(err.value)
+        assert len(solves) == 1
         spec, cl = spectrum_with_complete_cluster(g, q, 2)
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (2, 2)
@@ -336,13 +354,19 @@ class TestRecoverPotential:
         rec = recover_potential(circle_grid, frame, 0.7)
         assert np.max(np.abs(rec.values - 0.7)) <= 1e-12
 
-    def test_circle_pair(self, circle_grid):
+    def test_circle_pair(self, circle_grid, neumann_grid):
         # analytic frame cos x, sin x: squares sum to 1 pointwise exactly
         c = 0.4
         spec = solve_spectrum(circle_grid, Potential.constant(circle_grid, c), 4)
         frame = [np.cos(circle_grid.coords), np.sin(circle_grid.coords)]
         rec = recover_potential(circle_grid, frame, spec.eigenvalue(2))
         assert np.max(np.abs(rec.values - c)) <= 1e-3
+        # on the interval |grad|^2 = 1 gives q = 1 - 1 = 0; its worst node is
+        # an end node, where the gradient takes the one-sided stencil
+        frame = [np.cos(neumann_grid.coords), np.sin(neumann_grid.coords)]
+        rec = recover_potential(neumann_grid, frame, 1.0)
+        assert np.max(np.abs(rec.values)) <= 1e-3
+        assert np.argmax(np.abs(rec.values)) in (0, neumann_grid.n_nodes - 1)
 
     def test_violating_frame_rejected(self, circle_grid):
         frame = [np.cos(circle_grid.coords) * 1.05, np.sin(circle_grid.coords)]
