@@ -40,6 +40,7 @@ from .reports import (
 )
 from .spectral import (
     detect_cluster,
+    one_blas_thread,
     solve_spectrum,
     spectrum_with_complete_cluster,
 )
@@ -416,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("no output directory: pass --out or set [output] directory")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        one_blas_thread()
         report, code = COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,12 +1,15 @@
 import ast
+import ctypes
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import specpot
+from specpot import cli, spectral
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +42,28 @@ q0 = Potential.from_values(grid, 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64))
 run_optimizer(grid, ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 1.0), q0,
               Schedule("polyak", target=0.0), max_iters=1, cert_every=0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+# the BLAS pin in cli.main must not load scipy's OpenBLAS either (Linux only)
+maps = Path("/proc/self/maps")
+print([line for line in maps.read_text().splitlines() if "scipy.libs/libscipy_openblas" in line]
+      if maps.exists() else None)
+"""
+
+# criticality on a 16 x 16 torus (constant potential: the 4-fold cluster and
+# its frame), then the thread count each bundled OpenBLAS reads afterwards
+TORUS_RUN = """
+import ctypes, json, sys
+import specpot.cli
+from specpot.spectral import BUNDLED_LIBS
+
+cfg, out = sys.argv[1:]
+assert specpot.cli.main(["criticality", "--config", cfg, "--out", out]) == 0
+threads = {}
+for package, library, getter in (
+        ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        ("scipy", "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")):
+    for path in (BUNDLED_LIBS / f"{package}.libs").glob(library):
+        threads[package] = getattr(ctypes.CDLL(str(path)), getter)()
+print(json.dumps(threads))
 """
 
 
@@ -211,4 +236,43 @@ def test_one_d_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", ONE_D_RUN], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    modules, libraries = proc.stdout.strip().splitlines()[-2:]
+    assert modules == "[]"
+    if sys.platform.startswith("linux"):
+        assert libraries == "[]"
+
+
+def test_torus_run_is_the_same_at_any_blas_thread_count(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind=torus\nlength=6.283185307179586\nnodes=16\nbc=closed\n"
+                   "\n[potential]\npreset=constant\nvalue=0.3\n"
+                   "\n[task]\nindex=2\nprobes=20\n\n[output]\nseed=7\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run([sys.executable, "-c", TORUS_RUN, str(cfg), str(out)],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        # each bundled OpenBLAS found runs on one thread after the command
+        assert set(json.loads(proc.stdout.strip().splitlines()[-1]).values()) <= {1}
+        report = json.loads((out / "report.json").read_text())
+        del report["timestamp"]
+        outputs.append((report, {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                                 if p.name != "report.json"}))
+    assert "frame.csv" in outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
+def test_blas_pin_without_bundled_openblas_loads_nothing(tmp_path, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(spectral, "BUNDLED_LIBS", tmp_path)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: loaded.append(args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind=circle\nlength=6.283185307179586\nnodes=64\nbc=closed\n"
+                   "\n[potential]\npreset=zero\n\n[task]\nmodes=3\n")
+    environ = dict(os.environ)
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert loaded == []
+    # the command leaves the environment as it found it: no variable is a knob
+    assert dict(os.environ) == environ
