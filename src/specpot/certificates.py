@@ -9,14 +9,17 @@ criticality becomes a feasibility problem, linear in the Gram matrix G:
 
 The gap analogue asks for two psd Grams with matching pointwise sums, plus a
 trace normalization that rules out the zero pair. Both problems are decided
-in closed form from one least-squares solve. The psd projection (eigenvalue
-clipping) of the min-norm least-squares point s* is the witness when it meets
-the node equations. Otherwise a candidate direction is built: the residual
-r = b - A s* when it is nonzero (its restricted form is a negative multiple
-of the identity once centered), else, when s* meets the equations but is not
-psd, the node values A pinv svec(v v^T) of the bottom eigenvector v of s*.
-The candidate is kept only if it verifiably makes the restricted quadratic
-form definite; failing that the instance is Undecided.
+in closed form from one least-squares solve. Each Gram block of the min-norm
+least-squares point s* is factored once, for its psd projection (eigenvalue
+clipping) and its bottom eigenpair. The projection is the witness when it
+meets the node equations. Otherwise a candidate direction is built: the
+residual r = b - A s* when it is nonzero (its restricted form is a negative
+multiple of the identity once centered), else, when s* is not psd, the node
+values A pinv svec(v v^T) of its bottom eigenvector v. One separation step
+ends both certificates: the candidate is kept only if its margin, the lowest
+branch slope of the upper cluster minus the highest of the lower one (none
+for criticality, so the margin is the lowest slope), is verifiably positive;
+failing that the instance is Undecided.
 """
 from __future__ import annotations
 
@@ -97,13 +100,6 @@ def _basis_rows(F: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(F[:, a] * F[:, b] * scale)
 
 
-def _psd_project(s: np.ndarray, m: int) -> np.ndarray:
-    S = _unsvec(s, m)
-    w, V = np.linalg.eigh(S)
-    w = np.clip(w, 0.0, None)
-    return _svec((V * w) @ V.T)
-
-
 def _blocks(sizes: tuple[int, ...]):
     """(slice, m) of each svec block of a stacked Gram vector."""
     start = 0
@@ -113,32 +109,57 @@ def _blocks(sizes: tuple[int, ...]):
         start += d
 
 
-def _decide(A: np.ndarray, b: np.ndarray,
-            sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _decide(A: np.ndarray, b: np.ndarray, sizes: tuple[int, ...],
+            nodes: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Closed-form decision data for: find s with A s = b and every Gram
-    block of s psd. Returns the block-wise psd projection y of the min-norm
-    least-squares point s* (the witness when it meets the equations) and a
-    separating candidate for when it does not: the residual r = b - A s*
-    when it is nonzero, else A pinv svec(v v^T) for the bottom eigenvector v
-    of the block of s* holding the most negative eigenvalue."""
+    block of s psd. Each block of the min-norm least-squares point s* is
+    factored once, for its psd projection and its bottom eigenpair. Returns
+    the block-wise projection y (the witness when it meets the equations),
+    its residual over the first ``nodes`` rows, and a separating candidate
+    on those rows: the residual r = b - A s* when it is nonzero, else
+    A pinv svec(v v^T) for the bottom eigenvector v of the block of s*
+    holding the most negative eigenvalue."""
     w, V = np.linalg.eigh(A.T @ A)
     cutoff = max(w[-1], 0.0) * 1e-13  # eigenvalues of A^T A at or below count as null
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     pinv = (V * inv) @ V.T
     s = pinv @ (A.T @ b)
-    y = np.concatenate([_psd_project(s[sl], m) for sl, m in _blocks(sizes)])
-    r = b - A @ s
-    if float(np.max(np.abs(r))) > FEASIBILITY_TOL:
-        return y, r
-    lowest = np.inf
+    y = np.empty_like(s)
     e = np.zeros_like(s)
+    lowest = np.inf
     for sl, m in _blocks(sizes):
         vals, vecs = np.linalg.eigh(_unsvec(s[sl], m))
+        y[sl] = _svec((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
         if vals[0] < lowest:
             lowest = vals[0]
             e[:] = 0.0
             e[sl] = _svec(np.outer(vecs[:, 0], vecs[:, 0]))
-    return y, A @ (pinv @ e)
+    # the residual counts the node rows only; a trace row only normalizes
+    res = float(np.max(np.abs((b - A @ y)[:nodes])))
+    r = b - A @ s
+    candidate = r if float(np.max(np.abs(r))) > FEASIBILITY_TOL else A @ (pinv @ e)
+    return y, res, candidate[:nodes]
+
+
+def _separate(spec: SpectralData, candidate: np.ndarray, upper: Cluster,
+              lower: Cluster | None = None
+              ) -> tuple[CertificateStatus, ProbeDirection | None, float | None]:
+    """Verify a separating candidate: u, the candidate made mean-zero with
+    sup-norm 1, or else -u, is a separating direction when its margin, the
+    lowest branch slope of ``upper`` minus the highest of ``lower`` (0.0
+    without a lower cluster), is at least DEFINITENESS_MARGIN. Returns
+    (INFEASIBLE, direction, margin), or (UNDECIDED, None, None) if neither
+    sign qualifies or the candidate has no mean-zero part."""
+    try:
+        u = make_direction(spec.grid, candidate, normalize=True)
+    except ValueError:
+        return CertificateStatus.UNDECIDED, None, None
+    for v in (u, ProbeDirection(-u.values, 1.0)):
+        top = 0.0 if lower is None else np.linalg.eigvalsh(cluster_matrix(spec, lower, v))[-1]
+        margin = float(np.linalg.eigvalsh(cluster_matrix(spec, upper, v))[0] - top)
+        if margin >= DEFINITENESS_MARGIN:
+            return CertificateStatus.INFEASIBLE, v, margin
+    return CertificateStatus.UNDECIDED, None, None
 
 
 def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertificate:
@@ -148,45 +169,11 @@ def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertifi
     m = cluster.multiplicity
     A = _basis_rows(F)
     b = np.ones(F.shape[0])
-    y, candidate = _decide(A, b, (m,))
-    res = float(np.max(np.abs(b - A @ y)))
+    y, res, candidate = _decide(A, b, (m,), F.shape[0])
     if res <= FEASIBILITY_TOL:
         return GramCertificate(CertificateStatus.FEASIBLE, _unsvec(y, m), res, 1)
-    separation = _definite_direction(spec, candidate, _lowest_slope(spec, cluster))
-    if separation is None:
-        return GramCertificate(CertificateStatus.UNDECIDED, None, res, 1)
-    u, margin = separation
-    return GramCertificate(CertificateStatus.INFEASIBLE, None, res, 1,
-                           separating_direction=u, margin=margin)
-
-
-def _lowest_slope(spec: SpectralData, cluster: Cluster):
-    """u -> lowest branch slope: positive when the restricted form is definite."""
-    return lambda u: float(np.linalg.eigvalsh(cluster_matrix(spec, cluster, u))[0])
-
-
-def _gap_slope(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster):
-    """u -> nu_min - mu_max: positive when every j-branch outgrows every i-branch."""
-    return lambda u: float(np.linalg.eigvalsh(cluster_matrix(spec, cluster_j, u))[0]
-                           - np.linalg.eigvalsh(cluster_matrix(spec, cluster_i, u))[-1])
-
-
-def _definite_direction(spec: SpectralData, candidate: np.ndarray,
-                        margin_of) -> tuple[ProbeDirection, float] | None:
-    """Verified separating direction, with its margin, from a candidate (the
-    unattained feasibility residual, or the dual candidate): u, the candidate
-    made mean-zero with sup-norm 1, or else -u, whichever first has
-    ``margin_of`` at least DEFINITENESS_MARGIN; None if neither, or if the
-    candidate has no mean-zero part."""
-    try:
-        u = make_direction(spec.grid, candidate, normalize=True)
-    except ValueError:
-        return None
-    for v in (u, ProbeDirection(-u.values, 1.0)):
-        margin = margin_of(v)
-        if margin >= DEFINITENESS_MARGIN:
-            return v, margin
-    return None
+    status, u, margin = _separate(spec, candidate, cluster)
+    return GramCertificate(status, None, res, 1, separating_direction=u, margin=margin)
 
 
 def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
@@ -232,18 +219,13 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
     A[n, :di] = _svec(np.eye(mi))
     b = np.zeros(n + 1)
     b[n] = 1.0
-    y, candidate = _decide(A, b, (mi, mj))
-    res = float(np.max(np.abs((b - A @ y)[:n])))  # node equations; the trace row only normalizes
+    y, res, candidate = _decide(A, b, (mi, mj), n)
     Gi = _unsvec(y[:di], mi)
     Gj = _unsvec(y[di:], mj)
     if res <= FEASIBILITY_TOL and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8:
         return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, 1)
-    separation = _definite_direction(spec, candidate[:n], _gap_slope(spec, cluster_i, cluster_j))
-    if separation is None:
-        return GapCertificate(CertificateStatus.UNDECIDED, None, None, res, 1)
-    u, margin = separation
-    return GapCertificate(CertificateStatus.INFEASIBLE, None, None, res, 1,
-                          separating_direction=u, margin=margin)
+    status, u, margin = _separate(spec, candidate, cluster_j, cluster_i)
+    return GapCertificate(status, None, None, res, 1, separating_direction=u, margin=margin)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,7 @@ from specpot.certificates import (
     FEASIBILITY_TOL,
     CertificateStatus,
     _basis_rows,
-    _definite_direction,
-    _gap_slope,
-    _lowest_slope,
-    _psd_project,
+    _separate,
     _svec,
     _unsvec,
     criticality_certificate,
@@ -36,6 +33,12 @@ GRIDS = {
     "neumann": build_grid(Interval(np.pi), 64, BoundaryCondition.NEUMANN),
     "dirichlet": build_grid(Interval(np.pi), 64, BoundaryCondition.DIRICHLET),
 }
+
+
+def _psd_project(s, m):
+    """Eigenvalue-clipping projection of one svec Gram block onto the psd cone."""
+    w, V = np.linalg.eigh(_unsvec(s, m))
+    return _svec((V * np.clip(w, 0.0, None)) @ V.T)
 
 
 class _Flat:
@@ -87,10 +90,9 @@ def oracle_criticality(spec, cluster):
     G = _unsvec(y, m)
     if feasible and np.linalg.eigvalsh(G)[0] >= PSD_TOL:
         return CertificateStatus.FEASIBLE, G, None, None
-    separation = _definite_direction(spec, b - A @ y, _lowest_slope(spec, cluster))
-    if separation is None:
+    status, u, _ = _separate(spec, b - A @ y, cluster)
+    if status is CertificateStatus.UNDECIDED:
         return CertificateStatus.UNDECIDED, None, None, None
-    u = separation[0]
     margin = float(np.min(np.abs(np.linalg.eigvalsh(cluster_matrix(spec, cluster, u)))))
     return CertificateStatus.INFEASIBLE, None, u.values, margin
 
@@ -117,10 +119,9 @@ def oracle_gap(spec, ci, cj):
     if (feasible and min(np.linalg.eigvalsh(Gi)[0], np.linalg.eigvalsh(Gj)[0]) >= PSD_TOL
             and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8):
         return CertificateStatus.FEASIBLE, (Gi, Gj), None, None
-    separation = _definite_direction(spec, A[:n] @ y, _gap_slope(spec, ci, cj))
-    if separation is None:
+    status, u, _ = _separate(spec, A[:n] @ y, cj, ci)
+    if status is CertificateStatus.UNDECIDED:
         return CertificateStatus.UNDECIDED, None, None, None
-    u = separation[0]
     mu = np.linalg.eigvalsh(cluster_matrix(spec, ci, u))
     nu = np.linalg.eigvalsh(cluster_matrix(spec, cj, u))
     margin = float(min(abs(nu[0] - mu[-1]), abs(nu[-1] - mu[0])))

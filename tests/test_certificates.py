@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from specpot.certificates import (
+    DEFINITENESS_MARGIN,
+    FEASIBILITY_TOL,
     CertificateStatus,
-    _definite_direction,
-    _lowest_slope,
+    _separate,
     criticality_certificate,
     extract_frame,
     full_criticality_report,
     gap_certificate,
 )
-from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
+from specpot.domain import BoundaryCondition, Circle, Potential, Torus2D, build_grid
 from specpot.errors import IncompleteClusterError
 from specpot.optimize import ObjectiveSpec, subgradient_direction
 from specpot.perturbation import (
@@ -134,13 +135,13 @@ class TestSeparatingDirection:
         # any candidate residual must fail the definiteness check
         cl = detect_cluster(neumann_zero_spec, 1)
         rng = np.random.default_rng(3)
-        assert _definite_direction(neumann_zero_spec, rng.standard_normal(neumann_grid.n_nodes),
-                                   _lowest_slope(neumann_zero_spec, cl)) is None
+        assert _separate(neumann_zero_spec, rng.standard_normal(neumann_grid.n_nodes),
+                         cl) == (CertificateStatus.UNDECIDED, None, None)
 
     def test_constant_residual_fails(self, dirichlet_zero_spec, dirichlet_grid):
         cl = detect_cluster(dirichlet_zero_spec, 1)
-        assert _definite_direction(dirichlet_zero_spec, np.full(dirichlet_grid.n_nodes, 0.4),
-                                   _lowest_slope(dirichlet_zero_spec, cl)) is None
+        assert _separate(dirichlet_zero_spec, np.full(dirichlet_grid.n_nodes, 0.4),
+                         cl) == (CertificateStatus.UNDECIDED, None, None)
 
 
 class TestGapCertificate:
@@ -234,6 +235,43 @@ class TestDualCandidate:
         assert cert.iterations == 1
 
 
+def _near_constant_spec(eps):
+    """Hand-made 64-node circle data: the constant 1 at lambda = 0 and the
+    simple f = sqrt((1 + eps cos x) / V) at lambda = 1. The node equations
+    miss by ~eps, and the separating direction ~cos x has margin ~eps / 2
+    on both certificates."""
+    grid = build_grid(Circle(2 * np.pi), 64, BoundaryCondition.CLOSED)
+    f = np.sqrt((1 + eps * np.cos(grid.coords)) / grid.volume)
+    spec = SpectralData(np.array([0.0, 1.0]), np.column_stack([np.ones(64), f]), grid, None)
+    return spec, Cluster(1, 1, 0.0, 1e-6, True), Cluster(2, 1, 1.0, 1e-6, True)
+
+
+class TestUndecided:
+    # at eps = 1.5e-8 the residual exceeds FEASIBILITY_TOL while the margin
+    # stays below DEFINITENESS_MARGIN; doubling eps separates
+    @pytest.mark.parametrize("certificate", ["criticality", "gap"])
+    def test_residual_without_margin_is_undecided(self, certificate):
+        for eps, status in ((1.5e-8, CertificateStatus.UNDECIDED),
+                            (3e-8, CertificateStatus.INFEASIBLE)):
+            spec, constant, f = _near_constant_spec(eps)
+            if certificate == "criticality":
+                cert = criticality_certificate(spec, f)
+                assert cert.gram is None
+            else:
+                cert = gap_certificate(spec, constant, f)
+                assert cert.gram_i is None and cert.gram_j is None
+            assert cert.status is status
+            assert cert.residual == pytest.approx(eps, rel=1e-6)
+            assert cert.residual > FEASIBILITY_TOL
+            assert cert.iterations == 1
+            if status is CertificateStatus.UNDECIDED:
+                assert cert.separating_direction is None
+                assert cert.margin is None
+            else:
+                assert cert.margin == pytest.approx(eps / 2, rel=1e-6)
+                assert cert.margin >= DEFINITENESS_MARGIN
+
+
 class TestFullReport:
     def test_circle_constant_critical(self, circle_grid):
         q = Potential.constant(circle_grid, 0.25)
@@ -264,6 +302,24 @@ class TestFullReport:
         report = full_criticality_report(neumann_zero_spec, 2, probes=10, seed=5)
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_torus_interior_and_last_positions(self):
+        # q = 0.2 on a 16 x 16 torus: lambda_2..lambda_5 are one 4-fold
+        # cluster, so i = 3 sits inside it and i = 5 at its top
+        grid = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
+        spec = solve_spectrum(grid, Potential.constant(grid, 0.2), 8)
+        interior = full_criticality_report(spec, 3, probes=20, seed=3)
+        assert interior.multiplicity == 4
+        assert interior.position == "interior"
+        assert not interior.sufficiency_applicable
+        assert interior.certificate.status is CertificateStatus.FEASIBLE
+        assert interior.verdict == "feasible (necessary condition only)"
+        last = full_criticality_report(spec, 5, probes=20, seed=3)
+        assert last.position == "last"
+        assert last.sufficiency_applicable
+        assert last.verdict == "critical"
+        assert last.probes_critical == last.probes_total == 20
+        assert last.frame_residual <= 1e-8
 
     def test_frame_implies_probe_criticality(self, circle_grid):
         # a feasible certificate forces every probe to be sign-indefinite

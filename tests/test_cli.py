@@ -349,6 +349,29 @@ class TestOptimizeCommand:
             texts.append("\n".join(l for l in lines if '"timestamp"' not in l))
         assert texts[0] == texts[1]
 
+    def test_gap_target_reads_jindex(self, tmp_path, capsys):
+        # minimizing lambda_2 - lambda_1 from q = 0 starts at the zero
+        # potential's gap, and a jindex beyond the grid is a config error
+        from specpot.domain import BoundaryCondition, Circle, Potential, build_grid
+        from specpot.spectral import solve_spectrum
+
+        task = ("\n[potential]\npreset=zero\n"
+                "\n[task]\ntarget=gap\nindex=1\njindex={}\nsense=minimize\nmean=0.0\n"
+                "bound=1.0\niters=4\n")
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + task.format(2))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        grid = build_grid(Circle(2 * np.pi), 128, BoundaryCondition.CLOSED)
+        spec = solve_spectrum(grid, Potential.zero(grid), 3)
+        start = float((out / "iterates.csv").read_text().splitlines()[1].split(",")[1])
+        assert start == pytest.approx(spec.eigenvalue(2) - spec.eigenvalue(1), rel=1e-10)
+        payload = load_report(out)["payload"]
+        assert payload["stop_reason"] == "max_iters"
+        assert payload["objective"] < start
+        cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + task.format(129), "far.cfg")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "far")]) == 2
+        assert "jindex must be in 1..128, got 129" in capsys.readouterr().err
+
     def test_nan_constraint_rejected(self, tmp_path):
         for key in ("mean", "bound"):
             task = {"mean": "0.0", "bound": "8.0", key: "nan"}
@@ -419,6 +442,26 @@ class TestFilePreset:
         cfg2 = write_cfg(tmp_path, body2, "reread.cfg")
         out2 = tmp_path / "spec"
         assert main(["spectrum", "--config", cfg2, "--out", str(out2)]) == 0
+
+    def test_headerless_file_with_blank_lines(self, tmp_path):
+        # a bare column of values, blank lines skipped, reads the same
+        # potential as the file with a header
+        values = [repr(float(0.3 * np.cos(3 * k * np.pi / 64))) for k in range(128)]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n" + "\n\n".join(values) + "\n\n")
+        headed = tmp_path / "headed.csv"
+        headed.write_text("q\n" + "\n".join(values) + "\n")
+        expected = np.array([float(v) for v in values])
+        outputs = []
+        for path in (bare, headed):
+            assert np.array_equal(cli._read_column_csv(str(path), 128), expected)
+            body = CIRCLE_DOMAIN + f"\n[potential]\npreset=file\npath={path}\n\n[task]\nmodes=4\n"
+            cfg = write_cfg(tmp_path, body, f"{path.stem}.cfg")
+            out = tmp_path / path.stem
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("eigenvalues.json", "eigenvectors.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_wrong_length_rejected(self, tmp_path):
         qpath = tmp_path / "short.csv"

@@ -161,6 +161,38 @@ def test_one_site_per_optimizer_outcome():
     assert inspect.getsource(optimize.run_optimizer).count("except SolverError") == 1
 
 
+def test_one_certificate_decision(monkeypatch):
+    # both certificates end in one separation step, each outcome returned at
+    # one site, and the decision factors each Gram block of the least-squares
+    # point once, for its psd projection and its bottom eigenpair alike
+    import numpy as np
+
+    from specpot import certificates
+    from specpot.domain import BoundaryCondition, Circle, build_grid
+
+    for name in ("_definite_direction", "_lowest_slope", "_gap_slope"):
+        assert not hasattr(certificates, name)
+    assert inspect.getsource(certificates.criticality_certificate).count("return ") == 2
+    # the degenerate shortcut, FEASIBLE and the separation outcome
+    assert inspect.getsource(certificates.gap_certificate).count("return ") == 3
+    # a sign-indefinite pair: s* meets the node equations, so the candidate
+    # comes from the bottom eigenvector of s*
+    grid = build_grid(Circle(2 * np.pi), 64, BoundaryCondition.CLOSED)
+    h = 0.8 * np.cos(grid.coords) + 0.3 * np.sin(2 * grid.coords)
+    spec = specpot.SpectralData(np.array([0.0, 1.0, 1.0]),
+                                np.column_stack([np.ones(64), np.sqrt(1 + h**2), h]), grid, None)
+    constant = specpot.Cluster(1, 1, 0.0, 1e-6, True)
+    pair = specpot.Cluster(2, 2, 1.0, 1e-6, True)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    assert certificates.criticality_certificate(spec, pair).status.value == "infeasible"
+    assert calls == [(3, 3), (2, 2)]        # A^T A, then the one Gram block
+    calls.clear()
+    assert certificates.gap_certificate(spec, constant, pair).status.value == "infeasible"
+    assert calls == [(4, 4), (1, 1), (2, 2)]
+
+
 def test_every_command_writes_every_artifact():
     # [output] holds only where to write and the seed: no switch drops an
     # artifact, and the eigenvalue list is spec.eigenvalues.tolist()
