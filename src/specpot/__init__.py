@@ -9,6 +9,11 @@ eigenvalues and gaps under a fixed-mean constraint.
 
 __version__ = "0.1.0"
 
+from . import blas
+
+# numpy maps its OpenBLAS when first imported: here, on one thread
+blas.import_on_one_thread("numpy")
+
 from .domain import (
     BoundaryCondition,
     Circle,

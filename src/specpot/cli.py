@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .certificates import CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
@@ -40,7 +41,6 @@ from .reports import (
 )
 from .spectral import (
     detect_cluster,
-    one_blas_thread,
     solve_spectrum,
     spectrum_with_complete_cluster,
 )

@@ -20,7 +20,7 @@ that solves repeat bit for bit:
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
   misses an eigenvalue, both on one SuperLU factor; scipy loads only there,
-  and ``assemble`` then pins its OpenBLAS to one thread (``one_blas_thread``).
+  in ``assemble``, which maps scipy's OpenBLAS on one thread (``blas``).
 
 Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
 an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
@@ -32,16 +32,13 @@ are returned orthonormal in the weighted inner product <f, g>_w of the grid.
 """
 from __future__ import annotations
 
-import ctypes
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from . import banded
+from . import banded, blas
 from .banded import BandedOperator
 from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
 from .errors import ConfigError, IncompleteClusterError, SolverError
@@ -51,8 +48,6 @@ EXTRA_PAIRS = 6         # pairs a torus solve for index i computes beyond i
 EXTRA_PAIRS_1D = 2      # the same on interval and circle grids (see _headroom)
 RESIDUAL_TOL = 1e-8
 START_VECTOR_SEED = 0   # start blocks in 1-D and of torus re-solves, ARPACK start vector
-# numpy's and scipy's wheels bundle OpenBLAS in <site-packages>/<package>.libs
-BUNDLED_LIBS = Path(np.__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,20 +120,6 @@ class Cluster:
         return self.first_index <= i <= self.last_index
 
 
-def one_blas_thread() -> None:
-    """Set the OpenBLAS bundled with numpy, and scipy's once scipy is imported,
-    to one thread: no block solved here gains from a second, which only spins
-    (README). Without such a library (MKL, a system BLAS) it does nothing."""
-    for package, library, setter in (
-            ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-            ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads")):
-        if package in sys.modules:
-            for path in (BUNDLED_LIBS / f"{package}.libs").glob(library):
-                set_threads = getattr(ctypes.CDLL(str(path)), setter)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-
-
 def assemble(grid: DomainGrid, q: Potential | np.ndarray):
     """H = -Laplacian_h + diag(q), symmetric: a ``BandedOperator`` in 1-D, a
     sparse CSC matrix on the torus."""
@@ -147,10 +128,12 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
     if isinstance(grid.kind, Torus2D):
         # scipy loads only on the torus: importing it costs a process
         # ~0.35 s and ~30 MB of RSS, which the 1-D paths do not need. Every
-        # torus solve assembles first, so its OpenBLAS is pinned here.
+        # torus solve assembles first, so scipy.sparse.linalg maps scipy's
+        # OpenBLAS here, on one thread (scipy.sparse alone does not map it).
+        blas.import_on_one_thread("scipy.sparse.linalg")
         import scipy.sparse as sp
 
-        one_blas_thread()
+        blas.one_blas_thread()
         lap_x, lap_y = (BandedOperator(bands).toarray() for bands in grid.laplacian)
         # kron(I, L_x) + kron(L_y, I): node j * m + i, x varies fastest
         return (sp.kronsum(lap_x, lap_y, format="csc") + sp.diags(values)).tocsc()

@@ -4,12 +4,16 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
 import specpot
-from specpot import cli, spectral
+from specpot import blas, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,7 +57,7 @@ print([line for line in maps.read_text().splitlines() if "scipy.libs/libscipy_op
 TORUS_RUN = """
 import ctypes, json, sys
 import specpot.cli
-from specpot.spectral import BUNDLED_LIBS
+from specpot.blas import bundled_libs
 
 cfg, out = sys.argv[1:]
 assert specpot.cli.main(["criticality", "--config", cfg, "--out", out]) == 0
@@ -61,9 +65,26 @@ threads = {}
 for package, library, getter in (
         ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
         ("scipy", "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")):
-    for path in (BUNDLED_LIBS / f"{package}.libs").glob(library):
+    for path in bundled_libs(package).glob(library):
         threads[package] = getattr(ctypes.CDLL(str(path)), getter)()
 print(json.dumps(threads))
+"""
+
+# import specpot, then solve on a 16 x 16 torus (which maps scipy's OpenBLAS),
+# counting the process's threads after each step; then OPENBLAS_NUM_THREADS
+THREAD_COUNT_RUN = """
+import json, os
+from pathlib import Path
+
+def threads():
+    return len(list(Path("/proc/self/task").iterdir()))
+
+import specpot
+counts = [threads()]
+grid = specpot.build_grid(specpot.Torus2D(), 16, "closed")
+specpot.solve_spectrum(grid, specpot.Potential.zero(grid), 6)
+counts.append(threads())
+print(json.dumps([counts, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
@@ -95,8 +116,15 @@ def test_warm_start_has_no_knob():
     keys = {key for schema in cli.SCHEMAS.values() for allowed, _ in schema.values()
             for key in allowed}
     assert [key for key in keys if "start" in key or "warm" in key] == []
-    sources = [path.read_text() for path in (SRC / "specpot").glob("*.py")]
-    assert not any("environ" in text or "getenv" in text for text in sources)
+    sources = {path.name: path.read_text() for path in (SRC / "specpot").glob("*.py")}
+    assert not any("getenv" in text for text in sources.values())
+    # the BLAS module alone touches the environment, and only to map each
+    # OpenBLAS on one thread: it names no other variable
+    assert [name for name, text in sources.items() if "environ" in text] == ["blas.py"]
+    names = {node.value for node in ast.walk(ast.parse(sources["blas.py"]))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"[A-Z][A-Z0-9_]*", node.value)}
+    assert names == {"OPENBLAS_NUM_THREADS"}
     assert [name for name in dir(spectral) if "SEED" in name] == ["START_VECTOR_SEED"]
     assert [name for name in dir(banded) if "SEED" in name] == []
 
@@ -298,7 +326,7 @@ def test_torus_run_is_the_same_at_any_blas_thread_count(tmp_path):
 
 def test_blas_pin_without_bundled_openblas_loads_nothing(tmp_path, monkeypatch):
     loaded = []
-    monkeypatch.setattr(spectral, "BUNDLED_LIBS", tmp_path)
+    monkeypatch.setattr(blas, "bundled_libs", lambda package: tmp_path)
     monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: loaded.append(args))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[domain]\nkind=circle\nlength=6.283185307179586\nnodes=64\nbc=closed\n"
@@ -308,3 +336,42 @@ def test_blas_pin_without_bundled_openblas_loads_nothing(tmp_path, monkeypatch):
     assert loaded == []
     # the command leaves the environment as it found it: no variable is a knob
     assert dict(os.environ) == environ
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("threads", ["2", None])
+def test_bundled_openblas_starts_no_worker_thread(threads):
+    # each library is mapped on one thread, so it never starts a worker to
+    # park later; and the caller's OPENBLAS_NUM_THREADS, set or not, stays
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[1, 1], threads]
+
+
+@pytest.mark.parametrize("threads", ["3", None])
+def test_one_thread_import_restores_the_environment(monkeypatch, threads):
+    seen = []
+
+    def import_module(name):
+        seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+        if name == "missing":
+            raise ModuleNotFoundError(name)
+        return name
+
+    monkeypatch.setattr(blas, "importlib", types.SimpleNamespace(import_module=import_module))
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    environ = dict(os.environ)
+    assert blas.import_on_one_thread("numpy") == "numpy"
+    assert dict(os.environ) == environ
+    with pytest.raises(ModuleNotFoundError):
+        blas.import_on_one_thread("missing")
+    assert dict(os.environ) == environ
+    assert seen == ["1", "1"]
