@@ -10,25 +10,26 @@ that solves repeat bit for bit:
   all through odd-even reduction (see ``banded``). A solve handed a nearby
   potential's spectrum (``start``: the optimizer's current iterate, the
   line search's previous point) starts warm from its eigenvectors and skips
-  the shift-invert steps; a re-solve after a count miss is always cold.
+  the shift-invert steps; every retry is cold.
   ``solve_spectra`` solves many potentials on one grid: their operators
   share the Laplacian's off-diagonal, so each group of them takes one
   batched first attempt (``banded.lowest_pairs`` on the stacked bands, in
   groups of ``banded.group_size`` to bound the working set), and then each
-  member passes ``eigensolve``'s gate alone, a cold re-solve after a miss
-  included. Its spectra are bit for bit those of ``solve_spectrum``.
+  member passes ``eigensolve``'s gate alone, its retries included. Its
+  spectra are bit for bit those of ``solve_spectrum``.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
   misses an eigenvalue, both on one SuperLU factor; scipy loads only there,
   in ``assemble``, which maps scipy's OpenBLAS on one thread (``blas``).
 
-Every solve is checked against an eigenvalue count, a Sturm count in 1-D and
-an inertia count of a sparse LDL^T on the torus (Sylvester's law of inertia):
-no eigenvalue below the top computed cluster may be missing; ``eigensolve``
-alone accepts or rejects what a solver returns, and keeps each pair's residual.
-A cluster is complete only when such a count covers its upper edge and those
-residuals resolve it (``Cluster.complete``), with no other rule. Eigenvectors
-are returned orthonormal in the weighted inner product <f, g>_w of the grid.
+``eigensolve`` is the one gate and the one loop: it alone accepts, retries
+or rejects what a solver returns. It checks an eigenvalue count (a Sturm
+count in 1-D, an inertia count of a sparse LDL^T on the torus: Sylvester's
+law of inertia) for a missing eigenvalue, each pair's residual, and, given
+an index, that its cluster is complete: a count covers the cluster's upper
+edge and those residuals resolve it (``Cluster.complete``), with no other
+rule. Eigenvectors are returned orthonormal in the weighted inner product
+<f, g>_w of the grid.
 """
 from __future__ import annotations
 
@@ -142,53 +143,59 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
 
 def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
                start: SpectralData | None = None,
-               first: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralData:
+               first: tuple[np.ndarray, np.ndarray] | None = None,
+               index: int | None = None) -> SpectralData:
     """Lowest k eigenpairs of the assembled operator, w-orthonormalized.
 
     Degenerate blocks come out in whatever basis the solver picks; each
     column's sign is fixed so the largest-magnitude entry is positive. On the
     torus k may not exceed n // 2 (ConfigError).
 
-    A solve can miss a copy of a multiple eigenvalue and return a higher one
-    in its place, so it is accepted only when an eigenvalue count at x finds
-    no eigenvalue it missed. x lies just above the k-th value's cluster, or
-    just below the highest computed cluster when the two meet. Otherwise the
-    solve is repeated once with ``_headroom`` pairs more than the count (2 in
-    1-D, 6 on the torus), on the torus by block Lanczos, and a second miss
-    raises SolverError. ``complete_below`` is x, or the first pair a re-solve
-    computed beyond the k returned when that is lower.
+    This is every solve's one acceptance loop. An attempt is accepted when
+    - an eigenvalue count at x finds no eigenvalue it missed (a solver can
+      miss a copy of a multiple eigenvalue and return a higher one in its
+      place); x lies just above the k-th value's cluster, or just below the
+      highest computed cluster when the two meet;
+    - each pair's residual is within RESIDUAL_TOL (1 + |lambda|) or the
+      rounding floor 8 eps ||H||;
+    - given an ``index``, ``detect_cluster`` proves its cluster complete.
+    A ``LinAlgError``, a non-finite pair or a residual above its bound raises
+    SolverError, and so does an incomplete cluster whose edge the count
+    already covered: its residuals do not resolve the edge, and more pairs
+    cannot mend that. Any other miss is retried cold with ``_headroom`` pairs
+    (2 in 1-D, 6 on the torus) beyond an eigenvalue count, four attempts at
+    most, then SolverError. A count miss keeps k pairs of a wider solve (cold
+    banded in 1-D, block Lanczos on the torus); an incomplete cluster widens
+    the spectrum, solved by the first solver cold (ARPACK on the torus), so
+    it equals a fresh solve of its size bit for bit. ``complete_below`` is x,
+    or the first pair a wider solve computed beyond those returned when that
+    is lower; ``residuals`` are the ones measured.
 
-    ``start``, an earlier solve on the same grid with at least k pairs,
-    makes the first 1-D solve start from its eigenvectors (``banded``'s warm
-    start); the torus and a start with fewer pairs are solved cold. The count
-    judges a warm solve like any other, and the re-solve after a miss starts
-    cold from the seeded block, so a pair the warm start lost is never kept.
-    ``first``, the (k,) values and (n, k) vectors of a cold 1-D first solve
-    already made (``solve_spectra``'s batched one), takes the first solve's
-    place and is judged the same way.
-
-    This is every solver's one acceptance gate: a ``LinAlgError``, a
-    non-finite pair (both before the count) or a residual above RESIDUAL_TOL
-    (1 + |lambda|) and the rounding floor 8 eps ||H|| raises SolverError. The
-    residuals it measured are the spectrum's ``residuals``.
+    ``start`` and ``first`` shape the first attempt only. ``start``, an
+    earlier solve on the same grid with at least k pairs, makes a 1-D attempt
+    start from its eigenvectors (``banded``'s warm start); the torus and a
+    start with fewer pairs are solved cold. ``first``, the (k,) values and
+    (n, k) vectors of a cold 1-D solve already made (``solve_spectra``'s
+    batched one), takes the first attempt's place. The gate judges both like
+    any other attempt, so a pair a warm start lost is never kept.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
         raise SolverError(f"operator shape {H.shape} does not match grid size {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    solvers = (_lowest_pairs_banded, _lowest_pairs_banded)
-    if isinstance(grid.kind, Torus2D):
-        if k > n // 2:
+    torus = isinstance(grid.kind, Torus2D)
+    lowest_pairs = cold = _lowest_pairs_sparse if torus else _lowest_pairs_banded
+    resolve = partial(cold, block=True) if torus else cold
+    if first is not None:
+        lowest_pairs = lambda grid, H, k: first
+    elif start is not None and start.count >= k and not torus:
+        lowest_pairs = partial(cold, start=start)
+    solve_k = k
+    for _ in range(4):   # at most a count miss on each side of a cluster miss
+        if torus and k > n // 2:
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
                               f"asked for {k}")
-        solvers = (_lowest_pairs_sparse, partial(_lowest_pairs_sparse, block=True))
-    elif first is not None:
-        solvers = (lambda grid, H, k: first, _lowest_pairs_banded)
-    elif start is not None and start.count >= k:
-        solvers = (partial(_lowest_pairs_banded, start=start), _lowest_pairs_banded)
-    solve_k = k
-    for lowest_pairs in solvers:
         try:
             evals, evecs = lowest_pairs(grid, H, solve_k)
         except np.linalg.LinAlgError as exc:
@@ -199,30 +206,40 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
         x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
         solved = int(np.count_nonzero(evals < x))
         count = count_eigenvalues_below(H, x)
-        if solved == count:
-            break
+        counted = solved == count
+        if counted:
+            if len(evals) > k:
+                x = min(x, evals[k])
+            evals, evecs = evals[:k], evecs[:, :k]
+            # One weight for every node: Euclidean-orthonormal columns become
+            # w-orthonormal after scaling by 1/sqrt(w).
+            vecs = evecs / np.sqrt(grid.weight)
+            peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+            vecs *= np.where(peaks < 0, -1.0, 1.0)
+            # The w-norm residual of the w-orthonormal columns is the Euclidean
+            # one of evecs; divided by ||H|| it cannot overflow when squared.
+            # Rounding in H @ evecs alone leaves residuals of about eps ||H||.
+            norm = _norm_bound(grid, H)
+            rel = np.linalg.norm((H @ evecs - evecs * evals) / norm, axis=0)
+            if np.any(rel > np.maximum(RESIDUAL_TOL * (1.0 + np.abs(evals)) / norm,
+                                       8.0 * banded.EPS)):
+                worst = float(np.max(rel * norm / (1.0 + np.abs(evals))))
+                raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
+                                  f"and the rounding floor {8.0 * banded.EPS * norm:.3e}")
+            spec = SpectralData(evals.copy(), vecs, grid, potential, x, rel * norm)
+            if index is None or (cluster := detect_cluster(spec, index)).complete:
+                return spec
+            x = cluster.value + cluster.tol_used
+            if x < spec.complete_below:
+                raise SolverError(f"a solve of {k} pairs does not prove the cluster of index "
+                                  f"{index} complete: its residuals do not resolve {x:.12g}")
+            solved, count, solve_k = cluster.last_index, count_eigenvalues_below(H, x), k
+        # a count miss keeps k pairs of a wider solve; an incomplete cluster widens k
+        lowest_pairs = cold if counted else resolve
         solve_k = min(n, max(solve_k, count) + _headroom(grid))
-    else:
-        raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}")
-    if len(evals) > k:
-        x = min(x, evals[k])
-    evals, evecs = evals[:k], evecs[:, :k]
-    # One weight for every node: Euclidean-orthonormal columns become
-    # w-orthonormal after scaling by 1/sqrt(w).
-    vecs = evecs / np.sqrt(grid.weight)
-    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
-    vecs *= np.where(peaks < 0, -1.0, 1.0)
-
-    # The w-norm residual of the w-orthonormal columns is the Euclidean one of
-    # evecs; divided by ||H|| it cannot overflow when squared. Rounding in
-    # H @ evecs alone leaves residuals of about eps ||H||.
-    norm = _norm_bound(grid, H)
-    rel = np.linalg.norm((H @ evecs - evecs * evals) / norm, axis=0)
-    if np.any(rel > np.maximum(RESIDUAL_TOL * (1.0 + np.abs(evals)) / norm, 8.0 * banded.EPS)):
-        worst = float(np.max(rel * norm / (1.0 + np.abs(evals))))
-        raise SolverError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
-                          f"and the rounding floor {8.0 * banded.EPS * norm:.3e}")
-    return SpectralData(evals.copy(), vecs, grid, potential, x, rel * norm)
+        k = solve_k if counted else k
+    unproven = "" if index is None else f"; the cluster of index {index} is not proven complete"
+    raise SolverError(f"{count} eigenvalues lie below {x:.12g}, the solve found {solved}{unproven}")
 
 
 def _headroom(grid: DomainGrid) -> int:
@@ -396,37 +413,18 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
 def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
                                    start: SpectralData | None = None
                                    ) -> tuple[SpectralData, Cluster]:
-    """Solve with enough eigenpairs that the cluster containing i is complete.
+    """Spectrum of q whose cluster containing i is proven complete, and that
+    cluster.
 
-    The first solve takes k = i + ``_headroom`` pairs: i + 2 on interval and
-    circle grids, i + 6 on the torus. When its cluster is not ``complete``
-    (a 1-D cluster wider than 2 within tolerance, a torus cluster past
-    i + 6), the eigenvalues below the cluster's upper edge are counted and
-    the solve is repeated once with the same headroom above that count (or
-    k); SolverError when the cluster is still not proven complete. A
-    cluster whose edge the solve's count already covered lacks accuracy,
-    not pairs: its residuals do not resolve the edge, and SolverError says
-    so at once.
-    Line searches, finite differences and gaps take index-i spectra from
-    here. ``start`` goes to every ``eigensolve``, which starts warm from it
-    when it holds enough pairs.
+    One ``eigensolve`` of i + ``_headroom`` pairs (i + 2 on interval and
+    circle grids, i + 6 on the torus) with ``index=i``: its gate widens the
+    spectrum until a count proves the cluster of i complete, or raises
+    SolverError. Line searches, finite differences and gaps take index-i
+    spectra from here; ``start`` shapes the first attempt only.
     """
-    n = grid.n_nodes
-    H = assemble(grid, q)
-    k = min(n, i + _headroom(grid))
-    for _ in range(2):
-        spec = eigensolve(grid, H, k, potential=q, start=start)
-        cluster = detect_cluster(spec, i)
-        if cluster.complete:
-            return spec, cluster
-        edge = cluster.value + cluster.tol_used
-        if edge < spec.complete_below:
-            raise SolverError(f"a solve of {spec.count} pairs does not prove the cluster of "
-                              f"index {i} complete: its residuals do not resolve {edge:.12g}")
-        count = count_eigenvalues_below(H, edge)
-        k = min(n, max(k, count) + _headroom(grid))
-    raise SolverError(f"{count} eigenvalues lie below {edge:.12g}; a solve of {spec.count} "
-                      f"pairs does not prove the cluster of index {i} complete")
+    k = min(grid.n_nodes, i + _headroom(grid))
+    spec = eigensolve(grid, assemble(grid, q), k, potential=q, start=start, index=i)
+    return spec, detect_cluster(spec, i)
 
 
 def discrete_gradient(grid: DomainGrid, f) -> np.ndarray:

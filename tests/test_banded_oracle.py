@@ -247,6 +247,23 @@ def test_warm_start_without_ground_state_is_resolved_cold(domain, monkeypatch):
     assert_count_agrees(grid, q, spec)
 
 
+def test_cluster_resolve_is_cold(monkeypatch):
+    # q = 100 cos 3x: lambda_1..lambda_3 form one cluster, wider than the
+    # first solve's 1 + 2 pairs. A start of 5 pairs makes that solve warm;
+    # the re-solve of 3 + 2 pairs after the incomplete cluster ignores the
+    # start, so it equals a fresh cold solve of its size bit for bit
+    grid = build_grid(Circle(), 256, BoundaryCondition.CLOSED)
+    q = Potential.from_values(grid, 100.0 * np.cos(3.0 * grid.coords))
+    nearby = Potential.from_values(grid, q.values + 0.01 * np.cos(grid.coords))
+    start = eigensolve(grid, assemble(grid, nearby), 5, potential=nearby)
+    flags = warm_flags(monkeypatch)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, 1, start)
+    assert flags == [True, False]
+    assert cluster.complete and (cluster.first_index, cluster.multiplicity) == (1, 3)
+    assert spec.count == 5
+    assert_same_bits(spec, eigensolve(grid, assemble(grid, q), spec.count, potential=q))
+
+
 @pytest.mark.parametrize("domain", ["circle", "neumann"])
 def test_small_length_matches_dense(domain):
     # At length 1e-2 over 64 nodes ||H|| is 1.6e8, and rounding in H f alone

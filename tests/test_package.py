@@ -180,6 +180,26 @@ def test_one_accuracy_rule():
     assert not hasattr(optimize, "_certificate_stop")
 
 
+def test_one_acceptance_loop():
+    # eigensolve alone accepts or retries a solve: it alone counts
+    # eigenvalues, it holds the one widening rule, and the index form that
+    # proves a cluster complete is a single call to it
+    from specpot import spectral
+
+    callers = set()
+    for path in sorted((SRC / "specpot").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+                    == "count_eigenvalues_below" for n in ast.walk(func)):
+                callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"spectral.eigensolve"}
+    assert len(re.findall(r"max\(\w+, count\) \+ _headroom\(grid\)",
+                          inspect.getsource(spectral))) == 1
+    tree = ast.parse(inspect.getsource(spectral.spectrum_with_complete_cluster))
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While, ast.Raise))]
+
+
 def test_one_site_per_optimizer_outcome():
     # the optimizer's solve closure returns the objective, and one handler
     # ends the run on any failed solve, the first or a candidate's

@@ -34,6 +34,19 @@ def banded_solve_sizes(monkeypatch) -> list[int]:
     return ks
 
 
+def sparse_solve_attempts(monkeypatch) -> list[tuple[int, bool]]:
+    """Records k and whether it is block Lanczos, of each torus solve from here on."""
+    attempts = []
+    solve = spectral._lowest_pairs_sparse
+
+    def counted(grid, H, k, block=False):
+        attempts.append((k, block))
+        return solve(grid, H, k, block)
+
+    monkeypatch.setattr(spectral, "_lowest_pairs_sparse", counted)
+    return attempts
+
+
 class TestAssemble:
     def test_zero_potential(self, circle_grid):
         H = assemble(circle_grid, Potential.zero(circle_grid))
@@ -205,20 +218,42 @@ class TestDetectCluster:
     def test_complete_cluster_resolve(self, monkeypatch):
         # the 8-fold cluster 14..21 of the zero potential on the 16 x 16
         # square torus does not fit in the first solve's 20 pairs; the count
-        # at its edge finds 21 eigenvalues and the re-solve takes 27
+        # at its edge finds 21 eigenvalues and the re-solve takes 27. ARPACK
+        # misses a copy at 27, so block Lanczos re-solves 33 and keeps 27.
         g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
-        ks = []
-        solve = spectral.eigensolve
-
-        def counted(grid, H, k, potential=None, start=None):
-            ks.append(k)
-            return solve(grid, H, k, potential, start)
-
-        monkeypatch.setattr(spectral, "eigensolve", counted)
+        attempts = sparse_solve_attempts(monkeypatch)
         spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)
-        assert ks == [20, 27]
+        assert attempts == [(20, False), (27, False), (33, True)]
+        assert spec.count == 27
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (14, 8)
+
+    def test_count_miss_then_incomplete_cluster(self, monkeypatch):
+        # both retries in one request. The first attempt is ARPACK's 21 pairs
+        # (seven copies of the 8-fold cluster 14..21, then lambda_22) less a
+        # copy of lambda_2's 4-fold cluster: the count below lambda_22 finds
+        # 21 eigenvalues where the attempt holds 19. Block Lanczos re-solves
+        # 21 + 6 = 27 pairs and keeps 20, which leaves the cluster past the
+        # pairs returned, so the count at its edge widens the spectrum to
+        # 21 + 6 = 27; ARPACK misses a copy there, and block Lanczos at 33
+        # ends the request on its fourth and last attempt
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
+        solve = spectral._lowest_pairs_sparse
+        attempts = []
+
+        def dropping(grid, H, k, block=False):
+            attempts.append((k, block))
+            if len(attempts) > 1:
+                return solve(grid, H, k, block)
+            evals, evecs = solve(grid, H, k + 1)
+            return np.delete(evals, 1), np.delete(evecs, 1, axis=1)
+
+        monkeypatch.setattr(spectral, "_lowest_pairs_sparse", dropping)
+        spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)
+        assert attempts == [(20, False), (27, True), (27, False), (33, True)]
+        assert cl.complete
+        assert (cl.first_index, cl.multiplicity) == (14, 8)
+        assert spec.count == 27
 
     def test_whole_spectrum_cluster_complete(self):
         # i + 2 reaches all 8 nodes: one solve computes the whole spectrum,
@@ -239,18 +274,11 @@ class TestDetectCluster:
         # is resolved
         g = build_grid(Circle(0.001), 2000, BoundaryCondition.CLOSED)
         q = Potential.constant(g, 1.0)
-        solves = []
-        solve = spectral.eigensolve
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "eigensolve", counted)
+        attempts = banded_solve_sizes(monkeypatch)
         with pytest.raises(SolverError, match="does not prove the cluster of index 1") as err:
             spectrum_with_complete_cluster(g, q, 1)
         assert "residuals" in str(err.value)
-        assert len(solves) == 1
+        assert len(attempts) == 1
         spec, cl = spectrum_with_complete_cluster(g, q, 2)
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (2, 2)
@@ -324,6 +352,15 @@ class TestTorusSparse:
         with pytest.raises(ConfigError, match="at most n // 2 = 128"):
             solve_spectrum(torus_grid, q, 129)
 
+    def test_widening_past_half_rejected(self):
+        # at q = 0 on the 8 x 8 torus lambda_26..lambda_39 are one 14-fold
+        # cluster (4/h^2 from three kinds of mode); the first solve's 26 + 6
+        # = 32 pairs cannot hold it, and the 39 + 6 the count widens to
+        # exceed 64 // 2
+        g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 8, BoundaryCondition.CLOSED)
+        with pytest.raises(ConfigError, match="at most n // 2 = 32 eigenpairs, asked for 45"):
+            spectrum_with_complete_cluster(g, Potential.zero(g), 26)
+
     def test_edge_count_reuses_solve_count(self, monkeypatch):
         # one factorization at sigma for the solve, one for its top-cluster
         # count; the cluster's edge lies below that count, so none for it
@@ -341,11 +378,15 @@ class TestTorusSparse:
         assert len(factorizations) == 2
 
     def test_count_disagreement_raises(self, torus_grid, monkeypatch):
-        # an eigenvalue the solve never finds is an error, not a smaller cluster
+        # an eigenvalue the solve never finds is an error, not a smaller
+        # cluster; once the attempts run out, the error names the cluster
         count = spectral.count_eigenvalues_below
         monkeypatch.setattr(spectral, "count_eigenvalues_below", lambda H, x: count(H, x) + 1)
-        with pytest.raises(SolverError, match="eigenvalues lie below"):
+        attempts = sparse_solve_attempts(monkeypatch)
+        with pytest.raises(SolverError, match="eigenvalues lie below") as err:
             spectrum_with_complete_cluster(torus_grid, Potential.zero(torus_grid), 2)
+        assert "the cluster of index 2 is not proven complete" in str(err.value)
+        assert len(attempts) == 4
 
 
 class TestRecoverPotential:
