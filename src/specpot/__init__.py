@@ -45,9 +45,8 @@ from .perturbation import (
     sample_probes,
 )
 from .certificates import (
+    Certificate,
     CertificateStatus,
-    GapCertificate,
-    GramCertificate,
     criticality_certificate,
     extract_frame,
     full_criticality_report,
@@ -89,9 +88,8 @@ __all__ = [
     "one_sided_derivatives",
     "gap_one_sided_derivatives",
     "sample_probes",
+    "Certificate",
     "CertificateStatus",
-    "GramCertificate",
-    "GapCertificate",
     "criticality_certificate",
     "extract_frame",
     "gap_certificate",

@@ -8,23 +8,24 @@ criticality becomes a feasibility problem, linear in the Gram matrix G:
     find G >= 0  with  sum_ab G_ab f_a(x) f_b(x) = 1 at every node x.
 
 The gap analogue asks for two psd Grams with matching pointwise sums, plus a
-trace normalization that rules out the zero pair. Both problems are decided
-in closed form from one least-squares solve. Each Gram block of the min-norm
-least-squares point s* is factored once, for its psd projection (eigenvalue
-clipping) and its bottom eigenpair. The projection is the witness when it
-meets the node equations. Otherwise a candidate direction is built: the
-residual r = b - A s* when it is nonzero (its restricted form is a negative
-multiple of the identity once centered), else, when s* is not psd, the node
-values A pinv svec(v v^T) of its bottom eigenvector v. One separation step
-ends both certificates: the candidate is kept only if its margin, the lowest
-branch slope of the upper cluster minus the highest of the lower one (none
-for criticality, so the margin is the lowest slope), is verifiably positive;
-failing that the instance is Undecided.
+trace normalization that rules out the zero pair. Both are one problem, with
+one Gram block or two, decided in closed form by ``_certify`` into one
+``Certificate``. Each Gram block of the min-norm least-squares point s* is
+factored once, for its psd projection (eigenvalue clipping) and its bottom
+eigenpair. The projection is the witness when it meets the node equations.
+Otherwise a candidate direction is built: the residual r = b - A s* when it
+is nonzero (its restricted form is a negative multiple of the identity once
+centered), else, when s* is not psd, the node values A pinv svec(v v^T) of
+its bottom eigenvector v. The candidate is kept only if its margin, the
+lowest branch slope of the upper cluster minus the highest of the lower one
+(none for criticality, so the margin is the lowest slope), is verifiably
+positive; failing that the instance is Undecided.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,32 +55,45 @@ class CertificateStatus(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class GramCertificate:
+class Certificate:
+    """One cone-feasibility decision. A feasible one holds its psd Gram
+    witness per eigenspace, ``grams``: (G,) for criticality, (G_i, G_j) for
+    a gap. An infeasible one holds a separating direction and its margin."""
+
     status: CertificateStatus
-    gram: np.ndarray | None
+    grams: tuple[np.ndarray, ...] | None
     residual: float
-    iterations: int                  # least-squares solves (1 per decision)
     separating_direction: ProbeDirection | None = None
     margin: float | None = None
+    degenerate: bool = False         # equal eigenvalues: a gap decided without a solve
+
+    @property
+    def iterations(self) -> int:  # least-squares solves; read by perfbench's tracer only
+        return 0 if self.degenerate else 1
+
+    def to_dict(self, direction_csv: str | None = None) -> dict:
+        """The certificate.json and gap_certificate.json payload."""
+        grams = None if self.grams is None else [G.ravel().tolist() for G in self.grams]
+        return {
+            "status": self.status.value,
+            "grams_row_major": grams,
+            "residual": float(self.residual),
+            "margin": None if self.margin is None else float(self.margin),
+            "degenerate": self.degenerate,
+            "separating_direction_csv": direction_csv,
+        }
 
 
-@dataclass(frozen=True, eq=False)
-class GapCertificate:
-    status: CertificateStatus
-    gram_i: np.ndarray | None
-    gram_j: np.ndarray | None
-    residual: float
-    iterations: int                  # least-squares solves (0 for the degenerate shortcut)
-    separating_direction: ProbeDirection | None = None
-    margin: float | None = None
-    degenerate: bool = False
-
-
+@lru_cache(maxsize=16)
 def _svec_layout(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Upper-triangle indices of an m x m matrix in svec order, and the svec
-    scale: 1 on the diagonal, sqrt(2) off it, so <svec A, svec B> = tr(AB)."""
+    scale: 1 on the diagonal, sqrt(2) off it, so <svec A, svec B> = tr(AB).
+    Built once per m and read-only."""
     iu = np.triu_indices(m)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    for a in (*iu, scale):
+        a.flags.writeable = False
+    return iu, scale
 
 
 def _svec(S: np.ndarray) -> np.ndarray:
@@ -162,28 +176,35 @@ def _separate(spec: SpectralData, candidate: np.ndarray, upper: Cluster,
     return CertificateStatus.UNDECIDED, None, None
 
 
-def criticality_certificate(spec: SpectralData, cluster: Cluster) -> GramCertificate:
+def _certify(spec: SpectralData, A: np.ndarray, b: np.ndarray, upper: Cluster,
+             lower: Cluster | None = None) -> Certificate:
+    """Find s with A s = b and each Gram block psd, ``lower``'s (a gap only)
+    then ``upper``'s. A gap witness also needs positive traces; a criticality
+    witness has trace equal to the volume, which may be tiny."""
+    sizes = (upper.multiplicity,) if lower is None else (lower.multiplicity, upper.multiplicity)
+    y, res, candidate = _decide(A, b, sizes, spec.grid.n_nodes)
+    grams = tuple(_unsvec(y[sl], m) for sl, m in _blocks(sizes))
+    if res <= FEASIBILITY_TOL and (lower is None or min(map(np.trace, grams)) > 1e-8):
+        return Certificate(CertificateStatus.FEASIBLE, grams, res)
+    status, u, margin = _separate(spec, candidate, upper, lower)
+    return Certificate(status, None, res, separating_direction=u, margin=margin)
+
+
+def criticality_certificate(spec: SpectralData, cluster: Cluster) -> Certificate:
     """Decide whether 1 lies in the sum-of-squares cone of the cluster's
     eigenspace, returning a psd Gram witness or a separating direction."""
-    F = spec.basis(cluster)
-    m = cluster.multiplicity
-    A = _basis_rows(F)
-    b = np.ones(F.shape[0])
-    y, res, candidate = _decide(A, b, (m,), F.shape[0])
-    if res <= FEASIBILITY_TOL:
-        return GramCertificate(CertificateStatus.FEASIBLE, _unsvec(y, m), res, 1)
-    status, u, margin = _separate(spec, candidate, cluster)
-    return GramCertificate(status, None, res, 1, separating_direction=u, margin=margin)
+    A = _basis_rows(spec.basis(cluster))
+    return _certify(spec, A, np.ones(A.shape[0]), cluster)
 
 
-def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
+def extract_frame(cert: Certificate, spec: SpectralData, cluster: Cluster) -> list[np.ndarray]:
     """Eigenfunction frame f~_p = sqrt(gamma_p) sum_a (v_p)_a f_a from a
-    feasible Gram certificate; the squares of the frame sum to 1 within the
-    certificate residual."""
+    feasible criticality certificate; the squares of the frame sum to 1
+    within the certificate residual."""
     if cert.status is not CertificateStatus.FEASIBLE:
         raise ValueError("frame extraction requires a feasible certificate")
     F = spec.basis(cluster)
-    gamma, V = np.linalg.eigh(cert.gram)
+    gamma, V = np.linalg.eigh(cert.grams[0])
     frame = []
     for p in range(len(gamma)):
         # tr G is the domain's volume, so the cut is relative to the largest
@@ -192,40 +213,29 @@ def extract_frame(cert: GramCertificate, spec: SpectralData, cluster: Cluster) -
     return frame
 
 
-def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) -> GapCertificate:
+def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) -> Certificate:
     """Decide whether the sum-of-squares cones of two eigenspaces intersect
     nontrivially (pointwise-equal psd Gram forms, i-side trace normalized)."""
-    Fi = spec.basis(cluster_i)
-    Fj = spec.basis(cluster_j)
+    Ai = _basis_rows(spec.basis(cluster_i))
+    Aj = _basis_rows(spec.basis(cluster_j))
     if cluster_i.first_index == cluster_j.first_index:
         # Equal eigenvalues: the gap vanishes identically and the shared
         # eigenspace intersects itself; no solve needed.
         m = cluster_i.multiplicity
         G = np.eye(m) / m
-        return GapCertificate(CertificateStatus.FEASIBLE, G, G.copy(), 0.0, 0,
-                              degenerate=True)
+        return Certificate(CertificateStatus.FEASIBLE, (G, G.copy()), 0.0, degenerate=True)
 
-    mi, mj = cluster_i.multiplicity, cluster_j.multiplicity
-    di, dj = mi * (mi + 1) // 2, mj * (mj + 1) // 2
-    Ai = _basis_rows(Fi)
-    Aj = _basis_rows(Fj)
-    n = Fi.shape[0]
+    n, di = Ai.shape
     # Node rows enforce pointwise equality; the last row pins trace(G_i) = 1
     # (the w-orthonormal basis makes the integral of the i-side form equal its
     # trace), excluding the trivial zero pair.
-    A = np.zeros((n + 1, di + dj))
+    A = np.zeros((n + 1, di + Aj.shape[1]))
     A[:n, :di] = Ai
     A[:n, di:] = -Aj
-    A[n, :di] = _svec(np.eye(mi))
+    A[n, :di] = _svec(np.eye(cluster_i.multiplicity))
     b = np.zeros(n + 1)
     b[n] = 1.0
-    y, res, candidate = _decide(A, b, (mi, mj), n)
-    Gi = _unsvec(y[:di], mi)
-    Gj = _unsvec(y[di:], mj)
-    if res <= FEASIBILITY_TOL and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8:
-        return GapCertificate(CertificateStatus.FEASIBLE, Gi, Gj, res, 1)
-    status, u, margin = _separate(spec, candidate, cluster_j, cluster_i)
-    return GapCertificate(status, None, None, res, 1, separating_direction=u, margin=margin)
+    return _certify(spec, A, b, cluster_j, cluster_i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +248,7 @@ class CriticalityReport:
     multiplicity: int
     position: str                    # simple | first | last | interior
     sufficiency_applicable: bool     # criterion is if-and-only-if at first/last
-    certificate: GramCertificate
+    certificate: Certificate
     probes_total: int
     probes_critical: int
     frame_residual: float | None
@@ -248,7 +258,7 @@ class CriticalityReport:
     recovered: Potential | None          # potential recovered from the frame
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "index": self.index,
             "eigenvalue": self.eigenvalue,
             "cluster_first": self.cluster_first,
@@ -257,7 +267,6 @@ class CriticalityReport:
             "sufficiency_applicable": self.sufficiency_applicable,
             "certificate_status": self.certificate.status.value,
             "certificate_residual": self.certificate.residual,
-            "certificate_iterations": self.certificate.iterations,
             "certificate_margin": self.certificate.margin,
             "probes_total": self.probes_total,
             "probes_critical": self.probes_critical,
@@ -265,7 +274,6 @@ class CriticalityReport:
             "recovered_deviation": self.recovered_deviation,
             "verdict": self.verdict,
         }
-        return payload
 
 
 def full_criticality_report(spec: SpectralData, i: int, *, probes: int = 200,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .certificates import CertificateStatus, full_criticality_report, gap_certificate
+from .certificates import Certificate, CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
 from .domain import DomainGrid, Potential, grid_from_mapping
 from .errors import ConfigError, IncompleteClusterError, SolverError
@@ -31,9 +31,7 @@ from .perturbation import (
     gap_one_sided_derivatives,
 )
 from .reports import (
-    certificate_payload,
     fmt,
-    gap_certificate_payload,
     new_report,
     write_csv,
     write_json,
@@ -184,7 +182,8 @@ def _build_direction(grid: DomainGrid, task: dict[str, str], seed: int | None) -
     if kind in ("noise", "spike"):
         if seed is None:
             raise ConfigError(f"[output] seed is required for a {kind!r} direction")
-        return sample_probes(grid, 1, seed, kind)[0]
+        (u,) = sample_probes(grid, 1, seed, kind)
+        return u
     raise ConfigError(f"unknown direction {task['direction']!r}")
 
 
@@ -203,13 +202,16 @@ def _artifact(report: dict, outdir: Path, name: str) -> Path:
     return outdir / name
 
 
-def _write_direction(grid: DomainGrid, outdir: Path, report: dict, cert) -> str | None:
-    """Write an infeasible certificate's separating direction; its file name, or None."""
-    if cert.status is not CertificateStatus.INFEASIBLE:
-        return None
-    path = _artifact(report, outdir, "separating_direction.csv")
-    write_node_csv(grid, path, {"u": cert.separating_direction.values})
-    return path.name
+def _write_certificate(grid: DomainGrid, outdir: Path, report: dict, cert: Certificate,
+                       name: str) -> None:
+    """Write the certificate as ``name``, and an infeasible one's separating
+    direction as separating_direction.csv, which the certificate names."""
+    direction_csv = None
+    if cert.status is CertificateStatus.INFEASIBLE:
+        path = _artifact(report, outdir, "separating_direction.csv")
+        write_node_csv(grid, path, {"u": cert.separating_direction.values})
+        direction_csv = path.name
+    write_json(_artifact(report, outdir, name), cert.to_dict(direction_csv))
 
 
 def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
@@ -279,9 +281,7 @@ def cmd_criticality(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     report["eigenvalues"] = spec.eigenvalues.tolist()
     report["payload"] = crit.to_dict()
     cert = crit.certificate
-    direction_csv = _write_direction(grid, outdir, report, cert)
-    write_json(_artifact(report, outdir, "certificate.json"),
-               certificate_payload(cert, direction_csv))
+    _write_certificate(grid, outdir, report, cert, "certificate.json")
     if cert.status is CertificateStatus.FEASIBLE:
         write_node_csv(grid, _artifact(report, outdir, "frame.csv"),
                        {f"g{p+1}": f for p, f in enumerate(crit.frame)})
@@ -306,9 +306,7 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
 
     report = new_report("gap", cfg.sections)
     report["eigenvalues"] = spec.eigenvalues.tolist()
-    direction_csv = _write_direction(grid, outdir, report, cert)
-    write_json(_artifact(report, outdir, "gap_certificate.json"),
-               gap_certificate_payload(cert, direction_csv))
+    _write_certificate(grid, outdir, report, cert, "gap_certificate.json")
 
     rows = []
     table = []
@@ -416,7 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         if not outdir:
             raise ConfigError("no output directory: pass --out or set [output] directory")
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {str(outdir)!r}: {exc}") from exc
         one_blas_thread()
         report, code = COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -110,9 +109,8 @@ class ProbeSuite:
     The suite holds only its parts, (count, seed, style) each, so its memory
     is one probe's, not count probes'. Every pass draws each part in order
     from a fresh generator seeded with the part's seed, so passes repeat
-    bit for bit; ``suite[k]`` draws the first k + 1 probes and keeps the
-    last. Styles: "fourier" (random low-order modes), "spike" (localized
-    bumps), "noise" (white noise per node).
+    bit for bit. Styles: "fourier" (random low-order modes), "spike"
+    (localized bumps), "noise" (white noise per node).
     """
 
     def __init__(self, grid: DomainGrid, parts: list[tuple[int, int, str]]):
@@ -138,11 +136,6 @@ class ProbeSuite:
             for _ in range(count):
                 yield make_direction(grid, project_mean_zero(grid, _draw_probe(grid, rng, style, modes)),
                                      normalize=True)
-
-    def __getitem__(self, k: int) -> ProbeDirection:
-        if not -len(self) <= k < len(self):
-            raise IndexError("probe index out of range")
-        return next(islice(self, k % len(self), None))
 
 
 def sample_probes(grid: DomainGrid, count: int, seed: int, style: str = "fourier") -> ProbeSuite:

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import GapCertificate, GramCertificate
 from .domain import DomainGrid
 
 
@@ -52,36 +51,6 @@ def write_node_csv(grid: DomainGrid, path, columns: dict[str, np.ndarray]) -> No
     # tolist() gives Python floats, whose repr is fmt's string; one row at a
     # time keeps a single row of them alive
     write_csv(path, coord_names + list(columns), (map(repr, row.tolist()) for row in table))
-
-
-def gram_to_list(G: np.ndarray | None) -> list[float] | None:
-    if G is None:
-        return None
-    return [float(v) for v in np.asarray(G).ravel()]  # row-major
-
-
-def certificate_payload(cert: GramCertificate, direction_csv: str | None = None) -> dict:
-    return {
-        "status": cert.status.value,
-        "gram_row_major": gram_to_list(cert.gram),
-        "residual": float(cert.residual),
-        "iterations": cert.iterations,
-        "margin": None if cert.margin is None else float(cert.margin),
-        "separating_direction_csv": direction_csv,
-    }
-
-
-def gap_certificate_payload(cert: GapCertificate, direction_csv: str | None = None) -> dict:
-    return {
-        "status": cert.status.value,
-        "gram_i_row_major": gram_to_list(cert.gram_i),
-        "gram_j_row_major": gram_to_list(cert.gram_j),
-        "residual": float(cert.residual),
-        "iterations": cert.iterations,
-        "margin": None if cert.margin is None else float(cert.margin),
-        "degenerate": cert.degenerate,
-        "separating_direction_csv": direction_csv,
-    }
 
 
 def verdict(name: str, passed: bool, measured, tolerance) -> dict:

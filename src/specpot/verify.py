@@ -213,9 +213,8 @@ def suite_gap_critical(seed: int) -> dict:
     checks.append(verdict("gap(1,2): feasible",
                           cert12.status is CertificateStatus.FEASIBLE, None, None))
     checks.append(verdict("gap(1,2): residual", cert12.residual <= 1e-8, cert12.residual, 1e-8))
-    if cert12.gram_i is not None:
-        min_eig = min(float(np.linalg.eigvalsh(cert12.gram_i)[0]),
-                      float(np.linalg.eigvalsh(cert12.gram_j)[0]))
+    if cert12.grams is not None:
+        min_eig = min(float(np.linalg.eigvalsh(G)[0]) for G in cert12.grams)
         checks.append(verdict("gap(1,2): grams psd", min_eig >= -1e-10, min_eig, 1e-10))
 
     statuses = []

@@ -94,7 +94,7 @@ def test_criterion_2_first_variation_formula():
         else:
             grid, i = dirichlet, int(rng.integers(1, 5))
             q = Potential.fourier(grid, rng.standard_normal(3))
-        u = sample_probes(grid, 1, int(rng.integers(1e9)), "fourier")[0]
+        (u,) = sample_probes(grid, 1, int(rng.integers(1e9)), "fourier")
         spec = solve_spectrum(grid, q, i + 2)   # as many pairs as a 1-D index-i solve
         formula = one_sided_derivatives(spec, i, u).right
         if abs(formula) < 0.05:
@@ -125,7 +125,7 @@ def test_criterion_3_cluster_matrix_diagonalization():
     worst_ratio = 0.0
     base = spec.eigenvalue(2)
     for k in range(20):
-        u = sample_probes(grid, 1, SEED + k, "fourier")[0]
+        (u,) = sample_probes(grid, 1, SEED + k, "fourier")
         M = cluster_matrix(spec, cl, u)
         _, vecs = np.linalg.eigh(M)
         rotated = vecs.T @ M @ vecs

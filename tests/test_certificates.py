@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from specpot import certificates
 from specpot.certificates import (
     DEFINITENESS_MARGIN,
     FEASIBILITY_TOL,
+    Certificate,
     CertificateStatus,
     _separate,
     criticality_certificate,
@@ -22,6 +24,16 @@ from specpot.perturbation import (
 from specpot.spectral import Cluster, SpectralData, detect_cluster, solve_spectrum
 
 
+@pytest.fixture
+def decisions(monkeypatch):
+    """Gram block sizes of each closed-form decision the test makes."""
+    calls = []
+    decide = certificates._decide
+    monkeypatch.setattr(certificates, "_decide",
+                        lambda A, b, sizes, nodes: calls.append(sizes) or decide(A, b, sizes, nodes))
+    return calls
+
+
 class TestCriticalityCertificate:
     def test_circle_cluster_feasible_pi_identity(self, circle_zero_spec):
         # unique solution G = pi * I from cos^2 + sin^2 = 1
@@ -29,15 +41,17 @@ class TestCriticalityCertificate:
         cert = criticality_certificate(circle_zero_spec, cl)
         assert cert.status is CertificateStatus.FEASIBLE
         assert cert.residual <= 1e-8
-        assert np.max(np.abs(cert.gram - np.pi * np.eye(2))) <= 1e-6
+        (gram,) = cert.grams
+        assert np.max(np.abs(gram - np.pi * np.eye(2))) <= 1e-6
         assert cert.separating_direction is None
 
     def test_constant_eigenfunction_feasible(self, neumann_zero_spec, neumann_grid):
         cl = detect_cluster(neumann_zero_spec, 1)
         cert = criticality_certificate(neumann_zero_spec, cl)
         assert cert.status is CertificateStatus.FEASIBLE
-        assert cert.gram.shape == (1, 1)
-        assert cert.gram[0, 0] == pytest.approx(neumann_grid.volume, abs=1e-6)
+        (gram,) = cert.grams
+        assert gram.shape == (1, 1)
+        assert gram[0, 0] == pytest.approx(neumann_grid.volume, abs=1e-6)
 
     def test_dirichlet_ground_state_infeasible(self, dirichlet_zero_spec, dirichlet_grid):
         cl = detect_cluster(dirichlet_zero_spec, 1)
@@ -72,7 +86,7 @@ class TestCriticalityCertificate:
                 assert np.max(np.abs(total - 1.0)) <= 1e-8
                 assert cert.separating_direction is None
             elif cert.status is CertificateStatus.INFEASIBLE:
-                assert cert.gram is None
+                assert cert.grams is None
                 assert cert.separating_direction is not None
 
     def test_torus_constant_critical(self, torus_grid):
@@ -111,11 +125,9 @@ class TestExtractFrame:
 
     def test_rank_one_gram(self, circle_zero_spec):
         # synthetic rank-1 feasibility output: single combined function
-        from specpot.certificates import GramCertificate
-
         cl = detect_cluster(circle_zero_spec, 2)
         w = np.array([0.6, 0.8])
-        cert = GramCertificate(CertificateStatus.FEASIBLE, np.outer(w, w), 0.0, 1)
+        cert = Certificate(CertificateStatus.FEASIBLE, (np.outer(w, w),), 0.0)
         frame = extract_frame(cert, circle_zero_spec, cl)
         assert len(frame) == 1
         F = circle_zero_spec.basis(cl)
@@ -152,10 +164,11 @@ class TestGapCertificate:
         assert cert.status is CertificateStatus.FEASIBLE
         assert cert.residual <= 1e-8
         assert not cert.degenerate
-        assert np.linalg.eigvalsh(cert.gram_i)[0] >= -1e-10
-        assert np.linalg.eigvalsh(cert.gram_j)[0] >= -1e-10
-        assert np.trace(cert.gram_i) == pytest.approx(1.0, abs=1e-8)
-        assert np.trace(cert.gram_j) > 1e-8
+        gram_i, gram_j = cert.grams
+        assert np.linalg.eigvalsh(gram_i)[0] >= -1e-10
+        assert np.linalg.eigvalsh(gram_j)[0] >= -1e-10
+        assert np.trace(gram_i) == pytest.approx(1.0, abs=1e-8)
+        assert np.trace(gram_j) > 1e-8
 
     def test_pointwise_match_and_scale_invariance(self, circle_zero_spec):
         ci = detect_cluster(circle_zero_spec, 1)
@@ -163,21 +176,22 @@ class TestGapCertificate:
         cert = gap_certificate(circle_zero_spec, ci, cj)
         Fi = circle_zero_spec.basis(ci)
         Fj = circle_zero_spec.basis(cj)
-        side_i = np.einsum("na,ab,nb->n", Fi, cert.gram_i, Fi)
-        side_j = np.einsum("na,ab,nb->n", Fj, cert.gram_j, Fj)
+        gram_i, gram_j = cert.grams
+        side_i = np.einsum("na,ab,nb->n", Fi, gram_i, Fi)
+        side_j = np.einsum("na,ab,nb->n", Fj, gram_j, Fj)
         assert np.max(np.abs(side_i - side_j)) <= 1e-8
         for s in (0.5, 2.0):
             assert np.max(np.abs(s * side_i - s * side_j)) <= s * 1e-8
-            assert np.linalg.eigvalsh(s * cert.gram_i)[0] >= -1e-10
+            assert np.linalg.eigvalsh(s * gram_i)[0] >= -1e-10
 
-    def test_degenerate_shortcut(self, circle_zero_spec):
+    def test_degenerate_shortcut(self, circle_zero_spec, decisions):
         ci = detect_cluster(circle_zero_spec, 2)
         cj = detect_cluster(circle_zero_spec, 3)
         cert = gap_certificate(circle_zero_spec, ci, cj)
         assert cert.status is CertificateStatus.FEASIBLE
         assert cert.degenerate
-        assert cert.iterations == 0
-        assert np.trace(cert.gram_i) == pytest.approx(1.0)
+        assert decisions == []
+        assert np.trace(cert.grams[0]) == pytest.approx(1.0)
 
     def test_mesh_stability_gap_2_4(self):
         statuses = []
@@ -220,19 +234,19 @@ class TestDualCandidate:
     # margin the Dykstra iteration reached after 1000 iterations on both instances
     DYKSTRA_MARGIN = 1.26141500508
 
-    def test_criticality_infeasible_in_one_solve(self):
+    def test_criticality_infeasible_in_one_solve(self, decisions):
         spec, _, pair = _sign_indefinite_spec()
         cert = criticality_certificate(spec, pair)
         assert cert.status is CertificateStatus.INFEASIBLE
         assert cert.margin == pytest.approx(self.DYKSTRA_MARGIN, abs=1e-9)
-        assert cert.iterations == 1
+        assert decisions == [(2,)]
 
-    def test_gap_infeasible_in_one_solve(self):
+    def test_gap_infeasible_in_one_solve(self, decisions):
         spec, constant, pair = _sign_indefinite_spec()
         cert = gap_certificate(spec, constant, pair)
         assert cert.status is CertificateStatus.INFEASIBLE
         assert cert.margin == pytest.approx(self.DYKSTRA_MARGIN, abs=1e-9)
-        assert cert.iterations == 1
+        assert decisions == [(1, 2)]
 
 
 def _near_constant_spec(eps):
@@ -250,20 +264,20 @@ class TestUndecided:
     # at eps = 1.5e-8 the residual exceeds FEASIBILITY_TOL while the margin
     # stays below DEFINITENESS_MARGIN; doubling eps separates
     @pytest.mark.parametrize("certificate", ["criticality", "gap"])
-    def test_residual_without_margin_is_undecided(self, certificate):
+    def test_residual_without_margin_is_undecided(self, certificate, decisions):
         for eps, status in ((1.5e-8, CertificateStatus.UNDECIDED),
                             (3e-8, CertificateStatus.INFEASIBLE)):
             spec, constant, f = _near_constant_spec(eps)
+            decisions.clear()
             if certificate == "criticality":
                 cert = criticality_certificate(spec, f)
-                assert cert.gram is None
             else:
                 cert = gap_certificate(spec, constant, f)
-                assert cert.gram_i is None and cert.gram_j is None
+            assert cert.grams is None
             assert cert.status is status
             assert cert.residual == pytest.approx(eps, rel=1e-6)
             assert cert.residual > FEASIBILITY_TOL
-            assert cert.iterations == 1
+            assert len(decisions) == 1
             if status is CertificateStatus.UNDECIDED:
                 assert cert.separating_direction is None
                 assert cert.margin is None
@@ -338,7 +352,7 @@ def test_unproven_cluster_refused(circle_grid):
     spec = solve_spectrum(circle_grid, Potential.zero(circle_grid), 3)
     cluster = detect_cluster(spec, 3)
     assert not cluster.complete
-    u = mixed_probe_suite(circle_grid, 1, 0)[0]
+    (u,) = mixed_probe_suite(circle_grid, 1, 0)
     with pytest.raises(IncompleteClusterError, match="not proven complete"):
         criticality_certificate(spec, cluster)
     with pytest.raises(IncompleteClusterError, match="not proven complete"):

@@ -110,6 +110,18 @@ class TestSpectrumCommand:
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n")
         assert main(["spectrum", "--config", cfg]) == 2
 
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys):
+        # an existing file, and a path below it: a config error, not a traceback
+        cfg = write_cfg(tmp_path, "[task]\nsuite=gap-critical\n\n[output]\nseed=7\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out in (afile, afile / "sub"):
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot make output directory")
+            assert str(out) in err
+        assert afile.read_text() == ""
+
     def test_nan_value_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=constant\nvalue=nan\n")
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -272,6 +284,44 @@ class TestCriticalityCommand:
             cfg = write_cfg(tmp_path, body + "\n[output]\nseed=-3\n", f"{command}.cfg")
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
             assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+
+
+CERTIFICATE_KEYS = {"status", "grams_row_major", "residual", "margin", "degenerate",
+                    "separating_direction_csv"}
+
+
+def test_one_certificate_format(tmp_path):
+    # certificate.json and gap_certificate.json share one key set; a feasible
+    # criticality certificate holds 1 Gram block, a feasible gap 2
+    dirichlet = CIRCLE_DOMAIN.replace("kind=circle", "kind=interval").replace(
+        "length=6.283185307179586", "length=3.141592653589793").replace("bc=closed", "bc=dirichlet")
+    runs = {
+        "critical": ("criticality", CIRCLE_DOMAIN, "preset=constant\nvalue=0.2", "index=2",
+                     "feasible", 1),
+        "not-critical": ("criticality", dirichlet, "preset=zero", "index=1", "infeasible", None),
+        "gap": ("gap", CIRCLE_DOMAIN, "preset=zero", "index=1\njindex=2", "feasible", 2),
+        "degenerate": ("gap", CIRCLE_DOMAIN, "preset=zero", "index=2\njindex=3", "feasible", 2),
+    }
+    for name, (command, domain, potential, task, status, blocks) in runs.items():
+        cfg = write_cfg(tmp_path, f"{domain}\n[potential]\n{potential}\n\n[task]\n{task}\n"
+                        "probes=4\n\n[output]\nseed=5\n", f"{name}.cfg")
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        artifact = "certificate.json" if command == "criticality" else "gap_certificate.json"
+        cert = json.loads((out / artifact).read_text())
+        assert set(cert) == CERTIFICATE_KEYS, name
+        assert cert["status"] == status
+        assert cert["degenerate"] is (name == "degenerate")
+        if blocks is None:
+            assert cert["grams_row_major"] is None
+            assert cert["separating_direction_csv"] == "separating_direction.csv"
+        else:
+            assert len(cert["grams_row_major"]) == blocks
+            assert cert["separating_direction_csv"] is None
+        if command == "criticality":
+            assert "certificate_iterations" not in load_report(out)["payload"]
+    degenerate = json.loads((tmp_path / "degenerate" / "gap_certificate.json").read_text())
+    assert degenerate["grams_row_major"] == [[0.5, 0.0, 0.0, 0.5]] * 2
 
 
 class TestGapCommand:

@@ -210,19 +210,30 @@ def test_one_site_per_optimizer_outcome():
 
 
 def test_one_certificate_decision(monkeypatch):
-    # both certificates end in one separation step, each outcome returned at
-    # one site, and the decision factors each Gram block of the least-squares
-    # point once, for its psd projection and its bottom eigenpair alike
+    # both certificates are decided along one path into one type, each
+    # outcome returned at one site, and the decision factors each Gram block
+    # of the least-squares point once, for its psd projection and its bottom
+    # eigenpair alike
     import numpy as np
 
     from specpot import certificates
     from specpot.domain import BoundaryCondition, Circle, build_grid
 
-    for name in ("_definite_direction", "_lowest_slope", "_gap_slope"):
+    for name in ("_definite_direction", "_lowest_slope", "_gap_slope",
+                 "GramCertificate", "GapCertificate"):
         assert not hasattr(certificates, name)
-    assert inspect.getsource(certificates.criticality_certificate).count("return ") == 2
-    # the degenerate shortcut, FEASIBLE and the separation outcome
-    assert inspect.getsource(certificates.gap_certificate).count("return ") == 3
+    # FEASIBLE and the separation outcome
+    certify = inspect.getsource(certificates._certify)
+    assert certify.count("return ") == 2
+    assert "return Certificate(CertificateStatus.FEASIBLE" in certify
+    assert "_separate(" in certify
+    assert inspect.getsource(certificates.criticality_certificate).count("return ") == 1
+    # the degenerate shortcut and _certify
+    assert inspect.getsource(certificates.gap_certificate).count("return ") == 2
+    # one writer: the certificate payload comes from Certificate.to_dict
+    reports = ast.parse((SRC / "specpot" / "reports.py").read_text())
+    assert not any(isinstance(n, ast.ImportFrom) and n.module == "certificates"
+                   for n in ast.walk(reports))
     # a sign-indefinite pair: s* meets the node equations, so the candidate
     # comes from the bottom eigenvector of s*
     grid = build_grid(Circle(2 * np.pi), 64, BoundaryCondition.CLOSED)
