@@ -290,31 +290,24 @@ def lowest_pairs(bands: np.ndarray, k: int, seed: int,
 
 def _group_pairs(bands: np.ndarray, k: int, seed: int,
                  start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``lowest_pairs`` of a (g, 2, n) group. The loop carries only the
-    members still refining: ``live`` holds their indices, and diag, norm,
-    floor, theta, vecs and h_vecs their rows."""
+    """``lowest_pairs`` of a (g, 2, n) group. Members converge in place: one
+    whose k lowest columns have converged has its ``active`` row cleared, so
+    ``_refine`` leaves its theta, vecs and h_vecs as they are."""
     diag, off = bands[:, 0], bands[0, 1]
-    g, n = diag.shape
+    n = diag.shape[1]
     p = min(n, k + 2)
     norm = _norm_bound(bands)
     floor = 8.0 * EPS * norm
     theta, vecs, h_vecs = _rayleigh_ritz(
         diag, off, _first_basis(diag, off, norm, floor, p, k, seed, start), p)
-    evals, evecs = np.empty((g, min(k, p))), np.empty((g, n, min(k, p)))
-    live = np.arange(g)
     for _ in range(MAX_REFINEMENTS):
         residuals = np.linalg.norm(h_vecs - vecs * theta[:, None], axis=1)
         active = residuals > np.maximum(CONVERGED_REL * (1.0 + np.abs(theta)), floor[:, None])
-        going = active[:, :k].any(axis=1)
-        if not going.all():
-            evals[live[~going]], evecs[live[~going]] = theta[~going, :k], vecs[~going, :, :k]
-            live, diag, norm, floor, theta, vecs, h_vecs, active = (
-                a[going] for a in (live, diag, norm, floor, theta, vecs, h_vecs, active))
-            if not len(live):
-                return evals, evecs
+        active[~active[:, :k].any(axis=1)] = False
+        if not active.any():
+            break
         theta, vecs, h_vecs = _refine(diag, off, norm, theta, vecs, h_vecs, active, p)
-    evals[live], evecs[live] = theta[:, :k], vecs[:, :, :k]
-    return evals, evecs
+    return theta[:, :k], vecs[:, :, :k]
 
 
 def _first_basis(diag, off, norm, floor, p: int, k: int, seed: int, start) -> np.ndarray:
@@ -353,7 +346,7 @@ def _refine(diag, off, norm, theta, vecs, h_vecs, active, p: int):
     step[~np.all(np.isfinite(step), axis=1)] = 0.0
     counts = active.sum(axis=1)
     first = np.cumsum(counts) - counts
-    for width in set(counts.tolist()):
+    for width in set(counts.tolist()) - {0}:
         rows = np.flatnonzero(counts == width)
         new = np.swapaxes(step[first[rows, None] + np.arange(width)], 1, 2)
         basis, _ = np.linalg.qr(np.concatenate([vecs[rows], new], axis=2))

@@ -10,22 +10,23 @@ criticality becomes a feasibility problem, linear in the Gram matrix G:
 The gap analogue asks for two psd Grams with matching pointwise sums, plus a
 trace normalization that rules out the zero pair. Both are one problem, with
 one Gram block or two, decided in closed form by ``_certify`` into one
-``Certificate``. Each Gram block of the min-norm least-squares point s* is
-factored once, for its psd projection (eigenvalue clipping) and its bottom
-eigenpair. The projection is the witness when it meets the node equations.
-Otherwise a candidate direction is built: the residual r = b - A s* when it
-is nonzero (its restricted form is a negative multiple of the identity once
-centered), else, when s* is not psd, the node values A pinv svec(v v^T) of
-its bottom eigenvector v. The candidate is kept only if its margin, the
-lowest branch slope of the upper cluster minus the highest of the lower one
-(none for criticality, so the margin is the lowest slope), is verifiably
-positive; failing that the instance is Undecided.
+``Certificate``. The unknown stacks each block's G.ravel(); as each node row
+f f^T is symmetric, antisymmetric directions are null directions of A, and
+<vec S, vec T> = tr(ST) on symmetric blocks. Each Gram block of the min-norm
+least-squares point s* is factored once, for its psd projection (eigenvalue
+clipping) and its bottom eigenpair. The projection is the witness when it
+meets the node equations. Otherwise a candidate direction is built: the
+residual r = b - A s* when it is nonzero (its restricted form is a negative
+multiple of the identity once centered), else, when s* is not psd, the node
+values A pinv vec(v v^T) of its bottom eigenvector v. The candidate is kept
+only if its margin, the lowest branch slope of the upper cluster minus the
+highest of the lower one (none for criticality, so the margin is the lowest
+slope), is verifiably positive; failing that the instance is Undecided.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,43 +85,18 @@ class Certificate:
         }
 
 
-@lru_cache(maxsize=16)
-def _svec_layout(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Upper-triangle indices of an m x m matrix in svec order, and the svec
-    scale: 1 on the diagonal, sqrt(2) off it, so <svec A, svec B> = tr(AB).
-    Built once per m and read-only."""
-    iu = np.triu_indices(m)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    for a in (*iu, scale):
-        a.flags.writeable = False
-    return iu, scale
-
-
-def _svec(S: np.ndarray) -> np.ndarray:
-    iu, scale = _svec_layout(S.shape[0])
-    return S[iu] * scale
-
-
-def _unsvec(s: np.ndarray, m: int) -> np.ndarray:
-    iu, scale = _svec_layout(m)
-    S = np.zeros((m, m))
-    S[iu] = s / scale
-    return S + S.T - np.diag(np.diag(S))
-
-
 def _basis_rows(F: np.ndarray) -> np.ndarray:
-    """Matrix A with A @ svec(G) = sum_ab G_ab f_a(x) f_b(x) per node row."""
-    (a, b), scale = _svec_layout(F.shape[1])
-    return np.ascontiguousarray(F[:, a] * F[:, b] * scale)
+    """Matrix A with A @ G.ravel() = sum_ab G_ab f_a(x) f_b(x) per node row."""
+    n, m = F.shape
+    return (F[:, :, None] * F[:, None, :]).reshape(n, m * m)
 
 
 def _blocks(sizes: tuple[int, ...]):
-    """(slice, m) of each svec block of a stacked Gram vector."""
+    """(slice, m) of each m x m block of a stacked vector of raveled Grams."""
     start = 0
     for m in sizes:
-        d = m * (m + 1) // 2
-        yield slice(start, start + d), m
-        start += d
+        yield slice(start, start + m * m), m
+        start += m * m
 
 
 def _decide(A: np.ndarray, b: np.ndarray, sizes: tuple[int, ...],
@@ -131,7 +107,7 @@ def _decide(A: np.ndarray, b: np.ndarray, sizes: tuple[int, ...],
     the block-wise projection y (the witness when it meets the equations),
     its residual over the first ``nodes`` rows, and a separating candidate
     on those rows: the residual r = b - A s* when it is nonzero, else
-    A pinv svec(v v^T) for the bottom eigenvector v of the block of s*
+    A pinv vec(v v^T) for the bottom eigenvector v of the block of s*
     holding the most negative eigenvalue."""
     w, V = np.linalg.eigh(A.T @ A)
     cutoff = max(w[-1], 0.0) * 1e-13  # eigenvalues of A^T A at or below count as null
@@ -142,12 +118,13 @@ def _decide(A: np.ndarray, b: np.ndarray, sizes: tuple[int, ...],
     e = np.zeros_like(s)
     lowest = np.inf
     for sl, m in _blocks(sizes):
-        vals, vecs = np.linalg.eigh(_unsvec(s[sl], m))
-        y[sl] = _svec((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
+        vals, vecs = np.linalg.eigh(s[sl].reshape(m, m))
+        P = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        y[sl] = ((P + P.T) / 2).ravel()   # symmetric bit for bit, unlike P
         if vals[0] < lowest:
             lowest = vals[0]
             e[:] = 0.0
-            e[sl] = _svec(np.outer(vecs[:, 0], vecs[:, 0]))
+            e[sl] = np.outer(vecs[:, 0], vecs[:, 0]).ravel()
     # the residual counts the node rows only; a trace row only normalizes
     res = float(np.max(np.abs((b - A @ y)[:nodes])))
     r = b - A @ s
@@ -183,7 +160,7 @@ def _certify(spec: SpectralData, A: np.ndarray, b: np.ndarray, upper: Cluster,
     witness has trace equal to the volume, which may be tiny."""
     sizes = (upper.multiplicity,) if lower is None else (lower.multiplicity, upper.multiplicity)
     y, res, candidate = _decide(A, b, sizes, spec.grid.n_nodes)
-    grams = tuple(_unsvec(y[sl], m) for sl, m in _blocks(sizes))
+    grams = tuple(y[sl].reshape(m, m) for sl, m in _blocks(sizes))
     if res <= FEASIBILITY_TOL and (lower is None or min(map(np.trace, grams)) > 1e-8):
         return Certificate(CertificateStatus.FEASIBLE, grams, res)
     status, u, margin = _separate(spec, candidate, upper, lower)
@@ -232,7 +209,7 @@ def gap_certificate(spec: SpectralData, cluster_i: Cluster, cluster_j: Cluster) 
     A = np.zeros((n + 1, di + Aj.shape[1]))
     A[:n, :di] = Ai
     A[:n, di:] = -Aj
-    A[n, :di] = _svec(np.eye(cluster_i.multiplicity))
+    A[n, :di] = np.eye(cluster_i.multiplicity).ravel()
     b = np.zeros(n + 1)
     b[n] = 1.0
     return _certify(spec, A, b, cluster_j, cluster_i)

@@ -18,9 +18,10 @@ that solves repeat bit for bit:
   member passes ``eigensolve``'s gate alone, its retries included. Its
   spectra are bit for bit those of ``solve_spectrum``.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
-  (ARPACK) below the spectrum, or by shift-invert block Lanczos when that
-  misses an eigenvalue, both on one SuperLU factor; scipy loads only there,
-  in ``assemble``, which maps scipy's OpenBLAS on one thread (``blas``).
+  (ARPACK) below the spectrum, and re-solved by shift-invert block Lanczos
+  when that misses an eigenvalue or leaves a cluster incomplete, both on one
+  SuperLU factor; scipy loads only there, in ``assemble``, which maps
+  scipy's OpenBLAS on one thread (``blas``).
 
 ``eigensolve`` is the one gate and the one loop: it alone accepts, retries
 or rejects what a solver returns. It checks an eigenvalue count (a Sturm
@@ -162,12 +163,13 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     A ``LinAlgError``, a non-finite pair or a residual above its bound raises
     SolverError, and so does an incomplete cluster whose edge the count
     already covered: its residuals do not resolve the edge, and more pairs
-    cannot mend that. Any other miss is retried cold with ``_headroom`` pairs
-    (2 in 1-D, 6 on the torus) beyond an eigenvalue count, four attempts at
-    most, then SolverError. A count miss keeps k pairs of a wider solve (cold
-    banded in 1-D, block Lanczos on the torus); an incomplete cluster widens
-    the spectrum, solved by the first solver cold (ARPACK on the torus), so
-    it equals a fresh solve of its size bit for bit. ``complete_below`` is x,
+    cannot mend that. Any other miss is retried with ``_headroom`` pairs (2
+    in 1-D, 6 on the torus) beyond an eigenvalue count, four attempts at
+    most, then SolverError. Every retry is one re-solver: the cold banded
+    solve in 1-D, block Lanczos on the torus, which holds every copy of a
+    multiple eigenvalue that ARPACK can miss. A count miss keeps k pairs of
+    the wider solve; an incomplete cluster widens the spectrum, which in 1-D
+    equals a fresh solve of its size bit for bit. ``complete_below`` is x,
     or the first pair a wider solve computed beyond those returned when that
     is lower; ``residuals`` are the ones measured.
 
@@ -185,12 +187,12 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     torus = isinstance(grid.kind, Torus2D)
-    lowest_pairs = cold = _lowest_pairs_sparse if torus else _lowest_pairs_banded
-    resolve = partial(cold, block=True) if torus else cold
+    lowest_pairs = _lowest_pairs_sparse if torus else _lowest_pairs_banded
+    resolve = partial(lowest_pairs, block=True) if torus else lowest_pairs
     if first is not None:
         lowest_pairs = lambda grid, H, k: first
     elif start is not None and start.count >= k and not torus:
-        lowest_pairs = partial(cold, start=start)
+        lowest_pairs = partial(lowest_pairs, start=start)
     solve_k = k
     for _ in range(4):   # at most a count miss on each side of a cluster miss
         if torus and k > n // 2:
@@ -235,7 +237,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
                                   f"{index} complete: its residuals do not resolve {x:.12g}")
             solved, count, solve_k = cluster.last_index, count_eigenvalues_below(H, x), k
         # a count miss keeps k pairs of a wider solve; an incomplete cluster widens k
-        lowest_pairs = cold if counted else resolve
+        lowest_pairs = resolve
         solve_k = min(n, max(solve_k, count) + _headroom(grid))
         k = solve_k if counted else k
     unproven = "" if index is None else f"; the cluster of index {index} is not proven complete"

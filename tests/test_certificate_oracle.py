@@ -14,8 +14,6 @@ from specpot.certificates import (
     CertificateStatus,
     _basis_rows,
     _separate,
-    _svec,
-    _unsvec,
     criticality_certificate,
     gap_certificate,
 )
@@ -36,9 +34,9 @@ GRIDS = {
 
 
 def _psd_project(s, m):
-    """Eigenvalue-clipping projection of one svec Gram block onto the psd cone."""
-    w, V = np.linalg.eigh(_unsvec(s, m))
-    return _svec((V * np.clip(w, 0.0, None)) @ V.T)
+    """Eigenvalue-clipping projection of one raveled Gram block onto the psd cone."""
+    w, V = np.linalg.eigh(s.reshape(m, m))
+    return ((V * np.clip(w, 0.0, None)) @ V.T).ravel()
 
 
 class _Flat:
@@ -87,7 +85,7 @@ def oracle_criticality(spec, cluster):
     flat = _Flat(A, b)
     feasible, y = _dykstra(flat, lambda s: _psd_project(s, m),
                            lambda s: float(np.max(np.abs(b - A @ s))))
-    G = _unsvec(y, m)
+    G = y.reshape(m, m)
     if feasible and np.linalg.eigvalsh(G)[0] >= PSD_TOL:
         return CertificateStatus.FEASIBLE, G, None, None
     status, u, _ = _separate(spec, b - A @ y, cluster)
@@ -100,13 +98,13 @@ def oracle_criticality(spec, cluster):
 def oracle_gap(spec, ci, cj):
     """(status, (gram_i, gram_j), direction values, margin) by Dykstra's iteration."""
     mi, mj = ci.multiplicity, cj.multiplicity
-    di = mi * (mi + 1) // 2
+    di = mi * mi
     Ai, Aj = _basis_rows(spec.basis(ci)), _basis_rows(spec.basis(cj))
     n = Ai.shape[0]
     A = np.zeros((n + 1, di + Aj.shape[1]))
     A[:n, :di] = Ai
     A[:n, di:] = -Aj
-    A[n, :di] = _svec(np.eye(mi))
+    A[n, :di] = np.eye(mi).ravel()
     b = np.zeros(n + 1)
     b[n] = 1.0
     flat = _Flat(A, b)
@@ -115,7 +113,7 @@ def oracle_gap(spec, ci, cj):
         lambda s: np.concatenate([_psd_project(s[:di], mi), _psd_project(s[di:], mj)]),
         lambda s: float(np.max(np.abs((b - A @ s)[:n]))),
     )
-    Gi, Gj = _unsvec(y[:di], mi), _unsvec(y[di:], mj)
+    Gi, Gj = y[:di].reshape(mi, mi), y[di:].reshape(mj, mj)
     if (feasible and min(np.linalg.eigvalsh(Gi)[0], np.linalg.eigvalsh(Gj)[0]) >= PSD_TOL
             and np.trace(Gi) > 1e-8 and np.trace(Gj) > 1e-8):
         return CertificateStatus.FEASIBLE, (Gi, Gj), None, None

@@ -372,3 +372,20 @@ def test_unproven_cluster_refused(circle_grid):
         gap_one_sided_derivatives(spec, 1, 2, u)
     with pytest.raises(IncompleteClusterError, match="not proven complete"):
         subgradient_direction(spec, ObjectiveSpec("eigenvalue", 2), detect_cluster(spec, 2), None)
+
+
+def test_grams_exactly_symmetric(torus_grid, circle_zero_spec):
+    # the 4-fold cluster above the ground state on the constant torus and the
+    # (1,2) gap on the circle at q = 0: every Gram, and its row-major list,
+    # equals its transpose bit for bit
+    torus_spec = solve_spectrum(torus_grid, Potential.constant(torus_grid, 0.1), 8)
+    torus = criticality_certificate(torus_spec, detect_cluster(torus_spec, 2))
+    gap = gap_certificate(circle_zero_spec, detect_cluster(circle_zero_spec, 1),
+                          detect_cluster(circle_zero_spec, 2))
+    for cert, sizes in ((torus, [4]), (gap, [1, 2])):
+        assert cert.status is CertificateStatus.FEASIBLE
+        assert [G.shape[0] for G in cert.grams] == sizes
+        for G, row in zip(cert.grams, cert.to_dict()["grams_row_major"]):
+            assert np.array_equal(G, G.T)
+            listed = np.reshape(row, G.shape)
+            assert np.array_equal(listed, listed.T)

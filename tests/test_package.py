@@ -213,14 +213,15 @@ def test_one_certificate_decision(monkeypatch):
     # both certificates are decided along one path into one type, each
     # outcome returned at one site, and the decision factors each Gram block
     # of the least-squares point once, for its psd projection and its bottom
-    # eigenpair alike
+    # eigenpair alike; the unknown holds each m x m block in full, m * m
+    # entries, with no svec encoding
     import numpy as np
 
     from specpot import certificates
     from specpot.domain import BoundaryCondition, Circle, build_grid
 
     for name in ("_definite_direction", "_lowest_slope", "_gap_slope",
-                 "GramCertificate", "GapCertificate"):
+                 "GramCertificate", "GapCertificate", "_svec", "_unsvec", "_svec_layout"):
         assert not hasattr(certificates, name)
     # FEASIBLE and the separation outcome
     certify = inspect.getsource(certificates._certify)
@@ -246,10 +247,10 @@ def test_one_certificate_decision(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     assert certificates.criticality_certificate(spec, pair).status.value == "infeasible"
-    assert calls == [(3, 3), (2, 2)]        # A^T A, then the one Gram block
+    assert calls == [(4, 4), (2, 2)]        # A^T A, then the one Gram block
     calls.clear()
     assert certificates.gap_certificate(spec, constant, pair).status.value == "infeasible"
-    assert calls == [(4, 4), (1, 1), (2, 2)]
+    assert calls == [(5, 5), (1, 1), (2, 2)]
 
 
 def test_every_command_writes_every_artifact():

@@ -105,9 +105,12 @@ def test_sparse_matches_dense(m, lengths, potential, i, x_frac):
     if np.min(np.abs(oracle.eigenvalues - x)) > 1e-8:
         assert count_eigenvalues_below(H, x) == int(np.count_nonzero(oracle.eigenvalues < x))
 
+    # a fresh solve of k pairs agrees with the request's, which a widened
+    # cluster may have taken from block Lanczos instead of ARPACK
     again = eigensolve(grid, H, k, potential=q)
-    assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-    assert again.eigenvectors.tobytes() == spec.eigenvectors.tobytes()
+    assert np.max(np.abs(again.eigenvalues - spec.eigenvalues) / (1.0 + np.abs(lam))) <= 1e-10
+    for dense in oracle_clusters(oracle, k):
+        assert np.max(np.abs(projector(again, dense) - projector(spec, dense))) <= 1e-8
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

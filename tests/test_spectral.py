@@ -218,12 +218,12 @@ class TestDetectCluster:
     def test_complete_cluster_resolve(self, monkeypatch):
         # the 8-fold cluster 14..21 of the zero potential on the 16 x 16
         # square torus does not fit in the first solve's 20 pairs; the count
-        # at its edge finds 21 eigenvalues and the re-solve takes 27. ARPACK
-        # misses a copy at 27, so block Lanczos re-solves 33 and keeps 27.
+        # at its edge finds 21 eigenvalues, and the block Lanczos re-solve of
+        # 27 pairs holds all 8 copies (ARPACK misses one at 27)
         g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
         attempts = sparse_solve_attempts(monkeypatch)
         spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)
-        assert attempts == [(20, False), (27, False), (33, True)]
+        assert attempts == [(20, False), (27, True)]
         assert spec.count == 27
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (14, 8)
@@ -235,8 +235,8 @@ class TestDetectCluster:
         # 21 eigenvalues where the attempt holds 19. Block Lanczos re-solves
         # 21 + 6 = 27 pairs and keeps 20, which leaves the cluster past the
         # pairs returned, so the count at its edge widens the spectrum to
-        # 21 + 6 = 27; ARPACK misses a copy there, and block Lanczos at 33
-        # ends the request on its fourth and last attempt
+        # 21 + 6 = 27, and block Lanczos at 27 ends the request on its third
+        # attempt
         g = build_grid(Torus2D(2 * np.pi, 2 * np.pi), 16, BoundaryCondition.CLOSED)
         solve = spectral._lowest_pairs_sparse
         attempts = []
@@ -250,7 +250,7 @@ class TestDetectCluster:
 
         monkeypatch.setattr(spectral, "_lowest_pairs_sparse", dropping)
         spec, cl = spectrum_with_complete_cluster(g, Potential.zero(g), 14)
-        assert attempts == [(20, False), (27, True), (27, False), (33, True)]
+        assert attempts == [(20, False), (27, True), (27, True)]
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (14, 8)
         assert spec.count == 27
