@@ -31,6 +31,9 @@ the interval. Nothing here forms an n x n matrix.
   system alone then stops, and the system left over is solved row by row
   with partial pivoting. Each system decides on its own pivots, so its
   solution does not depend on the systems solved beside it.
+
+A request for k close to n takes the same path, but its Rayleigh-Ritz
+problem then has size n.
 """
 from __future__ import annotations
 

@@ -138,40 +138,39 @@ def _node_values(grid: DomainGrid, section: dict[str, str], kind: str, what: str
 
 
 def _read_column_csv(path: str, n: int) -> np.ndarray:
-    rows = []
+    """n finite node values from the "q" column of a CSV, else its last column.
+    Blank lines are skipped, a first row that does not end in a number is the
+    header, and reading stops at data row n + 1."""
+    values, count, col = np.empty(n), 0, -1
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # a byte that is not UTF-8 reaches its row as a lone surrogate, which
+        # encode() rejects, so the error names the line
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            reader = csv.reader(fh)
+            for k, row in enumerate(filter(None, reader)):
+                where = f"{path!r} line {reader.line_num}"
+                "".join(row).encode("utf-8")
+                if count == n:
+                    raise ConfigError(f"{path!r} has more than {n} rows, expected {n}")
+                try:
+                    values[count] = float(row[col])
+                except (ValueError, IndexError) as exc:
+                    if k == 0:
+                        col = row.index("q") if "q" in row else -1
+                        continue
+                    raise ConfigError(f"{where}: expected a number in {row!r}") from exc
+                if not np.isfinite(values[count]):
+                    raise ConfigError(f"{where}: non-finite value {row[col]!r}")
+                count += 1
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        for row in reader:
-            if not row:
-                continue
-            if header is None:
-                try:
-                    float(row[-1])
-                except ValueError:
-                    header = row
-                    continue
-                header = []
-            rows.append((reader.line_num, row))
-    if not rows:
-        raise ConfigError(f"no data rows in {path!r}")
-    col = -1
-    if header and "q" in header:
-        col = header.index("q")
-    values = np.empty(len(rows))
-    for k, (line, row) in enumerate(rows):
-        try:
-            values[k] = float(row[col])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path!r} line {line}: expected a number in {row!r}") from exc
-        if not np.isfinite(values[k]):
-            raise ConfigError(f"{path!r} line {line}: non-finite value {row[col]!r}")
-    if len(values) != n:
-        raise ConfigError(f"{path!r} has {len(values)} rows, expected {n}")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{path!r} line {reader.line_num}: not UTF-8 text") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{path!r} line {reader.line_num}: {exc}") from exc
+    if count != n:
+        raise ConfigError(f"{path!r} has {count} rows, expected {n}" if count
+                          else f"no data rows in {path!r}")
     return values
 
 
@@ -406,6 +405,11 @@ def main(argv: list[str] | None = None) -> int:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        print(f"config error: {args.config!r} line {line}: not UTF-8 text: {exc.reason}",
+              file=sys.stderr)
         return 2
     try:
         cfg = parse_config_text(text)

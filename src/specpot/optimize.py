@@ -9,6 +9,12 @@ known in advance. A Polyak run stops as soon as it reaches that value to
 TARGET_TOL. A Polyak lambda_1 ascent on a closed or Neumann grid steps in
 the Newton metric of lambda_1 near a constant potential (see run_optimizer)
 and gets there in under ten iterations; every other run steps plainly.
+
+Each candidate iterate, halvings included, is solved warm from the current
+iterate's spectrum, and each point of the refuter's line search from the
+point before it (``spectral``'s ``start``). Every other solve starts cold:
+a run's first iterate, the refuter's solve at q, finite differences. The
+start depends only on the run, so runs repeat bit for bit.
 """
 from __future__ import annotations
 

@@ -86,7 +86,10 @@ class SpectralData:
 
     def basis(self, cluster: "Cluster") -> np.ndarray:
         """(n, m) block of eigenvectors spanning the cluster's eigenspace;
-        IncompleteClusterError unless the cluster is proven complete."""
+        IncompleteClusterError unless the cluster is proven complete. A
+        simple eigenvalue is a cluster of one and is refused the same way:
+        from 2 pairs on the circle at q = 0, lambda_2 looks simple, but its
+        double partner was never computed."""
         if not cluster.complete:
             raise IncompleteClusterError(
                 f"cluster at {cluster.first_index} is not proven complete by an eigenvalue count")
@@ -281,7 +284,8 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     Lanczos (ARPACK) from one start vector finds extra copies of a multiple
     eigenvalue only through rounding; ``block`` takes block Lanczos (Golub &
     Van Loan 10.3) on min(n, k + 2) seeded columns, which holds every copy up
-    to that multiplicity, until the k Ritz pairs of H pass ``banded``'s rule.
+    to that multiplicity, with full reorthogonalization and Rayleigh-Ritz on
+    H, until the k Ritz pairs pass ``banded``'s rule.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 

@@ -106,6 +106,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "formats" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + (CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n").encode())
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "utf16.cfg" in err and "line 1" in err
+
     def test_missing_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCLE_DOMAIN + "\n[potential]\npreset=zero\n")
         assert main(["spectrum", "--config", cfg]) == 2
@@ -531,6 +538,24 @@ class TestFilePreset:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "bad.csv" in err and "line 7" in err
+
+    def test_unreadable_rows_rejected(self, tmp_path, capsys):
+        # a byte that is not UTF-8, and a field over the csv module's limit
+        for k, bad in enumerate((b"0.1,\xff", b"1" * 200_000)):
+            qpath = tmp_path / f"bad{k}.csv"
+            qpath.write_bytes(b"q\n" + b"0.1\n" * 10 + bad + b"\n" + b"0.1\n" * 117)
+            body = CIRCLE_DOMAIN + f"\n[potential]\npreset=file\npath={qpath}\n"
+            cfg = write_cfg(tmp_path, body, f"bad{k}.cfg")
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"bad{k}.csv' line 12" in err
+
+    def test_reading_stops_after_n_rows(self, tmp_path):
+        # the count is reported at row n + 1, before the unparsable row n + 2
+        qpath = tmp_path / "long.csv"
+        qpath.write_text("q\n" + "0.1\n" * 129 + "abc\n")
+        with pytest.raises(ConfigError, match="has more than 128 rows, expected 128"):
+            cli._read_column_csv(str(qpath), 128)
 
     def test_non_finite_row_rejected(self, tmp_path, capsys):
         qpath = tmp_path / "inf.csv"
