@@ -19,7 +19,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .certificates import Certificate, CertificateStatus, full_criticality_report, gap_certificate
 from .config import ParsedConfig, get_float, get_floats, get_int, parse_config_text, validate_schema
-from .domain import DomainGrid, Potential, grid_from_mapping
+from .domain import _GRID_KEYS, DomainGrid, Potential, grid_from_mapping
 from .errors import ConfigError, IncompleteClusterError, SolverError
 from .optimize import ConstraintSpec, ObjectiveSpec, Schedule, project_feasible, run_optimizer
 from .perturbation import (
@@ -44,7 +44,7 @@ from .spectral import (
 )
 from .verify import run_suite
 
-_DOMAIN = ({"kind", "length", "nodes", "bc"}, {"kind", "length", "nodes", "bc"})
+_DOMAIN = (_GRID_KEYS, _GRID_KEYS)
 _POTENTIAL = ({"preset", "value", "coeffs", "sin_coeffs", "path"}, {"preset"})
 _OUTPUT = ({"directory", "seed"}, set())
 
@@ -222,8 +222,6 @@ def cmd_spectrum(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     spec = solve_spectrum(grid, q, modes)
     report = new_report("spectrum", cfg.sections)
     report["eigenvalues"] = spec.eigenvalues.tolist()
-    write_json(_artifact(report, outdir, "eigenvalues.json"),
-               {"eigenvalues": report["eigenvalues"]})
     modes = {f"f{j+1}": spec.eigenvectors[:, j] for j in range(spec.count)}
     write_node_csv(grid, _artifact(report, outdir, "eigenvectors.csv"),
                    {"w": np.full(grid.n_nodes, grid.weight), **modes})
@@ -241,7 +239,6 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         raise ConfigError(f"fd_step must be positive, got {t}")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     d = one_sided_derivatives(spec, i, u)
-    critical = d.opposite_signs
     fd_central = fd_eigenvalue_derivative(grid, q, i, u, t)
     fd_rich = (4.0 * fd_eigenvalue_derivative(grid, q, i, u, t / 2.0) - fd_central) / 3.0
     rank = cluster.rank_of(i)
@@ -253,7 +250,7 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "multiplicity": cluster.multiplicity,
         "left": d.left,
         "right": d.right,
-        "critical": critical,
+        "critical": d.opposite_signs,
         "fd_central": fd_central,
         "fd_richardson": fd_rich,
         "fd_step": t,
@@ -261,9 +258,6 @@ def cmd_derivative(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         # interior ranks use the sorted-branch extension
         "branch_rule": "sorted-extension (interior of cluster)" if interior else "extremal",
     }
-    write_csv(_artifact(report, outdir, "derivatives.csv"),
-              ["u_id", "i", "left", "right", "critical", "fd_central", "fd_richardson"],
-              [["u0", i, fmt(d.left), fmt(d.right), int(critical), fmt(fd_central), fmt(fd_rich)]])
     return report, 0
 
 
@@ -308,14 +302,10 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
     _write_certificate(grid, outdir, report, cert, "gap_certificate.json")
 
     rows = []
-    table = []
     if not cert.degenerate:
         for u_id, u in enumerate(sample_probes(grid, probes, seed, "fourier")):
             d = gap_one_sided_derivatives(spec, i, j, u)
-            critical = d.opposite_signs
-            rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(critical)])
-            table.append({"u_id": f"u{u_id}", "left": d.left, "right": d.right,
-                          "critical": bool(critical)})
+            rows.append([f"u{u_id}", f"{i},{j}", fmt(d.left), fmt(d.right), int(d.opposite_signs)])
     write_csv(_artifact(report, outdir, "gap_derivatives.csv"),
               ["u_id", "i", "left", "right", "critical"], rows)
     report["payload"] = {
@@ -324,7 +314,6 @@ def cmd_gap(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "gap": spec.eigenvalue(j) - spec.eigenvalue(i),
         "certificate_status": cert.status.value,
         "degenerate": cert.degenerate,
-        "derivative_table": table,
         "seed": seed,
     }
     return report, 0
@@ -358,10 +347,9 @@ def cmd_optimize(cfg: ParsedConfig, outdir: Path) -> tuple[dict, int]:
         "aborted": result.aborted,
     }
     write_csv(_artifact(report, outdir, "iterates.csv"),
-              ["iter", "objective", "step", "mult_i", "residual", "mean_error", "box_error"],
+              ["iter", "objective", "step", "mult_i", "residual"],
               ([r.iteration, fmt(r.objective), fmt(r.step), r.mult_i,
-                "" if r.cert_residual is None else fmt(r.cert_residual),
-                fmt(r.mean_error), fmt(r.box_error)] for r in result.log))
+                "" if r.cert_residual is None else fmt(r.cert_residual)] for r in result.log))
     write_node_csv(grid, _artifact(report, outdir, "final_potential.csv"),
                    {"q": result.potential.values})
     code = 1 if result.aborted else 0

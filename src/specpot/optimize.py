@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateStatus, criticality_certificate, gap_certificate
-from .domain import BoundaryCondition, DomainGrid, Potential, mean_value
+from .domain import BoundaryCondition, DomainGrid, Potential
 from .errors import ConfigError, SolverError
 from .perturbation import (
     ProbeDirection,
@@ -129,8 +129,6 @@ class IterateRecord:
     step: float
     mult_i: int
     cert_residual: float | None = None
-    mean_error: float = 0.0
-    box_error: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,8 +290,8 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 cert_residual = cert.residual
                 if cert.status is CertificateStatus.FEASIBLE:
                     stop_reason = "certificate"
-            log.append(_record(grid, constraint, it, obj, last_step, ci.multiplicity,
-                               cert_residual, q))
+            log.append(IterateRecord(it, float(obj), float(last_step), ci.multiplicity,
+                                     cert_residual))
             if stop_reason != "max_iters":   # a stop found at this iterate, now recorded
                 break
 
@@ -325,7 +323,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     except SolverError:
         stop_reason = "solver_error"
     if log:   # the run got past its first solve: record where it ended
-        log.append(_record(grid, constraint, it + 1, obj, last_step, ci.multiplicity, None, q))
+        log.append(IterateRecord(it + 1, float(obj), float(last_step), ci.multiplicity))
     return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint))
 
 
@@ -342,18 +340,6 @@ def _line_search(grid: DomainGrid, constraint: ConstraintSpec, q: Potential, sig
                 return index, candidate, solved, step
             step /= 2.0
     return None
-
-
-def _record(grid, constraint, iteration, obj, step, mult, cert_residual, q) -> IterateRecord:
-    return IterateRecord(
-        iteration=iteration,
-        objective=float(obj),
-        step=float(step),
-        mult_i=int(mult),
-        cert_residual=cert_residual,
-        mean_error=abs(mean_value(grid, q.values) - constraint.mean_c),
-        box_error=max(0.0, float(np.max(np.abs(q.values))) - constraint.bound_B),
-    )
 
 
 def _saturation(q: Potential, constraint: ConstraintSpec) -> float:
@@ -375,21 +361,20 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
                      seed: int = 0) -> RefuteResult:
     """Search for a strict one-sided descent direction of lambda_i at q.
 
-    Tries the certificate's separating direction first, then a randomized
-    probe suite (each probe on both sides), then directions built from
-    cluster branch eigenfunctions; a candidate whose one-sided derivative is
-    below -DESCENT_THRESHOLD must pass a LINE_SEARCH_POINTS line search
-    before being returned.
+    Tries the negated separating direction of an infeasible certificate
+    first, then a randomized probe suite, each candidate on both sides; a
+    candidate whose one-sided derivative is below -DESCENT_THRESHOLD must
+    pass a LINE_SEARCH_POINTS line search before being returned.
     """
     if i < 2:
         raise ValueError("refutation targets indices i >= 2")
     spec, cluster = spectrum_with_complete_cluster(grid, q, i)
     tried = 0
-    for u, two_sided in _descent_directions(spec, cluster, probe_budget, seed):
+    for u in _descent_directions(spec, cluster, probe_budget, seed):
         tried += 1
         d = one_sided_derivatives(spec, i, u)
         sides = [(u, d.right)]
-        if two_sided and d.left > DESCENT_THRESHOLD:   # -u descends
+        if d.left > DESCENT_THRESHOLD:   # -u descends
             sides.append((make_direction(grid, -u.values, normalize=True), -d.left))
         for v, slope in sides:
             if slope < -DESCENT_THRESHOLD and _confirm_descent(grid, q, i, v, spec):
@@ -398,26 +383,13 @@ def refute_local_min(grid: DomainGrid, q: Potential, i: int, probe_budget: int =
 
 
 def _descent_directions(spec: SpectralData, cluster: Cluster, probe_budget: int, seed: int):
-    """(direction, try -u too) in search order: the negated separating
-    direction of an infeasible certificate, the probes, then the signed
-    branch products F_a F_b and F_a^2 - F_(a+1)^2."""
-    grid = spec.grid
+    """Candidates in search order: the negated separating direction u of an
+    infeasible certificate, then the probes. Every branch slope along u is
+    at most -margin, so u's negation never descends."""
     cert = criticality_certificate(spec, cluster)
     if cert.status is CertificateStatus.INFEASIBLE:
-        yield make_direction(grid, -cert.separating_direction.values, normalize=True), False
-    for u in mixed_probe_suite(grid, probe_budget, seed):
-        yield u, True
-    F = spec.basis(cluster)
-    m = cluster.multiplicity
-    for a in range(m):
-        for b in range(a, m):
-            raw = F[:, a] * F[:, b] if a != b else F[:, a] ** 2 - F[:, (a + 1) % m] ** 2
-            try:
-                u = make_direction(grid, raw, normalize=True)
-            except ValueError:   # no mean-zero part
-                continue
-            yield u, False
-            yield ProbeDirection(-u.values, 1.0), False
+        yield make_direction(spec.grid, -cert.separating_direction.values, normalize=True)
+    yield from mixed_probe_suite(spec.grid, probe_budget, seed)
 
 
 def _confirm_descent(grid: DomainGrid, q: Potential, i: int, u: ProbeDirection,

@@ -279,8 +279,12 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     """Lowest k eigenpairs of the sparse torus operator, ascending.
 
     -Laplacian_h is positive semidefinite and its diagonal is constant, so
-    sigma = min(q) - 1 lies strictly below lambda_1 and H - sigma I is
-    positive definite: the k eigenvalues nearest sigma are the k lowest.
+    sigma = min(q) - max(1, lambda_h) lies strictly below lambda_1 and
+    H - sigma I is positive definite: the k eigenvalues nearest sigma are
+    the k lowest. lambda_h, the smaller of 4 sin^2(pi/m)/h^2 over the two
+    axes, is -Laplacian_h's first nonzero eigenvalue, so the shift scales
+    with the domain (it is 1 on a 2 pi torus): a unit shift on a torus of
+    side 0.001 grew block solves to nearly n columns.
     Lanczos (ARPACK) from one start vector finds extra copies of a multiple
     eigenvalue only through rounding; ``block`` takes block Lanczos (Golub &
     Van Loan 10.3) on min(n, k + 2) seeded columns, which holds every copy up
@@ -292,7 +296,9 @@ def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
     n = grid.n_nodes
     # min(q): the diagonal of -Laplacian_h is the constant 2/hx^2 + 2/hy^2
     diag_x, diag_y = grid.laplacian[:, 0, 0]
-    sigma = float(np.min(H.diagonal() - (diag_x + diag_y))) - 1.0
+    m = grid.laplacian.shape[2]
+    lambda_h = min(4.0 * np.sin(np.pi / m) ** 2 / h**2 for h in grid.spacing)
+    sigma = float(np.min(H.diagonal() - (diag_x + diag_y))) - max(1.0, lambda_h)
     lu = _symmetric_lu(H, sigma)
     rng = np.random.default_rng(START_VECTOR_SEED)
     if block:

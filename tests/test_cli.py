@@ -76,7 +76,8 @@ class TestSpectrumCommand:
         assert abs(lam[0]) <= 1e-9
         for got, want in zip(lam[1:], [1.0, 1.0, 4.0, 4.0]):
             assert abs(got - want) <= 1e-3 * want
-        assert (out / "eigenvalues.json").exists()
+        # the eigenvalues are report.json's alone
+        assert not (out / "eigenvalues.json").exists()
         assert (out / "eigenvectors.csv").exists()
 
     def test_constant_shift(self, tmp_path):
@@ -185,8 +186,11 @@ class TestDerivativeCommand:
         assert payload["right"] == pytest.approx(-0.5, abs=1e-6)
         assert payload["critical"] is True
         assert payload["branch_rule"] == "extremal"
-        table = (out / "derivatives.csv").read_text().splitlines()
-        assert table[0] == "u_id,i,left,right,critical,fd_central,fd_richardson"
+        # lambda_2 = 1 - |t|/2 along u: both difference quotients read the
+        # mean of the one-sided slopes, 0
+        assert payload["index"] == 2
+        assert payload["fd_central"] == pytest.approx(0.0, abs=1e-6)
+        assert payload["fd_richardson"] == pytest.approx(0.0, abs=1e-6)
 
     def test_interior_rank_flagged_as_extension(self, tmp_path):
         # square torus: the cluster above the ground state has multiplicity 4,
@@ -348,8 +352,8 @@ class TestGapCommand:
         assert main(["gap", "--config", cfg, "--out", str(out)]) == 0
         payload = load_report(out)["payload"]
         assert payload["certificate_status"] == "feasible"
-        assert len(payload["derivative_table"]) == 4
-        assert (out / "gap_derivatives.csv").exists()
+        rows = (out / "gap_derivatives.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
         assert (out / "gap_certificate.json").exists()
 
     def test_bad_indices(self, tmp_path):
@@ -385,7 +389,7 @@ class TestOptimizeCommand:
         assert (out / "iterates.csv").exists()
         assert (out / "final_potential.csv").exists()
         header = (out / "iterates.csv").read_text().splitlines()[0]
-        assert header == "iter,objective,step,mult_i,residual,mean_error,box_error"
+        assert header == "iter,objective,step,mult_i,residual"
 
     def test_polyak_stops_at_target(self, tmp_path):
         # lambda_1 <= mean(q) on a Neumann interval: the Polyak run stops on
@@ -516,8 +520,8 @@ class TestFilePreset:
             cfg = write_cfg(tmp_path, body, f"{path.stem}.cfg")
             out = tmp_path / path.stem
             assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("eigenvalues.json", "eigenvectors.csv")])
+            outputs.append([load_report(out)["eigenvalues"],
+                            (out / "eigenvectors.csv").read_bytes()])
         assert outputs[0] == outputs[1]
 
     def test_wrong_length_rejected(self, tmp_path):

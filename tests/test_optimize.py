@@ -22,6 +22,8 @@ from specpot.optimize import (
     run_optimizer,
     subgradient_direction,
 )
+from specpot.certificates import CertificateStatus, criticality_certificate
+from specpot.perturbation import make_direction, one_sided_derivatives
 from specpot.spectral import detect_cluster, solve_spectrum, spectrum_with_complete_cluster
 from specpot.verify import _random_fourier
 
@@ -209,19 +211,30 @@ class TestSubgradientDirection:
 
 
 class TestRunOptimizer:
-    def test_circle_max_lambda1(self, circle_grid):
+    def test_circle_max_lambda1(self, circle_grid, monkeypatch):
         con = ConstraintSpec(0.0, 2.0)
         obj = ObjectiveSpec("eigenvalue", 1, sense="maximize")
         raw = Potential.fourier(circle_grid, (0.4, -0.3), (0.2,)).values
         q0 = Potential.from_values(circle_grid, 0.6 * raw / np.max(np.abs(raw)))
+        projected = []
+        project = optimize.project_feasible
+
+        def recorded(grid, q, constraint):
+            projected.append(project(grid, q, constraint))
+            return projected[-1]
+
+        monkeypatch.setattr(optimize, "project_feasible", recorded)
         result = run_optimizer(circle_grid, obj, con, q0, Schedule("polyak", target=0.0),
                                max_iters=300, cert_every=0)
         assert np.max(np.abs(result.potential.values)) <= 1e-2
         assert result.objective >= -1e-4
-        # feasibility held at every iterate
-        for rec in result.log:
-            assert rec.mean_error <= 1e-10
-            assert rec.box_error <= 1e-12
+        # feasibility held at every iterate: the first is q0's projection and
+        # each later one an accepted candidate, and the projection returned
+        # every candidate, the rejected ones too
+        assert len(projected) >= result.iterations
+        for pot in projected:
+            assert abs(mean_value(circle_grid, pot.values) - con.mean_c) <= 1e-10
+            assert np.max(np.abs(pot.values)) - con.bound_B <= 1e-12
         # upper bound respected throughout
         objs = [r.objective for r in result.log]
         assert max(objs) <= 0.0 + 1e-9
@@ -402,7 +415,7 @@ class TestRunOptimizer:
 
     def test_log_csv_columns(self, tmp_path, monkeypatch):
         # the optimize command writes one iterates.csv row per log record
-        log = [IterateRecord(1, 0.5, 0.1, 1), IterateRecord(2, 0.6, 0.05, 2, 3e-9, 1e-15, 2.5e-13)]
+        log = [IterateRecord(1, 0.5, 0.1, 1), IterateRecord(2, 0.6, 0.05, 2, 3e-9)]
         result = OptimizeResult(Potential.zero(SMALL_CIRCLE), log, "max_iters", 1, 0.6, 0.0)
         monkeypatch.setattr(cli, "run_optimizer", lambda *args, **kwargs: result)
         cfg = tmp_path / "run.cfg"
@@ -412,9 +425,9 @@ class TestRunOptimizer:
                        "bound=1.0\n")
         assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "iterates.csv").read_text().strip().splitlines()
-        assert lines[0] == "iter,objective,step,mult_i,residual,mean_error,box_error"
-        assert lines[1] == "1,0.5,0.1,1,,0.0,0.0"
-        assert lines[2] == "2,0.6,0.05,2,3e-09,1e-15,2.5e-13"
+        assert lines[0] == "iter,objective,step,mult_i,residual"
+        assert lines[1] == "1,0.5,0.1,1,"
+        assert lines[2] == "2,0.6,0.05,2,3e-09"
 
 
 class TestOptimizerExits:
@@ -599,12 +612,31 @@ class TestRefuteLocalMin:
 
     def test_every_candidate_counted(self, circle_grid):
         # at q = 0 the certificate of the cluster {2, 3} is feasible, so the
-        # search tries the 3 probes (each on both sides) and then the 6 signed
-        # branch products F_a F_b and F_a^2 - F_b^2, and finds no descent for i = 3
+        # search tries only the 3 probes, each on both sides, and finds no
+        # descent for i = 3
         result = refute_local_min(circle_grid, Potential.zero(circle_grid), 3,
                                   probe_budget=3, seed=3)
         assert not result.found
-        assert result.candidates_tried == 3 + 6
+        assert result.candidates_tried == 3
+
+    @pytest.mark.parametrize("coeffs", [(0.0,), (0.5, -0.2, 0.3)])
+    @pytest.mark.parametrize("bc, indices", [("dirichlet", range(1, 6)), ("neumann", (2, 3))])
+    def test_negated_separating_direction_never_descends_backwards(
+            self, dirichlet_grid, neumann_grid, coeffs, bc, indices):
+        # every branch slope of M(u) is at least the margin along the
+        # separating direction u, so along the refuter's first candidate -u
+        # every left derivative is at most -margin: -(-u) never descends,
+        # and the refuter needs no flag to skip that side
+        grid = dirichlet_grid if bc == "dirichlet" else neumann_grid
+        q = Potential.fourier(grid, coeffs)
+        for i in indices:
+            spec, cluster = spectrum_with_complete_cluster(grid, q, i)
+            cert = criticality_certificate(spec, cluster)
+            assert cert.status is CertificateStatus.INFEASIBLE
+            minus_u = make_direction(grid, -cert.separating_direction.values, normalize=True)
+            for index in range(cluster.first_index, cluster.last_index + 1):
+                left = one_sided_derivatives(spec, index, minus_u).left
+                assert left <= -cert.margin + 1e-12
 
     def test_random_neumann_witness(self, neumann_grid):
         q = Potential.fourier(neumann_grid, (0.5, -0.2, 0.3))

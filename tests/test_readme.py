@@ -1,13 +1,16 @@
 """README.md states what the code does: its library example runs as shown,
-its verify table lists the suites, and each constant it quotes as
-`NAME` = value has that value."""
+its verify table lists the suites, its artifact table lists the files the
+commands write, and each constant it quotes as `NAME` = value has that
+value."""
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
 import specpot
-from specpot import verify
+from specpot import cli, verify
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 QUOTED = re.compile(r"`((?:\w+\.)?[A-Z][A-Z0-9_]*)` = ([-+0-9.e]+)")
@@ -45,3 +48,16 @@ def test_quoted_constants_match_the_code():
             "optimize.MAX_BOUND"} <= names
     for name, value in quoted:
         assert _constant(name) == float(value), name
+
+
+def test_artifact_table_lists_what_the_commands_write():
+    # the files cli.py names to _artifact, directly or through
+    # _write_certificate, are exactly those the per-command table names
+    table = README.split("| command | artifacts besides `report.json` |")[1].split("\n\n")[0]
+    named = set(re.findall(r"`(\w+\.(?:csv|json))`", table))
+    written = {arg.value for call in ast.walk(ast.parse(inspect.getsource(cli)))
+               if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) in ("_artifact", "_write_certificate")
+               for arg in call.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    assert "iterates.csv" in written
+    assert named == written

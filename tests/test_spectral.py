@@ -255,6 +255,36 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (14, 8)
         assert spec.count == 27
 
+    def test_tiny_side_block_basis_no_wider(self, monkeypatch):
+        # the torus shift scales with -Laplacian_h's first nonzero eigenvalue,
+        # so a direct 27-pair block solve of the zero torus of side 0.001
+        # grows no wider a basis than on the 2 pi torus (406 of 1024 columns
+        # each; a shift of 1 grew it to 1015), and its eigenvalues are the
+        # 2 pi torus's scaled by (2 pi / 0.001)^2. The basis starts with
+        # k + 2 columns and takes one more per solve with the factor
+        solved = []
+        lu = spectral._symmetric_lu
+
+        class Counted:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs):
+                solved.append(1)
+                return self.factor.solve(rhs)
+
+        monkeypatch.setattr(spectral, "_symmetric_lu", lambda H, x: Counted(lu(H, x)))
+        widths, scaled = [], []
+        for side in (2 * np.pi, 0.001):
+            g = build_grid(Torus2D(side, side), 32, BoundaryCondition.CLOSED)
+            solved.clear()
+            evals, _ = spectral._lowest_pairs_sparse(g, assemble(g, Potential.zero(g)), 27,
+                                                     block=True)
+            widths.append(min(g.n_nodes, 27 + 2 + len(solved)))
+            scaled.append(evals * (side / (2 * np.pi)) ** 2)
+        assert widths[1] <= widths[0] < 1024
+        assert np.max(rel_err(scaled[1], scaled[0])) <= 1e-10
+
     def test_whole_spectrum_cluster_complete(self):
         # i + 2 reaches all 8 nodes: one solve computes the whole spectrum,
         # so every cluster is complete, the top one included
