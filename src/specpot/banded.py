@@ -9,14 +9,16 @@ the interval. Nothing here forms an n x n matrix.
   LDL^T of H - xI (Sylvester's law of inertia), with the circle's wrap entry
   eliminated last by a bordered recurrence and tiny pivots guarded as in
   LAPACK ``dstebz``.
-- ``lowest_pairs`` computes only the k lowest eigenpairs: shift-invert
+- ``lowest_pairs`` computes only the k lowest eigenpairs by block inverse
+  iteration at the Ritz values, with a Rayleigh-Ritz step over [V, Y],
+  until the residuals are at solver accuracy (Parlett, The Symmetric
+  Eigenvalue Problem, ch. 4 and 7). Its block of ``block_width`` columns
+  is the start block it is given, or else seeded columns after shift-invert
   subspace steps at a shift below the spectrum, where H - sigma I is
-  positive definite and diagonally dominant, then block inverse iteration
-  at the Ritz values with a Rayleigh-Ritz step over [V, Y] until the
-  residuals are at solver accuracy (Parlett, The Symmetric Eigenvalue
-  Problem, ch. 4 and 7). Given a start block, eigenvectors of a nearby
-  operator, it skips the shift-invert steps and goes straight to inverse
-  iteration.
+  positive definite and diagonally dominant. First attempts take the start
+  block, built in ``spectral`` from the grid's closed-form -Laplacian_h
+  eigenvectors and, when warm, a nearby operator's eigenvectors; seeded
+  shift-invert is the retry path.
 - ``lowest_pairs`` also takes a group of operators, bands of shape
   (g, 2, n) that share one off-diagonal (the Laplacian's) and differ only
   in their diagonals. A group of one is the single solve. Each shifted
@@ -99,9 +101,15 @@ def _norm_bound(bands: np.ndarray):
             + 2.0 * np.max(np.abs(bands[..., 1, :]), axis=-1))
 
 
+def block_width(n: int, k: int) -> int:
+    """Columns of a solve's block for k pairs at n nodes: k and two guard
+    columns, which keep the block's edge off a near-double pair."""
+    return min(n, k + 2)
+
+
 def group_size(n: int, k: int) -> int:
     """Members of a group solve of k pairs at n nodes whose working set fits GROUP_BYTES."""
-    return max(1, GROUP_BYTES // (MEMBER_BYTES * n * min(n, k + 2)))
+    return max(1, GROUP_BYTES // (MEMBER_BYTES * n * block_width(n, k)))
 
 
 def count_below(bands: np.ndarray, x: float) -> int:
@@ -271,19 +279,20 @@ def lowest_pairs(bands: np.ndarray, k: int, seed: int,
     Euclidean-orthonormal eigenvectors: (k,) values and (n, k) vectors, or
     (g, k) and (g, n, k) for a group ``bands`` (g, 2, n) whose members share
     one off-diagonal (only ``bands[0, 1]`` is read), with a ``start``
-    (g, n, >= k) if any.
+    (g, n, p) if any.
 
-    The block holds min(n, k + 2) vectors, seeded from ``seed``. The shift
-    sigma lies 1 + 8 eps ||H|| below the Gershgorin bound
-    min_i (H_ii - sum_j |H_ij|), so H - sigma I is strictly diagonally
+    The block holds p = ``block_width(n, k)`` vectors. A ``start``, p
+    linearly independent columns near the wanted eigenvectors, is
+    orthonormalized and taken as it is; nothing here checks that such a
+    solve found the k lowest pairs, the caller's eigenvalue count does.
+    Without one, p columns seeded from ``seed`` take SHIFT_INVERT_STEPS
+    shift-invert steps at a shift sigma 1 + 8 eps ||H|| below the Gershgorin
+    bound min_i (H_ii - sum_j |H_ij|), so H - sigma I is strictly diagonally
     dominant even after rounding, when |q| dwarfs the Laplacian, and the
-    shift-invert steps are stable. A ``start``, at least k orthonormal
-    eigenvectors of a nearby operator, replaces the first k seeded columns
-    and the shift-invert steps; nothing here checks that such a warm solve
-    found the k lowest pairs, the caller's eigenvalue count does. Inverse
-    iteration then refines only the columns not yet at solver accuracy;
-    residuals are measured against max(1e-10 (1 + |lambda|), 8 eps ||H||),
-    the level at which rounding in H V alone stops progress.
+    steps are stable. Inverse iteration then refines only the columns not
+    yet at solver accuracy; residuals are measured against
+    max(1e-10 (1 + |lambda|), 8 eps ||H||), the level at which rounding in
+    H V alone stops progress.
     """
     if bands.ndim == 3:
         return _group_pairs(bands, k, seed, start)
@@ -297,12 +306,11 @@ def _group_pairs(bands: np.ndarray, k: int, seed: int,
     whose k lowest columns have converged has its ``active`` row cleared, so
     ``_refine`` leaves its theta, vecs and h_vecs as they are."""
     diag, off = bands[:, 0], bands[0, 1]
-    n = diag.shape[1]
-    p = min(n, k + 2)
+    p = block_width(diag.shape[1], k)
     norm = _norm_bound(bands)
     floor = 8.0 * EPS * norm
     theta, vecs, h_vecs = _rayleigh_ritz(
-        diag, off, _first_basis(diag, off, norm, floor, p, k, seed, start), p)
+        diag, off, _first_basis(diag, off, norm, floor, p, seed, start), p)
     for _ in range(MAX_REFINEMENTS):
         residuals = np.linalg.norm(h_vecs - vecs * theta[:, None], axis=1)
         active = residuals > np.maximum(CONVERGED_REL * (1.0 + np.abs(theta)), floor[:, None])
@@ -313,17 +321,14 @@ def _group_pairs(bands: np.ndarray, k: int, seed: int,
     return theta[:, :k], vecs[:, :, :k]
 
 
-def _first_basis(diag, off, norm, floor, p: int, k: int, seed: int, start) -> np.ndarray:
-    """Each member's orthonormal block before inverse iteration: seeded
-    columns after the shift-invert steps, or the start's k columns and
-    p - k seeded ones."""
-    g, n = diag.shape
-    seeded = _seeded_block(seed, n, p)
+def _first_basis(diag, off, norm, floor, p: int, seed: int, start) -> np.ndarray:
+    """Each member's orthonormal block before inverse iteration: the start's
+    columns, or seeded ones after the shift-invert steps."""
     if start is not None:
-        return np.linalg.qr(np.concatenate(
-            [start[:, :, :k], np.broadcast_to(seeded[:, : p - k], (g, n, p - k))], axis=2))[0]
+        return np.linalg.qr(start)[0]
+    g, n = diag.shape
     sigma = np.min(diag - np.abs(off) - np.abs(np.roll(off, 1)), axis=1) - (1.0 + floor)
-    basis = np.broadcast_to(seeded, (g, n, p))
+    basis = np.broadcast_to(_seeded_block(seed, n, p), (g, n, p))
     for _ in range(SHIFT_INVERT_STEPS):
         basis, _ = np.linalg.qr(shifted_solve(diag - sigma[:, None], off, basis, norm))
     return basis

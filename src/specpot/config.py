@@ -68,7 +68,7 @@ def validate_schema(cfg: ParsedConfig, schema: dict[str, tuple[set[str], set[str
                 raise ConfigError(f"{where}unknown key {key!r} in [{section}]")
         if required and section not in cfg.sections:
             raise ConfigError(f"missing section [{section}]")
-        for key in required:
+        for key in sorted(required):
             if key not in present:
                 raise ConfigError(f"missing key {key!r} in [{section}]")
 

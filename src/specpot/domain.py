@@ -225,6 +225,33 @@ def fourier_mode(grid: DomainGrid, k: int, kind: str = "cos") -> np.ndarray:
     return np.cos(theta) if kind == "cos" else np.sin(theta)
 
 
+def laplacian_modes(grid: DomainGrid, p: int) -> np.ndarray:
+    """The p lowest eigenvectors of -Laplacian_h on a 1-D grid, (n, p)
+    Euclidean-orthonormal columns in ascending order of their eigenvalues.
+
+    On the circle these are the DFT modes: the constant, then cos and sin of
+    2 pi m j / n for m = 1, 2, ..., ending at even n with the Nyquist mode
+    (-1)^j, eigenvalues (4/h^2) sin^2(pi m / n). On the cell-centered
+    interval they are the DCT-II cos(pi m (j + 1/2) / n), m = 0..n-1, under
+    Neumann and the DST-II sin(pi m (j + 1/2) / n), m = 1..n, under
+    Dirichlet, eigenvalues (4/h^2) sin^2(pi m / (2n)) (Strang, "The Discrete
+    Cosine Transform", SIAM Review 41, 1999). Each angle is an integer
+    multiple of pi / (2n), reduced modulo 2 pi before it is scaled, so every
+    entry is exact to a few eps at any n; sin x is taken as cos(x - pi/2).
+    """
+    n = grid.n_nodes
+    j = np.arange(n)[:, None]
+    column = np.arange(p)
+    if isinstance(grid.kind, Circle):
+        m = (column + 1) // 2   # 0, 1, 1, 2, 2, ...: cos in odd columns, sin in even ones
+        quarters = 4 * j * m - n * ((column % 2 == 0) & (column > 0))
+    else:
+        dirichlet = grid.bc is BoundaryCondition.DIRICHLET
+        quarters = (2 * j + 1) * (column + dirichlet) - n * dirichlet
+    modes = np.cos(quarters % (4 * n) * (np.pi / (2 * n)))
+    return modes / np.linalg.norm(modes, axis=0)
+
+
 _GRID_KEYS = {"kind", "length", "nodes", "bc"}
 
 

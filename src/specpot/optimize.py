@@ -322,7 +322,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 metric = None
     except SolverError:
         stop_reason = "solver_error"
-    if log:   # the run got past its first solve: record where it ended
+    if stop_reason == "max_iters":   # the last step's iterate was never recorded
         log.append(IterateRecord(it + 1, float(obj), float(last_step), ci.multiplicity))
     return OptimizeResult(q, log, stop_reason, it, obj, _saturation(q, constraint))
 

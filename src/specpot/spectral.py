@@ -1,22 +1,27 @@
 """Operator assembly, eigensolves, cluster detection, potential recovery.
 
 The operator is H = -Laplacian_h + diag(q), and only the k lowest eigenpairs
-are computed, from a fixed seeded start or from a given earlier spectrum, so
-that solves repeat bit for bit:
+are computed, each from a start fixed by the grid, the seed and the request,
+so that solves repeat bit for bit:
 
 - On the interval and the circle H is a ``banded.BandedOperator`` (its two
-  bands, with the circle's wrap entry), solved with numpy alone: shift-invert
-  steps below the spectrum, then block inverse iteration at the Ritz values,
-  all through odd-even reduction (see ``banded``). A solve handed a nearby
-  potential's spectrum (``start``: the optimizer's current iterate, the
-  line search's previous point) starts warm from its eigenvectors and skips
-  the shift-invert steps; every retry is cold.
+  bands, with the circle's wrap entry), solved with numpy alone by block
+  inverse iteration through odd-even reduction (see ``banded``). A first
+  attempt starts from the lowest ``banded.block_width`` eigenvectors of
+  -Laplacian_h, known in closed form (``domain.laplacian_modes``: DFT modes
+  on the circle, DCT-II under Neumann, DST-II under Dirichlet). A solve
+  handed a nearby potential's spectrum (``start``: the optimizer's current
+  iterate, the line search's previous point) keeps its k eigenvectors and
+  pads them with the modes after the k-th. Seeded shift-invert is the retry
+  path: every retry is the cold seeded solve, so an incomplete-cluster
+  retry is the seeded cold solve of its size.
   ``solve_spectra`` solves many potentials on one grid: their operators
   share the Laplacian's off-diagonal, so each group of them takes one
-  batched first attempt (``banded.lowest_pairs`` on the stacked bands, in
-  groups of ``banded.group_size`` to bound the working set), and then each
-  member passes ``eigensolve``'s gate alone, its retries included. Its
-  spectra are bit for bit those of ``solve_spectrum``.
+  batched first attempt from the modes (``banded.lowest_pairs`` on the
+  stacked bands, in groups of ``banded.group_size`` to bound the working
+  set), and then each member passes ``eigensolve``'s gate alone, its
+  retries included. Its spectra are bit for bit those of
+  ``solve_spectrum``.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, and re-solved by shift-invert block Lanczos
   when that misses an eigenvalue or leaves a cluster incomplete, both on one
@@ -42,7 +47,7 @@ import numpy as np
 
 from . import banded, blas
 from .banded import BandedOperator
-from .domain import Circle, DomainGrid, Interval, Potential, Torus2D
+from .domain import Circle, DomainGrid, Interval, Potential, Torus2D, laplacian_modes
 from .errors import ConfigError, IncompleteClusterError, SolverError
 
 CLUSTER_TOL_REL = 1e-6
@@ -164,25 +169,29 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
       rounding floor 8 eps ||H||;
     - given an ``index``, ``detect_cluster`` proves its cluster complete.
     A ``LinAlgError``, a non-finite pair or a residual above its bound raises
-    SolverError, and so does an incomplete cluster whose edge the count
-    already covered: its residuals do not resolve the edge, and more pairs
-    cannot mend that. Any other miss is retried with ``_headroom`` pairs (2
-    in 1-D, 6 on the torus) beyond an eigenvalue count, four attempts at
-    most, then SolverError. Every retry is one re-solver: the cold banded
-    solve in 1-D, block Lanczos on the torus, which holds every copy of a
-    multiple eigenvalue that ARPACK can miss. A count miss keeps k pairs of
-    the wider solve; an incomplete cluster widens the spectrum, which in 1-D
-    equals a fresh solve of its size bit for bit. ``complete_below`` is x,
-    or the first pair a wider solve computed beyond those returned when that
-    is lower; ``residuals`` are the ones measured.
+    SolverError, and so does an incomplete cluster whose edge a re-solve's
+    count already covered: its residuals do not resolve the edge, and more
+    pairs cannot mend that. A first attempt that stops there is retried,
+    since the re-solver may converge further. Any other miss is retried with
+    ``_headroom`` pairs (2 in 1-D, 6 on the torus) beyond an eigenvalue
+    count, four attempts at most, then SolverError. Every retry is one
+    re-solver: the cold seeded shift-invert banded solve in 1-D, block
+    Lanczos on the torus, which holds every copy of a multiple eigenvalue
+    that ARPACK can miss. A count miss keeps k pairs of the wider solve; an
+    incomplete cluster widens the spectrum, which in 1-D equals the seeded
+    cold solve of its size bit for bit. ``complete_below`` is x, or the
+    first pair a wider solve computed beyond those returned when that is
+    lower; ``residuals`` are the ones measured.
 
-    ``start`` and ``first`` shape the first attempt only. ``start``, an
-    earlier solve on the same grid with at least k pairs, makes a 1-D attempt
-    start from its eigenvectors (``banded``'s warm start); the torus and a
-    start with fewer pairs are solved cold. ``first``, the (k,) values and
-    (n, k) vectors of a cold 1-D solve already made (``solve_spectra``'s
-    batched one), takes the first attempt's place. The gate judges both like
-    any other attempt, so a pair a warm start lost is never kept.
+    ``start`` and ``first`` shape the first attempt only. A 1-D first
+    attempt starts from the grid's closed-form -Laplacian_h eigenvectors
+    (``_first_block``); ``start``, an earlier solve on the same grid with at
+    least k pairs, puts its k eigenvectors in place of the lowest k modes
+    (``banded``'s warm start). The torus and a start with fewer pairs ignore
+    ``start``. ``first``, the (k,) values and (n, k) vectors of a first 1-D
+    attempt already made (``solve_spectra``'s batched one), takes the first
+    attempt's place. The gate judges each like any other attempt, so a pair
+    a poor start lost is never kept.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -191,12 +200,12 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
         raise ValueError(f"k must be in 1..{n}, got {k}")
     torus = isinstance(grid.kind, Torus2D)
     lowest_pairs = _lowest_pairs_sparse if torus else _lowest_pairs_banded
-    resolve = partial(lowest_pairs, block=True) if torus else lowest_pairs
+    resolve = partial(lowest_pairs, block=True) if torus else partial(lowest_pairs, seeded=True)
     if first is not None:
         lowest_pairs = lambda grid, H, k: first
     elif start is not None and start.count >= k and not torus:
         lowest_pairs = partial(lowest_pairs, start=start)
-    solve_k = k
+    solve_k, unit = k, _unit(grid)
     for _ in range(4):   # at most a count miss on each side of a cluster miss
         if torus and k > n // 2:
             raise ConfigError(f"the torus solve computes at most n // 2 = {n // 2} eigenpairs, "
@@ -207,7 +216,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
             raise SolverError(f"eigensolve failed: {exc}") from exc
         if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
             raise SolverError("eigensolve produced non-finite values")
-        tol = CLUSTER_TOL_REL * (1.0 + np.abs(evals))
+        tol = CLUSTER_TOL_REL * (unit + np.abs(evals))
         x = min(evals[k - 1] + tol[k - 1], evals[-1] - tol[-1])
         solved = int(np.count_nonzero(evals < x))
         count = count_eigenvalues_below(H, x)
@@ -235,7 +244,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
             if index is None or (cluster := detect_cluster(spec, index)).complete:
                 return spec
             x = cluster.value + cluster.tol_used
-            if x < spec.complete_below:
+            if x < spec.complete_below and lowest_pairs is resolve:
                 raise SolverError(f"a solve of {k} pairs does not prove the cluster of index "
                                   f"{index} complete: its residuals do not resolve {x:.12g}")
             solved, count, solve_k = cluster.last_index, count_eigenvalues_below(H, x), k
@@ -258,6 +267,21 @@ def _headroom(grid: DomainGrid) -> int:
     return EXTRA_PAIRS if isinstance(grid.kind, Torus2D) else EXTRA_PAIRS_1D
 
 
+def _unit(grid: DomainGrid) -> float:
+    """The domain's eigenvalue unit u, the scale of the cluster tolerance
+    CLUSTER_TOL_REL (u + |lambda|): (2 pi / L)^2 on the circle and the torus
+    (L its longer side), (pi / L)^2 on the interval, the first nonzero
+    eigenvalue of the continuous -Laplacian there. It is exactly 1 on the
+    2 pi circle and torus and the pi interval. A fixed unit would put the
+    tolerance of lambda_1 below the rounding floor 8 eps ||H|| on small
+    domains, where ||H|| grows as 1/h^2."""
+    kind = grid.kind
+    if isinstance(kind, Interval):
+        return (math.pi / kind.length) ** 2
+    longer = kind.circumference if isinstance(kind, Circle) else max(kind.length_x, kind.length_y)
+    return (2.0 * math.pi / longer) ** 2
+
+
 def _norm_bound(grid: DomainGrid, H) -> float:
     """Row-sum bound on ||H||: on the torus, the two axis bounds plus max |q|."""
     if isinstance(H, BandedOperator):
@@ -268,10 +292,24 @@ def _norm_bound(grid: DomainGrid, H) -> float:
 
 
 def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator, k: int,
-                         start: SpectralData | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # sqrt(w) turns the start's w-orthonormal eigenvectors Euclidean-orthonormal
-    warm = None if start is None else start.eigenvectors * np.sqrt(grid.weight)
-    return banded.lowest_pairs(H.bands, k, START_VECTOR_SEED, warm)
+                         start: SpectralData | None = None,
+                         seeded: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a 1-D operator: a first attempt from
+    ``_first_block``, or, ``seeded``, the cold seeded shift-invert solve
+    that every retry takes."""
+    block = None if seeded else _first_block(grid, k, start)
+    return banded.lowest_pairs(H.bands, k, START_VECTOR_SEED, block)
+
+
+def _first_block(grid: DomainGrid, k: int, start: SpectralData | None = None) -> np.ndarray:
+    """A 1-D first attempt's start block: the grid's lowest -Laplacian_h
+    modes, ``banded.block_width`` of them, or a start's k eigenvectors
+    followed by the modes after the k-th. sqrt(w) turns the start's
+    w-orthonormal eigenvectors Euclidean-orthonormal."""
+    modes = laplacian_modes(grid, banded.block_width(grid.n_nodes, k))
+    if start is None:
+        return modes
+    return np.hstack([start.eigenvectors[:, :k] * np.sqrt(grid.weight), modes[:, k:]])
 
 
 def _lowest_pairs_sparse(grid: DomainGrid, H, k: int,
@@ -379,13 +417,15 @@ def solve_spectra(grid: DomainGrid, potentials: list[Potential], k: int) -> list
     if isinstance(grid.kind, Torus2D):
         raise ValueError("solve_spectra takes interval and circle grids")
     size = banded.group_size(grid.n_nodes, k)
+    block = _first_block(grid, k)
     spectra = []
     for lo in range(0, len(potentials), size):
         group = potentials[lo : lo + size]
         ops = [assemble(grid, q) for q in group]
         try:
             firsts = zip(*banded.lowest_pairs(np.stack([H.bands for H in ops]), k,
-                                              START_VECTOR_SEED))
+                                              START_VECTOR_SEED,
+                                              np.broadcast_to(block, (len(group),) + block.shape)))
         except np.linalg.LinAlgError:
             firsts = [None] * len(group)
         spectra += [eigensolve(grid, H, k, potential=q, first=pairs)
@@ -394,7 +434,8 @@ def solve_spectra(grid: DomainGrid, potentials: list[Potential], k: int) -> list
 
 
 def detect_cluster(spec: SpectralData, i: int) -> Cluster:
-    """Cluster of eigenvalues within CLUSTER_TOL_REL * (1 + |lambda_i|) of lambda_i.
+    """Cluster of eigenvalues within CLUSTER_TOL_REL * (u + |lambda_i|) of
+    lambda_i, u the domain's unit (``_unit``).
 
     It is complete when the whole spectrum was computed, or when its upper
     edge lies below ``spec.complete_below`` and no computed eigenvalue lies
@@ -407,7 +448,7 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
     spec._check_index(i)
     lam = spec.eigenvalues
     center = lam[i - 1]
-    tol = CLUSTER_TOL_REL * (1.0 + abs(center))
+    tol = CLUSTER_TOL_REL * (_unit(spec.grid) + abs(center))
     lo = i - 1
     while lo > 0 and abs(lam[lo - 1] - center) <= tol:
         lo -= 1

@@ -154,27 +154,28 @@ def test_any_k_matches_dense(domain, n, potential, seed, k_frac):
 def test_missed_copy_recovered(monkeypatch):
     # a first solve that loses one copy of the double eigenvalue 1 of the
     # circle returns 0, 1, 4, 4, 9 at k = 5; the Sturm count below its top
-    # cluster finds five eigenvalues where it holds four, and the re-solve
-    # takes 2 pairs more than that count (the 1-D headroom) and recovers. At
-    # k = 4 the re-solve takes 6 pairs, and its count covers both copies of
-    # the double eigenvalue 4 while only the first is kept: the dropped copy
-    # bounds complete_below, so cluster 4 is not proven complete.
+    # cluster finds five eigenvalues where it holds four, and the seeded
+    # re-solve, which passes through the same solver, takes 2 pairs more than
+    # that count (the 1-D headroom) and recovers. At k = 4 the re-solve takes
+    # 6 pairs, and its count covers both copies of the double eigenvalue 4
+    # while only the first is kept: the dropped copy bounds complete_below,
+    # so cluster 4 is not proven complete.
     grid = build_grid(Circle(2.0 * np.pi), 128, BoundaryCondition.CLOSED)
     q = Potential.zero(grid)
     oracle = dense_oracle(grid, q)
     solve = spectral._lowest_pairs_banded
     calls = []
 
-    def lossy(grid, H, k):
-        calls.append(k)
-        evals, evecs = solve(grid, H, k + 1)
-        if len(calls) > 1:
+    def lossy(grid, H, k, start=None, seeded=False):
+        calls.append((k, seeded))
+        evals, evecs = solve(grid, H, k + 1, start, seeded)
+        if seeded:
             return evals[:k], evecs[:, :k]
         keep = [j for j in range(k + 1) if j != 2]
         return evals[keep], evecs[:, keep]
 
     monkeypatch.setattr(spectral, "_lowest_pairs_banded", lossy)
-    for k, solves in ((5, [5, 7]), (4, [4, 6])):
+    for k, solves in ((5, [(5, False), (7, True)]), (4, [(4, False), (6, True)])):
         calls.clear()
         spec = eigensolve(grid, assemble(grid, q), k, potential=q)
         assert calls == solves
@@ -183,8 +184,40 @@ def test_missed_copy_recovered(monkeypatch):
     assert not detect_cluster(spec, 4).complete
 
 
-def warm_flags(monkeypatch) -> list[bool]:
-    """Records, for each banded solve from here on, whether it started warm."""
+def test_rejected_modes_attempt_recovered_seeded(monkeypatch):
+    # q = -1e5 at one node of the 64-node circle, a narrow deep well. The
+    # first attempt starts from the Laplacian's modes, which barely overlap
+    # the well's ground state, and stops at the ground pair's residual of
+    # ~6.5e-6, inside 1e-10 (1 + |lambda_1|) = 1e-5. The Sturm count covers
+    # the edge of lambda_2's cluster, but that residual is more than its
+    # tolerance 1.25e-6 and cannot resolve the edge, so the gate rejects the
+    # attempt. The seeded cold re-solve of 4 + 2 pairs converges the ground
+    # pair to ~5e-11 and proves the cluster.
+    grid = build_grid(Circle(2.0 * np.pi), 64, BoundaryCondition.CLOSED)
+    values = np.zeros(64)
+    values[23] = -1e5
+    q = Potential.from_values(grid, values)
+    solve = spectral._lowest_pairs_banded
+    calls, residuals = [], []
+
+    def recorded(grid, H, k, start=None, seeded=False):
+        calls.append((k, seeded))
+        evals, evecs = solve(grid, H, k, start, seeded)
+        residuals.append(np.linalg.norm(H @ evecs - evecs * evals, axis=0))
+        return evals, evecs
+
+    monkeypatch.setattr(spectral, "_lowest_pairs_banded", recorded)
+    spec, cluster = spectrum_with_complete_cluster(grid, q, 2)
+    assert calls == [(4, False), (6, True)]
+    assert residuals[0][0] > cluster.tol_used > 1e3 * np.max(spec.residuals)
+    assert cluster.complete and (cluster.first_index, cluster.multiplicity) == (2, 1)
+    assert_matches(spec, dense_oracle(grid, q))
+
+
+def first_attempt_flags(monkeypatch) -> list[bool]:
+    """Records, for each banded solve from here on, whether it started from a
+    given block (a first attempt's modes or warm start) rather than the
+    seeded block of a retry."""
     flags = []
     solve = banded.lowest_pairs
 
@@ -215,7 +248,7 @@ def test_warm_start_matches_dense(domain, potential, monkeypatch):
     q = make_potential(grid, potential, 3)
     start, _ = spectrum_with_complete_cluster(grid, q, 2)
     moved = Potential.from_values(grid, q.values + 0.1 * make_potential(grid, "low-mode", 4).values)
-    flags = warm_flags(monkeypatch)
+    flags = first_attempt_flags(monkeypatch)
     for target in (moved, q):
         start, cluster = spectrum_with_complete_cluster(grid, target, 2, start)
         oracle = dense_oracle(grid, target)
@@ -230,16 +263,22 @@ def test_warm_start_matches_dense(domain, potential, monkeypatch):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_warm_start_without_ground_state_is_resolved_cold(domain, monkeypatch):
-    # a start of the exact eigenvectors of lambda_2..lambda_8 converges at
-    # once to those seven pairs; the count below them finds eight
-    # eigenvalues, and the cold re-solve from the seeded block recovers the
-    # ground state
+    # a start of the exact eigenvectors of lambda_2..lambda_8, padded with
+    # the oracle's eigenvectors of lambda_5 and lambda_6 in place of the
+    # Laplacian's modes (the modes overlap the ground state, and with them
+    # the first attempt may find it itself): the first attempt's block holds
+    # no ground state and converges at once to lambda_2..lambda_4; the count
+    # below them finds four eigenvalues, and the cold re-solve from the
+    # seeded block recovers the ground state
     kind, bc = DOMAINS[domain]
     grid = build_grid(kind, 256, bc)
     q = make_potential(grid, "low-mode", 5)
     oracle = dense_oracle(grid, q)
     bad = SpectralData(oracle.eigenvalues[1:8], oracle.eigenvectors[:, 1:8], grid, q)
-    flags = warm_flags(monkeypatch)
+    assert_matches(spectrum_with_complete_cluster(grid, q, 1, bad)[0], oracle)
+    excited = oracle.eigenvectors[:, 1:] * np.sqrt(grid.weight)
+    monkeypatch.setattr(spectral, "laplacian_modes", lambda grid, p: excited[:, :p])
+    flags = first_attempt_flags(monkeypatch)
     spec, cluster = spectrum_with_complete_cluster(grid, q, 1, bad)
     assert flags == [True, False]
     assert_matches(spec, oracle)
@@ -251,17 +290,21 @@ def test_cluster_resolve_is_cold(monkeypatch):
     # q = 100 cos 3x: lambda_1..lambda_3 form one cluster, wider than the
     # first solve's 1 + 2 pairs. A start of 5 pairs makes that solve warm;
     # the re-solve of 3 + 2 pairs after the incomplete cluster ignores the
-    # start, so it equals a fresh cold solve of its size bit for bit
+    # start and the modes, so it equals the seeded cold solve of its size
+    # bit for bit
     grid = build_grid(Circle(), 256, BoundaryCondition.CLOSED)
     q = Potential.from_values(grid, 100.0 * np.cos(3.0 * grid.coords))
     nearby = Potential.from_values(grid, q.values + 0.01 * np.cos(grid.coords))
     start = eigensolve(grid, assemble(grid, nearby), 5, potential=nearby)
-    flags = warm_flags(monkeypatch)
+    flags = first_attempt_flags(monkeypatch)
     spec, cluster = spectrum_with_complete_cluster(grid, q, 1, start)
     assert flags == [True, False]
     assert cluster.complete and (cluster.first_index, cluster.multiplicity) == (1, 3)
     assert spec.count == 5
-    assert_same_bits(spec, eigensolve(grid, assemble(grid, q), spec.count, potential=q))
+    H = assemble(grid, q)
+    seeded = eigensolve(grid, H, 5, potential=q,
+                        first=spectral._lowest_pairs_banded(grid, H, 5, seeded=True))
+    assert_same_bits(spec, seeded)
 
 
 @pytest.mark.parametrize("domain", ["circle", "neumann"])

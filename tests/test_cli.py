@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ length=6.283185307179586
 nodes=128
 bc=closed
 """
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TORUS_DOMAIN = CIRCLE_DOMAIN.replace("kind=circle", "kind=torus").replace("nodes=128", "nodes=8")
 
@@ -99,6 +105,22 @@ class TestSpectrumCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "boundry" in err
+
+    def test_missing_key_message_is_hash_independent(self, tmp_path):
+        # the first missing required key is named in sorted order, not in set
+        # order: a [domain] without nodes and bc was reported as missing
+        # 'nodes' under some PYTHONHASHSEED values and 'bc' under others
+        cfg = write_cfg(tmp_path, "[domain]\nkind=circle\nlength=6.28\n"
+                        "\n[potential]\npreset=zero\n")
+        errors = []
+        for seed in ("1", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "specpot.cli", "spectrum", "--config", cfg, "--out",
+                 str(tmp_path / "o")], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed))
+            assert proc.returncode == 2
+            errors.append(proc.stderr)
+        assert errors == ["config error: missing key 'bc' in [domain]\n"] * 2
 
     def test_formats_is_an_unknown_key(self, tmp_path, capsys):
         # every command writes all its artifacts; there is no format switch

@@ -13,9 +13,11 @@ from specpot.domain import (
     build_grid,
     fourier_mode,
     grid_from_mapping,
+    laplacian_modes,
     mean_value,
     project_mean_zero,
 )
+from specpot.banded import EPS, BandedOperator, _norm_bound
 from specpot.errors import ConfigError, DimensionError
 from specpot.spectral import assemble
 
@@ -181,6 +183,27 @@ class TestLaplacian:
             row_sums = lap @ np.ones(g.n_nodes)
             assert np.max(np.abs(row_sums)) <= 1e-12 / hmin**2
             assert np.linalg.eigvalsh(lap)[0] >= -1e-10
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 256])
+    @pytest.mark.parametrize("bc", ["closed", "neumann", "dirichlet"])
+    def test_modes_are_orthonormal_eigenvectors(self, bc, n):
+        # laplacian_modes against the closed-form spectra above, in ascending
+        # order: one mode, four (a block cut after the circle's first double
+        # pair) and all n, the circle's Nyquist mode (-1)^j at even n included
+        kind = Circle(2 * np.pi) if bc == "closed" else Interval(np.pi)
+        g = build_grid(kind, n, bc)
+        exact = (circle_fd_eigs(n, 2 * np.pi) if bc == "closed"
+                 else interval_fd_eigs(n, np.pi, bc))
+        lap = BandedOperator(g.laplacian)
+        norm = float(_norm_bound(g.laplacian))
+        for p in (1, 4, n):
+            modes = laplacian_modes(g, p)
+            assert modes.shape == (n, p)
+            assert np.max(np.abs(modes.T @ modes - np.eye(p))) <= 8 * EPS * np.sqrt(n)
+            residuals = np.linalg.norm(lap @ modes - modes * exact[:p], axis=0)
+            assert np.max(residuals) <= 8 * EPS * norm
+        if bc == "closed" and n % 2 == 0:
+            assert np.array_equal(np.sign(modes[:, -1]), (-1.0) ** np.arange(n))
 
     def test_dirichlet_positive_definite(self, dirichlet_grid):
         assert np.linalg.eigvalsh(dense_laplacian(dirichlet_grid))[0] > 0.5

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specpot import banded, cli, optimize, spectral
-from specpot.domain import BoundaryCondition, Circle, Interval, Potential, build_grid, mean_value
+from specpot.domain import (BoundaryCondition, Circle, Interval, Potential, build_grid,
+                            laplacian_modes, mean_value)
 from specpot.errors import ConfigError, SolverError
 from specpot.optimize import (
     MAX_BOUND,
@@ -211,7 +212,7 @@ class TestSubgradientDirection:
 
 
 class TestRunOptimizer:
-    def test_circle_max_lambda1(self, circle_grid, monkeypatch):
+    def test_circle_max_lambda1(self, circle_grid, monkeypatch, tmp_path):
         con = ConstraintSpec(0.0, 2.0)
         obj = ObjectiveSpec("eigenvalue", 1, sense="maximize")
         raw = Potential.fourier(circle_grid, (0.4, -0.3), (0.2,)).values
@@ -240,6 +241,21 @@ class TestRunOptimizer:
         assert max(objs) <= 0.0 + 1e-9
         # monotone ascent on the (always simple) ground state
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
+        # the run stops on target at a recorded iterate: one record per
+        # iterate, none repeated at an iteration that never ran
+        assert result.stop_reason == "target"
+        assert [r.iteration for r in result.log] == list(range(1, result.iterations + 1))
+        monkeypatch.setattr(cli, "run_optimizer", lambda *args, **kwargs: result)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[domain]\nkind=circle\nlength=6.283185307179586\nnodes=256\nbc=closed\n"
+                       "\n[potential]\npreset=zero\n"
+                       "\n[task]\ntarget=eigenvalue\nindex=1\nsense=maximize\nmean=0.0\n"
+                       "bound=2.0\n")
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "iterates.csv").read_text().strip().splitlines()[1:]
+        values = [row.split(",", 1)[1] for row in rows]
+        assert len(rows) == result.iterations
+        assert len(set(values)) == len(values)
 
     def test_polyak_ascent_stops_at_target(self, circle_grid):
         # lambda_1 <= mean(q) = 0 with equality only at constants: a Polyak
@@ -291,11 +307,13 @@ class TestRunOptimizer:
 
     def test_gap_candidate_solves_start_warm(self, circle_grid, monkeypatch):
         # gap-no-min's gap(2, 3) Polyak minimization at seed 7: 17 iterations,
-        # one cold first solve and 16 warm candidate solves. Work is counted
-        # in shifted-solve columns (right-hand sides), since a narrower block
-        # may take a step more: 3 + 2 pairs per solve take 23 shifted solves
-        # of 153 columns, where 3 + 6 pairs would take 21 of 224.
-        counts = {"solves": 0, "columns": 0, "warm": 0}
+        # a first solve from the Laplacian's modes and 16 warm candidate
+        # solves. Work is counted in shifted-solve columns (right-hand sides),
+        # since a narrower block may take a step more: 3 + 2 pairs per solve
+        # take 19 shifted solves of 128 columns (23 of 153 when the first
+        # solve took shift-invert steps from a seeded block).
+        counts = {"solves": 0, "columns": 0}
+        starts = []
         solve, shifted, lowest = spectral.eigensolve, banded.shifted_solve, banded.lowest_pairs
 
         def counted_solve(*args, **kwargs):
@@ -307,7 +325,7 @@ class TestRunOptimizer:
             return shifted(shifted_diag, off, rhs, *args, **kwargs)
 
         def counted_lowest(bands, k, seed, start=None):
-            counts["warm"] += start is not None
+            starts.append(start)
             return lowest(bands, k, seed, start)
 
         monkeypatch.setattr(spectral, "eigensolve", counted_solve)
@@ -319,8 +337,11 @@ class TestRunOptimizer:
         result = run_optimizer(circle_grid, ObjectiveSpec("gap", 2, 3, sense="minimize"),
                                constraint, q0, Schedule("polyak", target=0.0), max_iters=200)
         assert result.objective <= 1e-3
-        assert counts["warm"] == counts["solves"] - 1
-        assert counts["columns"] <= 160
+        assert len(starts) == counts["solves"]
+        modes = laplacian_modes(circle_grid, 7).tobytes()   # 5 pairs and 2 guard columns
+        assert [start.tobytes() == modes for start in starts] == [True] + [False] * (
+            counts["solves"] - 1)
+        assert counts["columns"] <= 135
 
     @pytest.mark.parametrize("kind, reason", [("polyak", "target"), ("sqrt", "stagnation"),
                                               ("constant", "stagnation")])
@@ -380,7 +401,7 @@ class TestRunOptimizer:
         result = run_optimizer(SMALL_CIRCLE, obj, ConstraintSpec(0.0, 2.0), q0,
                                Schedule("polyak", target=0.0), max_iters=20)
         assert result.stop_reason == "cluster_unproven"
-        assert (result.iterations, len(result.log), result.aborted) == (1, 2, False)
+        assert (result.iterations, len(result.log), result.aborted) == (1, 1, False)
 
     def test_certificate_stop_at_constant(self, circle_grid):
         # starting exactly at the maximizer: the certificate fires immediately
@@ -464,19 +485,19 @@ class TestOptimizerExits:
         # call 1 is the first solve, call 2 the candidate of iteration 1
         self.fail_on_call(monkeypatch, 3)
         result = self.run(Schedule("constant", s0=0.05), 20)
-        assert (result.stop_reason, result.iterations, len(result.log)) == ("solver_error", 2, 3)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("solver_error", 2, 2)
         assert result.aborted
 
     def test_window_stagnation(self):
         # steps of 1e-13 move lambda_1 by far less than STAGNATION_TOL, so the
         # first full window of 50 records after the first stops the run
         result = self.run(Schedule("constant", s0=1e-13), 100)
-        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 51, 52)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 51, 51)
 
     def test_zero_step_stagnation(self, monkeypatch):
         monkeypatch.setattr(optimize, "_step_size", lambda *args: 0.0)
         result = self.run(Schedule("constant", s0=0.05), 20)
-        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 1, 2)
+        assert (result.stop_reason, result.iterations, len(result.log)) == ("stagnation", 1, 1)
 
     def test_no_candidate_accepted(self, tmp_path):
         # lambda_2 of this circle run falls at every one of the 9 halvings of

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specpot import spectral
+from specpot import banded, spectral
 from specpot.domain import BoundaryCondition, Circle, Interval, Potential, Torus2D, build_grid
 from specpot.errors import ConfigError, SolverError
 from specpot.spectral import (
@@ -21,17 +21,18 @@ def rel_err(a, b):
     return np.abs(a - b) / (1.0 + np.abs(b))
 
 
-def banded_solve_sizes(monkeypatch) -> list[int]:
-    """Records k of each 1-D banded solve from here on."""
-    ks = []
+def banded_solves(monkeypatch) -> list[tuple[int, bool]]:
+    """Records k and whether it is the seeded retry solve, of each 1-D banded
+    solve from here on."""
+    attempts = []
     solve = spectral._lowest_pairs_banded
 
-    def counted(grid, H, k, start=None):
-        ks.append(k)
-        return solve(grid, H, k, start)
+    def counted(grid, H, k, start=None, seeded=False):
+        attempts.append((k, seeded))
+        return solve(grid, H, k, start, seeded)
 
     monkeypatch.setattr(spectral, "_lowest_pairs_banded", counted)
-    return ks
+    return attempts
 
 
 def sparse_solve_attempts(monkeypatch) -> list[tuple[int, bool]]:
@@ -296,23 +297,53 @@ class TestDetectCluster:
         assert detect_cluster(spec, g.n_nodes).complete
 
     def test_large_norm_grid_proves_only_what_it_resolves(self, monkeypatch):
-        # a circle of length 0.001 at n = 2000 has ||H|| ~ 1.6e13: lambda_1 = 1
-        # comes back with an error ~4x its cluster tolerance of 2e-6, and the
-        # measured residuals (~4e-3) say so, so no count proves its cluster
-        # complete; more pairs cannot mend that, so the first solve's failure
-        # is reported as one of accuracy. lambda_2's cluster, tolerance ~39,
-        # is resolved
+        # q = 1e13 at every 400th node of the 2 pi circle at n = 2000 walls it
+        # into five equal wells, and ||H|| ~ 1e13 comes from q:
+        # lambda_1..lambda_5 lie within ~3e-8 of 6.25, one cluster of
+        # tolerance ~6.2e-6, and the residuals measured on it (~4e-3) cannot
+        # resolve its edge. The first solve, 3 pairs for index 1 and 4 for
+        # index 2, cannot hold the cluster; the count at its edge finds five
+        # eigenvalues, and the seeded re-solve of 5 + 2 pairs holds them but
+        # cannot prove them: more pairs cannot mend that, so its failure is
+        # reported as one of accuracy. On the circle of length 0.001 at
+        # n = 2000, ||H|| ~ 1.6e13 comes from the Laplacian, and lambda_2's
+        # cluster, tolerance ~79, is resolved
+        g = build_grid(Circle(), 2000, BoundaryCondition.CLOSED)
+        walls = np.zeros(2000)
+        walls[::400] = 1e13
+        q = Potential.from_values(g, walls)
+        attempts = banded_solves(monkeypatch)
+        for i in (1, 2):
+            attempts.clear()
+            with pytest.raises(SolverError, match=f"does not prove the cluster of index {i}") as err:
+                spectrum_with_complete_cluster(g, q, i)
+            assert "residuals" in str(err.value)
+            assert attempts == [(i + 2, False), (7, True)]
         g = build_grid(Circle(0.001), 2000, BoundaryCondition.CLOSED)
-        q = Potential.constant(g, 1.0)
-        attempts = banded_solve_sizes(monkeypatch)
-        with pytest.raises(SolverError, match="does not prove the cluster of index 1") as err:
-            spectrum_with_complete_cluster(g, q, 1)
-        assert "residuals" in str(err.value)
-        assert len(attempts) == 1
-        spec, cl = spectrum_with_complete_cluster(g, q, 2)
+        spec, cl = spectrum_with_complete_cluster(g, Potential.constant(g, 1.0), 2)
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (2, 2)
         assert np.sqrt(spec.count) * np.max(spec.residuals) < 1e-3 * cl.tol_used
+
+    @pytest.mark.parametrize("length", [0.01, 0.001])
+    @pytest.mark.parametrize("n", [256, 2000])
+    def test_tiny_circle_clusters_proven(self, length, n):
+        # the cluster tolerance is CLUSTER_TOL_REL (u + |lambda|), u the
+        # domain's unit (2 pi / L)^2: ~3.9e5 and ~3.9e7 here. Under a unit of
+        # 1, lambda_1's tolerance, 2e-6, lay below the solve's accuracy
+        # (~4e-3 at length 0.001 and n = 2000), and no count could prove its
+        # cluster; now lambda_1 and the double lambda_2 are proven, and they
+        # match 1 + (4/h^2) sin^2(pi m / n) to the rounding floor
+        g = build_grid(Circle(length), n, BoundaryCondition.CLOSED)
+        q = Potential.constant(g, 1.0)
+        h = g.spacing[0]
+        exact = 1.0 + 4.0 / h**2 * np.sin(np.pi * np.array([0, 1, 1, 2, 2, 3]) / n) ** 2
+        norm = float(banded._norm_bound(assemble(g, q).bands))
+        for i, cluster in ((1, (1, 1)), (2, (2, 2))):
+            spec, cl = spectrum_with_complete_cluster(g, q, i)
+            assert cl.complete
+            assert (cl.first_index, cl.multiplicity) == cluster
+            assert np.max(np.abs(spec.eigenvalues - exact[:spec.count])) <= 64 * banded.EPS * norm
 
     @pytest.mark.parametrize("bc, i, cluster", [
         (BoundaryCondition.CLOSED, 2, (2, 2)), (BoundaryCondition.CLOSED, 3, (2, 2)),
@@ -323,9 +354,9 @@ class TestDetectCluster:
         # circle's double eigenvalue 1 from either of its indices, and the
         # simple second Neumann eigenvalue
         g = build_grid(Interval(np.pi) if bc is BoundaryCondition.NEUMANN else Circle(), 256, bc)
-        ks = banded_solve_sizes(monkeypatch)
+        attempts = banded_solves(monkeypatch)
         spec, cl = spectrum_with_complete_cluster(g, Potential.constant(g, 0.3), i)
-        assert ks == [i + 2]
+        assert attempts == [(i + 2, False)]
         assert spec.count == i + 2
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == cluster
@@ -333,13 +364,14 @@ class TestDetectCluster:
     def test_near_triple_cluster_resolved(self, monkeypatch):
         # q = 100 cos 3x has three wells on the circle: lambda_1..lambda_3 lie
         # within 4e-8 (1 + |lambda_1|) of each other, a cluster wider than the
-        # 1-D headroom. The first solve's 3 pairs cannot prove it; the count
-        # at its edge finds 3 eigenvalues and the re-solve takes 3 + 2 pairs.
+        # 1-D headroom. The first solve's 3 pairs, from the Laplacian's modes,
+        # cannot prove it; the count at its edge finds 3 eigenvalues and the
+        # seeded re-solve takes 3 + 2 pairs.
         g = build_grid(Circle(), 256, BoundaryCondition.CLOSED)
         q = Potential.from_values(g, 100.0 * np.cos(3.0 * g.coords))
-        ks = banded_solve_sizes(monkeypatch)
+        attempts = banded_solves(monkeypatch)
         spec, cl = spectrum_with_complete_cluster(g, q, 1)
-        assert ks == [3, 5]
+        assert attempts == [(3, False), (5, True)]
         assert cl.complete
         assert (cl.first_index, cl.multiplicity) == (1, 3)
         edge = cl.value + cl.tol_used
