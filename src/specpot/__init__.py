@@ -59,6 +59,7 @@ from .optimize import (
     project_feasible,
     refute_local_min,
     run_optimizer,
+    run_optimizers,
     subgradient_direction,
 )
 
@@ -99,6 +100,7 @@ __all__ = [
     "Schedule",
     "project_feasible",
     "run_optimizer",
+    "run_optimizers",
     "subgradient_direction",
     "refute_local_min",
 ]

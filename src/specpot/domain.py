@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,7 +228,9 @@ def fourier_mode(grid: DomainGrid, k: int, kind: str = "cos") -> np.ndarray:
 
 def laplacian_modes(grid: DomainGrid, p: int) -> np.ndarray:
     """The p lowest eigenvectors of -Laplacian_h on a 1-D grid, (n, p)
-    Euclidean-orthonormal columns in ascending order of their eigenvalues.
+    Euclidean-orthonormal columns in ascending order of their eigenvalues,
+    read-only and built once per domain kind, boundary condition, n and p:
+    they do not depend on the grid's length.
 
     On the circle these are the DFT modes: the constant, then cos and sin of
     2 pi m j / n for m = 1, 2, ..., ending at even n with the Nyquist mode
@@ -239,17 +242,23 @@ def laplacian_modes(grid: DomainGrid, p: int) -> np.ndarray:
     multiple of pi / (2n), reduced modulo 2 pi before it is scaled, so every
     entry is exact to a few eps at any n; sin x is taken as cos(x - pi/2).
     """
-    n = grid.n_nodes
+    return _modes(isinstance(grid.kind, Circle), grid.bc, grid.n_nodes, p)
+
+
+@lru_cache(maxsize=8)
+def _modes(circle: bool, bc: BoundaryCondition, n: int, p: int) -> np.ndarray:
     j = np.arange(n)[:, None]
     column = np.arange(p)
-    if isinstance(grid.kind, Circle):
+    if circle:
         m = (column + 1) // 2   # 0, 1, 1, 2, 2, ...: cos in odd columns, sin in even ones
         quarters = 4 * j * m - n * ((column % 2 == 0) & (column > 0))
     else:
-        dirichlet = grid.bc is BoundaryCondition.DIRICHLET
+        dirichlet = bc is BoundaryCondition.DIRICHLET
         quarters = (2 * j + 1) * (column + dirichlet) - n * dirichlet
     modes = np.cos(quarters % (4 * n) * (np.pi / (2 * n)))
-    return modes / np.linalg.norm(modes, axis=0)
+    modes /= np.linalg.norm(modes, axis=0)
+    modes.flags.writeable = False
+    return modes
 
 
 _GRID_KEYS = {"kind", "length", "nodes", "bc"}

@@ -10,11 +10,20 @@ TARGET_TOL. A Polyak lambda_1 ascent on a closed or Neumann grid steps in
 the Newton metric of lambda_1 near a constant potential (see run_optimizer)
 and gets there in under ten iterations; every other run steps plainly.
 
-Each candidate iterate, halvings included, is solved warm from the current
-iterate's spectrum, and each point of the refuter's line search from the
-point before it (``spectral``'s ``start``). Every other solve starts cold:
-a run's first iterate, the refuter's solve at q, finite differences. The
-start depends only on the run, so runs repeat bit for bit.
+A run is one generator body (``_run``) that yields each solve it needs, a
+potential and its warm start, and is sent the spectrum back.
+``run_optimizers`` advances the runs of one grid and objective from many
+starts in lockstep: each round it solves every live run's pending request
+together, one batched first attempt per group on the interval and the
+circle (``spectral.spectra_with_complete_clusters``), and a run drops out
+once it ends. ``run_optimizer`` is ``run_optimizers`` with one start.
+
+Each candidate iterate, halvings included, is still solved warm from its
+own run's current iterate, and each point of the refuter's line search from
+the point before it (``spectral``'s ``start``). Every other solve starts
+cold: a run's first iterate, the refuter's solve at q, finite differences.
+The start depends only on the run, and a batched solve takes no decision
+over its group, so every run repeats bit for bit, alone or in lockstep.
 """
 from __future__ import annotations
 
@@ -37,6 +46,7 @@ from .spectral import (
     SpectralData,
     assemble,
     detect_cluster,
+    spectra_with_complete_clusters,
     spectrum_with_complete_cluster,
 )
 
@@ -247,25 +257,77 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
     through all its halvings gives way to the plain step for the rest of the
     run. Elsewhere L models nothing: Dirichlet ascents end on the box and
     crawl in L, H - lambda_i is indefinite for i >= 2, and gap runs slow down.
+
+    This is ``run_optimizers`` with one start. Runs of one grid and
+    objective from many starts go in lockstep there, their solves batched,
+    and each is bit for bit this run from its start: each candidate is still
+    solved warm from its own iterate.
+    """
+    return run_optimizers(grid, objective, constraint, [q0], schedule, max_iters,
+                          cert_every=cert_every)[0]
+
+
+def run_optimizers(grid: DomainGrid, objective: ObjectiveSpec, constraint: ConstraintSpec,
+                   q0s: list[Potential], schedule: Schedule | None = None,
+                   max_iters: int = 500, *, cert_every: int = 25) -> list[OptimizeResult]:
+    """``run_optimizer`` from each start in q0s, the runs in lockstep.
+
+    Each run is a ``_run`` generator that stops at each solve it needs. A
+    round collects every live run's pending request and solves them together
+    (``spectral.spectra_with_complete_clusters``: one batched first attempt
+    per group on the interval and the circle), then hands each run its
+    result, or throws the SolverError of its request into it. A run leaves
+    once it returns. The results, in the order of q0s, are bit for bit those
+    of the runs made one at a time.
     """
     if max_iters < 1:
         raise ConfigError(f"iters must be at least 1, got {max_iters}")
     if cert_every < 0:
         raise ConfigError(f"cert_every must be >= 0 (0 disables the check), got {cert_every}")
+    schedule = schedule or Schedule()
+    runs = [_run(grid, objective, constraint, q0, schedule, max_iters, cert_every)
+            for q0 in q0s]
+    results: list[OptimizeResult | None] = [None] * len(runs)
+    pending = {}   # run index -> its solve request (potential, start)
+
+    def advance(r: int, step, value) -> None:
+        try:
+            pending[r] = step(value)
+        except StopIteration as stop:
+            pending.pop(r, None)
+            results[r] = stop.value
+
+    for r, run in enumerate(runs):
+        advance(r, run.send, None)
+    while pending:
+        live = list(pending)
+        solved = spectra_with_complete_clusters(grid, [pending[r] for r in live],
+                                                objective.top_index)
+        for r, outcome in zip(live, solved):
+            advance(r, runs[r].throw if isinstance(outcome, SolverError) else runs[r].send,
+                    outcome)
+    return results
+
+
+def _run(grid: DomainGrid, objective: ObjectiveSpec, constraint: ConstraintSpec,
+         q0: Potential, schedule: Schedule, max_iters: int, cert_every: int):
+    """One run of ``run_optimizers``, as a generator: it yields each solve
+    request, (potential, start), and is sent back that potential's spectrum
+    and the cluster of the objective's top index, or has the request's
+    SolverError thrown into it. It returns the run's OptimizeResult."""
     if np.max(np.abs(q0.values)) > constraint.bound_B + 1e-8 or abs(q0.mean - constraint.mean_c) > 1e-8:
         raise ConfigError("q0 violates the constraint set")
     q = project_feasible(grid, q0, constraint)
-    schedule = schedule or Schedule()
 
     log: list[IterateRecord] = []
-    metric = None   # L = -Laplacian_h for the Newton-metric step, see above
+    metric = None   # L = -Laplacian_h for the Newton-metric step, see run_optimizer
     if (schedule.kind == "polyak" and objective.target == "eigenvalue" and objective.i == 1
             and objective.sense == "maximize" and grid.bc is not BoundaryCondition.DIRICHLET):
         metric = assemble(grid, Potential.zero(grid))
 
     def solve(pot: Potential, start: SpectralData | None = None):
         """(spectrum, cluster of i, of j or None, objective) at pot."""
-        spec, top = spectrum_with_complete_cluster(grid, pot, objective.top_index, start)
+        spec, top = yield pot, start
         if objective.target == "eigenvalue":   # top is the cluster of i; there is no j
             return spec, top, None, spec.eigenvalue(objective.i)
         return (spec, detect_cluster(spec, objective.i), top,
@@ -273,7 +335,7 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
 
     it, obj = 0, np.nan
     try:   # a SolverError from any solve ends the run on "solver_error"
-        spec, ci, cj, obj = solve(q)
+        spec, ci, cj, obj = yield from solve(q)
         stop_reason, last_step = "max_iters", 0.0
         for it in range(1, max_iters + 1):
             cert_residual = None
@@ -310,10 +372,11 @@ def run_optimizer(grid: DomainGrid, objective: ObjectiveSpec, constraint: Constr
                 if curvature > 0.0:
                     moves.insert(0, (newton, min(2.0 * abs(obj - schedule.target) / curvature,
                                                  2.0 * constraint.bound_B / newton.sup_norm)))
-            found = _line_search(grid, constraint, q, objective.sigma, moves,
-                                 lambda pot: solve(pot, start=spec),
-                                 lambda value: objective.sigma * (value - obj) >= -BACKTRACK_TOL
-                                 or not simple_here)
+            found = yield from _line_search(
+                grid, constraint, q, objective.sigma, moves,
+                lambda pot: solve(pot, start=spec),
+                lambda value: objective.sigma * (value - obj) >= -BACKTRACK_TOL
+                or not simple_here)
             if found is None:
                 stop_reason = "stagnation"
                 break
@@ -331,11 +394,13 @@ def _line_search(grid: DomainGrid, constraint: ConstraintSpec, q: Potential, sig
                  moves, solve, accept):
     """The first candidate, the feasible projection of q + sigma step move,
     whose objective accept takes: the moves in order, each step halved up to
-    8 times. (move index, candidate, solve(candidate), step), or None."""
+    8 times. A generator like ``_run``, solving each candidate through
+    ``yield from solve(candidate)``; it returns (move index, candidate, the
+    solve's result, step), or None."""
     for index, (move, step) in enumerate(moves):
         for _halving in range(9):
             candidate = project_feasible(grid, q.values + sigma * step * move.values, constraint)
-            solved = solve(candidate)
+            solved = yield from solve(candidate)
             if accept(solved[-1]):
                 return index, candidate, solved, step
             step /= 2.0

@@ -15,13 +15,17 @@ so that solves repeat bit for bit:
   pads them with the modes after the k-th. Seeded shift-invert is the retry
   path: every retry is the cold seeded solve, so an incomplete-cluster
   retry is the seeded cold solve of its size.
-  ``solve_spectra`` solves many potentials on one grid: their operators
-  share the Laplacian's off-diagonal, so each group of them takes one
-  batched first attempt from the modes (``banded.lowest_pairs`` on the
-  stacked bands, in groups of ``banded.group_size`` to bound the working
-  set), and then each member passes ``eigensolve``'s gate alone, its
-  retries included. Its spectra are bit for bit those of
-  ``solve_spectrum``.
+  Batched first attempts (``_first_attempts``) serve ``solve_spectra``
+  (many potentials on one grid, each from the modes) and the optimizer's
+  rounds (``spectra_with_complete_clusters``: the candidates of many runs,
+  each warm from its own run's iterate). The operators share the
+  Laplacian's off-diagonal, so each group of them takes one batched first
+  attempt (``banded.lowest_pairs`` on the stacked bands and start blocks,
+  in groups of ``banded.group_size`` to bound the working set), and then
+  each member passes ``eigensolve``'s gate alone, its retries included; an
+  index request passes it through ``spectrum_with_complete_cluster``, like
+  any index solve. Every spectrum is bit for bit the one its potential gets
+  solved alone.
 - On the torus H is a sparse Kronecker sum, solved by shift-invert Lanczos
   (ARPACK) below the spectrum, and re-solved by shift-invert block Lanczos
   when that misses an eigenvalue or leaves a cluster incomplete, both on one
@@ -147,7 +151,13 @@ def assemble(grid: DomainGrid, q: Potential | np.ndarray):
         lap_x, lap_y = (BandedOperator(bands).toarray() for bands in grid.laplacian)
         # kron(I, L_x) + kron(L_y, I): node j * m + i, x varies fastest
         return (sp.kronsum(lap_x, lap_y, format="csc") + sp.diags(values)).tocsc()
-    return BandedOperator(grid.laplacian + np.stack([values, np.zeros_like(values)]))
+    return BandedOperator(_bands(grid, values))
+
+
+def _bands(grid: DomainGrid, values: np.ndarray) -> np.ndarray:
+    """The two bands of H on a 1-D grid for q's (n,) values, or stacked,
+    (m, 2, n), for the (m, n) values of m potentials."""
+    return grid.laplacian + np.stack([values, np.zeros_like(values)], axis=-2)
 
 
 def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
@@ -189,9 +199,9 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     least k pairs, puts its k eigenvectors in place of the lowest k modes
     (``banded``'s warm start). The torus and a start with fewer pairs ignore
     ``start``. ``first``, the (k,) values and (n, k) vectors of a first 1-D
-    attempt already made (``solve_spectra``'s batched one), takes the first
-    attempt's place. The gate judges each like any other attempt, so a pair
-    a poor start lost is never kept.
+    attempt already made (a group's batched one, see ``_first_attempts``), takes
+    the first attempt's place. The gate judges each like any other attempt,
+    so a pair a poor start lost is never kept.
     """
     n = grid.n_nodes
     if H.shape != (n, n):
@@ -203,7 +213,7 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
     resolve = partial(lowest_pairs, block=True) if torus else partial(lowest_pairs, seeded=True)
     if first is not None:
         lowest_pairs = lambda grid, H, k: first
-    elif start is not None and start.count >= k and not torus:
+    elif start is not None and not torus:
         lowest_pairs = partial(lowest_pairs, start=start)
     solve_k, unit = k, _unit(grid)
     for _ in range(4):   # at most a count miss on each side of a cluster miss
@@ -245,8 +255,8 @@ def eigensolve(grid: DomainGrid, H, k: int, potential: Potential | None = None,
                 return spec
             x = cluster.value + cluster.tol_used
             if x < spec.complete_below and lowest_pairs is resolve:
-                raise SolverError(f"a solve of {k} pairs does not prove the cluster of index "
-                                  f"{index} complete: its residuals do not resolve {x:.12g}")
+                raise SolverError(f"a solve of {solve_k} pairs does not prove the cluster of "
+                                  f"index {index} complete: its residuals do not resolve {x:.12g}")
             solved, count, solve_k = cluster.last_index, count_eigenvalues_below(H, x), k
         # a count miss keeps k pairs of a wider solve; an incomplete cluster widens k
         lowest_pairs = resolve
@@ -303,11 +313,11 @@ def _lowest_pairs_banded(grid: DomainGrid, H: BandedOperator, k: int,
 
 def _first_block(grid: DomainGrid, k: int, start: SpectralData | None = None) -> np.ndarray:
     """A 1-D first attempt's start block: the grid's lowest -Laplacian_h
-    modes, ``banded.block_width`` of them, or a start's k eigenvectors
-    followed by the modes after the k-th. sqrt(w) turns the start's
-    w-orthonormal eigenvectors Euclidean-orthonormal."""
+    modes, ``banded.block_width`` of them, or, from a start with at least k
+    pairs, its k eigenvectors followed by the modes after the k-th. sqrt(w)
+    turns the start's w-orthonormal eigenvectors Euclidean-orthonormal."""
     modes = laplacian_modes(grid, banded.block_width(grid.n_nodes, k))
-    if start is None:
+    if start is None or start.count < k:
         return modes
     return np.hstack([start.eigenvectors[:, :k] * np.sqrt(grid.weight), modes[:, k:]])
 
@@ -411,26 +421,40 @@ def solve_spectrum(grid: DomainGrid, q: Potential, k: int) -> SpectralData:
 
 def solve_spectra(grid: DomainGrid, potentials: list[Potential], k: int) -> list[SpectralData]:
     """``solve_spectrum`` of each potential on one interval or circle grid,
-    bit for bit, with one batched first solve per group of
-    ``banded.group_size`` potentials. A group whose batched solve fails
-    with a ``LinAlgError`` is solved one potential at a time instead."""
+    bit for bit, with one batched first attempt per group
+    (``_first_attempts``); the first failed solve raises its SolverError."""
     if isinstance(grid.kind, Torus2D):
         raise ValueError("solve_spectra takes interval and circle grids")
-    size = banded.group_size(grid.n_nodes, k)
-    block = _first_block(grid, k)
-    spectra = []
-    for lo in range(0, len(potentials), size):
-        group = potentials[lo : lo + size]
-        ops = [assemble(grid, q) for q in group]
-        try:
-            firsts = zip(*banded.lowest_pairs(np.stack([H.bands for H in ops]), k,
-                                              START_VECTOR_SEED,
-                                              np.broadcast_to(block, (len(group),) + block.shape)))
-        except np.linalg.LinAlgError:
-            firsts = [None] * len(group)
-        spectra += [eigensolve(grid, H, k, potential=q, first=pairs)
-                    for H, q, pairs in zip(ops, group, firsts)]
-    return spectra
+    firsts = _first_attempts(grid, [(q, None) for q in potentials], k)
+    return [eigensolve(grid, assemble(grid, q), k, potential=q, first=first)
+            for q, first in zip(potentials, firsts)]
+
+
+def _first_attempts(grid: DomainGrid, requests: list[tuple[Potential, SpectralData | None]],
+                    k: int):
+    """The first attempt of k pairs for each (potential, start) request, in
+    order, for ``eigensolve``'s ``first``.
+
+    In 1-D the operators share the Laplacian's off-diagonal, so each group
+    of ``banded.group_size`` requests takes one batched solve
+    (``banded.lowest_pairs`` on the stacked bands), each member from its own
+    ``_first_block``. None leaves a request its own first attempt inside
+    ``eigensolve``: a group of one, every torus request, and each member of
+    a group whose batched solve raises a ``LinAlgError``.
+    """
+    size = 1 if isinstance(grid.kind, Torus2D) else banded.group_size(grid.n_nodes, k)
+    for lo in range(0, len(requests), size):
+        group = requests[lo : lo + size]
+        firsts = [None] * len(group)
+        if len(group) > 1:
+            try:
+                firsts = zip(*banded.lowest_pairs(
+                    _bands(grid, np.stack([grid.check_vector(q.values) for q, _ in group])), k,
+                    START_VECTOR_SEED,
+                    np.stack([_first_block(grid, k, start) for _, start in group])))
+            except np.linalg.LinAlgError:
+                pass
+        yield from firsts
 
 
 def detect_cluster(spec: SpectralData, i: int) -> Cluster:
@@ -464,20 +488,44 @@ def detect_cluster(spec: SpectralData, i: int) -> Cluster:
 
 
 def spectrum_with_complete_cluster(grid: DomainGrid, q: Potential, i: int,
-                                   start: SpectralData | None = None
+                                   start: SpectralData | None = None,
+                                   first: tuple[np.ndarray, np.ndarray] | None = None
                                    ) -> tuple[SpectralData, Cluster]:
     """Spectrum of q whose cluster containing i is proven complete, and that
     cluster.
 
     One ``eigensolve`` of i + ``_headroom`` pairs (i + 2 on interval and
-    circle grids, i + 6 on the torus) with ``index=i``: its gate widens the
-    spectrum until a count proves the cluster of i complete, or raises
-    SolverError. Line searches, finite differences and gaps take index-i
-    spectra from here; ``start`` shapes the first attempt only.
+    circle grids, i + 6 on the torus; ``_index_pairs``) with ``index=i``:
+    its gate widens the spectrum until a count proves the cluster of i
+    complete, or raises SolverError. Line searches, finite differences and
+    gaps take index-i spectra from here; ``start`` and ``first`` shape the
+    first attempt only (see ``eigensolve``).
     """
-    k = min(grid.n_nodes, i + _headroom(grid))
-    spec = eigensolve(grid, assemble(grid, q), k, potential=q, start=start, index=i)
+    spec = eigensolve(grid, assemble(grid, q), _index_pairs(grid, i), potential=q, start=start,
+                      first=first, index=i)
     return spec, detect_cluster(spec, i)
+
+
+def _index_pairs(grid: DomainGrid, i: int) -> int:
+    """Pairs an index-i solve asks for: i + ``_headroom``, at most n."""
+    return min(grid.n_nodes, i + _headroom(grid))
+
+
+def spectra_with_complete_clusters(grid: DomainGrid,
+                                    requests: list[tuple[Potential, SpectralData | None]],
+                                    i: int) -> list[tuple[SpectralData, Cluster] | SolverError]:
+    """``spectrum_with_complete_cluster`` of each (potential, start) request,
+    in order and bit for bit, each group's first attempts made in one
+    batched solve (``_first_attempts``). A request whose solve fails gets
+    its SolverError in place of a result, and the others are solved all the
+    same."""
+    outcomes = []
+    for (q, start), first in zip(requests, _first_attempts(grid, requests, _index_pairs(grid, i))):
+        try:
+            outcomes.append(spectrum_with_complete_cluster(grid, q, i, start, first))
+        except SolverError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def discrete_gradient(grid: DomainGrid, f) -> np.ndarray:

@@ -24,6 +24,7 @@ from .optimize import (
     project_feasible,
     refute_local_min,
     run_optimizer,
+    run_optimizers,
 )
 from .perturbation import (
     gap_one_sided_derivatives,
@@ -67,7 +68,8 @@ def suite_thm11(seed: int) -> dict:
 
     Each domain's 50 random potentials and one constant are drawn first, in
     one stream, and solved together by ``solve_spectra`` (batched first
-    solves, each checked by its own Sturm count)."""
+    solves, each checked by its own Sturm count). Its five ascent starts are
+    drawn next and run in lockstep by ``run_optimizers``."""
     checks = []
     rng = np.random.default_rng([seed, 11])
     domains = [("circle", _circle()), ("neumann", _interval(BoundaryCondition.NEUMANN))]
@@ -94,14 +96,16 @@ def suite_thm11(seed: int) -> dict:
     worst_sup = 0.0
     worst_lam = np.inf
     for label, grid in domains:
+        q0s = []
         for _ in range(5):
             # Scale the start inside the box rather than clip a too-large
             # draw: the ascent's Newton metric models lambda_1 off the box faces.
             raw = _random_fourier(grid, rng, 1.0).values
-            q0 = Potential.from_values(grid, 0.4 * constraint.bound_B * raw / np.max(np.abs(raw)))
-            result = run_optimizer(grid, objective, constraint, q0,
-                                   Schedule("polyak", target=0.0), max_iters=400,
-                                   cert_every=0)
+            q0s.append(Potential.from_values(
+                grid, 0.4 * constraint.bound_B * raw / np.max(np.abs(raw))))
+        for result in run_optimizers(grid, objective, constraint, q0s,
+                                     Schedule("polyak", target=0.0), max_iters=400,
+                                     cert_every=0):
             worst_sup = max(worst_sup, float(np.max(np.abs(result.potential.values))))
             worst_lam = min(worst_lam, result.objective)
     checks.append(verdict("optimizer: worst ||q - c||_inf over 10 starts", worst_sup <= 1e-2,

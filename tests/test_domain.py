@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specpot import domain
 from specpot.domain import (
     BoundaryCondition,
     Circle,
@@ -204,6 +205,22 @@ class TestLaplacian:
             assert np.max(residuals) <= 8 * EPS * norm
         if bc == "closed" and n % 2 == 0:
             assert np.array_equal(np.sign(modes[:, -1]), (-1.0) ** np.arange(n))
+
+    @pytest.mark.parametrize("n", [8, 9, 256])
+    @pytest.mark.parametrize("bc", ["closed", "neumann", "dirichlet"])
+    def test_modes_are_cached_read_only(self, bc, n):
+        # the modes depend on the domain kind, bc, n and p, not on the length:
+        # grids of two lengths share one read-only array, equal to a fresh build
+        kind = Circle if bc == "closed" else Interval
+        short, long = (build_grid(kind(length), n, bc) for length in (1.0, 7.5))
+        for p in (1, 4, n):
+            modes = laplacian_modes(short, p)
+            assert laplacian_modes(long, p) is modes
+            assert not modes.flags.writeable
+            with pytest.raises(ValueError):
+                modes[0, 0] = 0.0
+            fresh = domain._modes.__wrapped__(bc == "closed", BoundaryCondition(bc), n, p)
+            assert np.array_equal(modes, fresh)
 
     def test_dirichlet_positive_definite(self, dirichlet_grid):
         assert np.linalg.eigvalsh(dense_laplacian(dirichlet_grid))[0] > 0.5

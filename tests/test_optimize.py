@@ -463,16 +463,20 @@ class TestOptimizerExits:
 
     @staticmethod
     def fail_on_call(monkeypatch, call):
+        # runs solve their requests in rounds; request number `call`, counted
+        # over the rounds, gets a SolverError in place of its result
         calls = []
-        solve = optimize.spectrum_with_complete_cluster
+        solve = optimize.spectra_with_complete_clusters
 
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == call:
-                raise SolverError("injected")
-            return solve(*args, **kwargs)
+        def failing(grid, requests, i):
+            results = solve(grid, requests, i)
+            for r in range(len(requests)):
+                calls.append(1)
+                if len(calls) == call:
+                    results[r] = SolverError("injected")
+            return results
 
-        monkeypatch.setattr(optimize, "spectrum_with_complete_cluster", failing)
+        monkeypatch.setattr(optimize, "spectra_with_complete_clusters", failing)
 
     def test_first_solve_fails(self, monkeypatch):
         self.fail_on_call(monkeypatch, 1)
@@ -513,6 +517,121 @@ class TestOptimizerExits:
         payload = json.loads((tmp_path / "o" / "report.json").read_text())["payload"]
         assert (payload["stop_reason"], payload["iterations"]) == ("stagnation", 23)
         assert not payload["aborted"]
+
+
+def ascent_starts(grid, seed, count):
+    """thm11's ascent starts: random low modes scaled to sup norm 0.8."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        raw = _random_fourier(grid, rng, 1.0).values
+        starts.append(Potential.from_values(grid, 0.8 * raw / np.max(np.abs(raw))))
+    return starts
+
+
+def assert_same_result(lockstep, solo):
+    """Field for field, potentials and logs exactly."""
+    for field in dataclasses.fields(OptimizeResult):
+        a, b = getattr(lockstep, field.name), getattr(solo, field.name)
+        if field.name == "potential":
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.mean == b.mean
+        elif field.name == "log":
+            assert [dataclasses.astuple(r) for r in a] == [dataclasses.astuple(r) for r in b]
+        elif isinstance(a, float):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+
+
+CIRCLE_128 = build_grid(Circle(), 128, BoundaryCondition.CLOSED)
+
+
+class TestLockstep:
+    """run_optimizers runs many starts in lockstep, bit for bit the runs
+    made one at a time."""
+
+    CASES = {
+        # polyak lambda_1 ascents in the Newton metric, stopping at different
+        # iterations, so runs leave the rounds one by one
+        "circle-ascent": ("circle_grid", ObjectiveSpec("eigenvalue", 1), ConstraintSpec(0.0, 2.0),
+                          Schedule("polyak", target=0.0), 400, 0),
+        "neumann-ascent": ("neumann_grid", ObjectiveSpec("eigenvalue", 1),
+                           ConstraintSpec(0.0, 2.0), Schedule("polyak", target=0.0), 400, 0),
+        # a gap run tries its certificate every 5 iterations
+        "gap-certificate": ("circle_grid", ObjectiveSpec("gap", 2, 3, sense="minimize"),
+                            ConstraintSpec(0.0, 2.0), Schedule("polyak", target=0.0), 40, 5),
+        # TestOptimizerExits.test_no_candidate_accepted's run, whose line
+        # search halves its step, beside a second start
+        "lambda2-sqrt": (CIRCLE_128, ObjectiveSpec("eigenvalue", 2), ConstraintSpec(0.0, 1.0),
+                         Schedule(), 60, 5),
+    }
+
+    @staticmethod
+    def starts(name, grid):
+        if name.endswith("ascent"):
+            return ascent_starts(grid, 2, 4)
+        if name == "gap-certificate":
+            return [Potential.fourier(grid, (0.03, 0.05), (0.02,)),
+                    Potential.fourier(grid, (0.02, -0.04), (0.03, 0.01))]
+        return [Potential.fourier(grid, (0.4,)), Potential.fourier(grid, (0.3, -0.2), (0.1,))]
+
+    def case(self, name, request):
+        grid, objective, constraint, schedule, iters, cert_every = self.CASES[name]
+        if isinstance(grid, str):
+            grid = request.getfixturevalue(grid)
+        return grid, objective, constraint, self.starts(name, grid), schedule, iters, cert_every
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lockstep_equals_solo_runs(self, name, request):
+        grid, objective, constraint, q0s, schedule, iters, cert_every = self.case(name, request)
+        solo = [run_optimizer(grid, objective, constraint, q0, schedule, iters,
+                              cert_every=cert_every) for q0 in q0s]
+        lockstep = optimize.run_optimizers(grid, objective, constraint, q0s, schedule, iters,
+                                           cert_every=cert_every)
+        assert len(lockstep) == len(q0s)
+        for together, alone in zip(lockstep, solo):
+            assert_same_result(together, alone)
+        if name.endswith("ascent"):
+            assert {r.stop_reason for r in solo} == {"target"}
+            assert len({r.iterations for r in solo}) > 1
+        if name == "gap-certificate":
+            assert any(r.cert_residual is not None for r in solo[0].log)
+        if name == "lambda2-sqrt":
+            assert (solo[0].stop_reason, solo[0].iterations) == ("stagnation", 23)
+
+    def test_failed_solve_reaches_only_its_run(self, circle_grid, monkeypatch):
+        # the third solve of the second run fails: that run ends on
+        # solver_error with the log of its solo run under the same failure,
+        # and the other runs of its rounds are their solo runs
+        grid, objective = circle_grid, ObjectiveSpec("eigenvalue", 1)
+        constraint, schedule = ConstraintSpec(0.0, 2.0), Schedule("polyak", target=0.0)
+        q0s = ascent_starts(grid, 3, 3)
+        solo = [run_optimizer(grid, objective, constraint, q0, schedule, 400, cert_every=0)
+                for q0 in q0s]
+        solved = []
+        solve = spectral.eigensolve
+
+        def recorded(grid, H, k, potential=None, **kwargs):
+            solved.append(potential.values.tobytes())
+            return solve(grid, H, k, potential=potential, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigensolve", recorded)
+        run_optimizer(grid, objective, constraint, q0s[1], schedule, 400, cert_every=0)
+        bad = solved[2]
+
+        def failing(grid, H, k, potential=None, **kwargs):
+            if potential.values.tobytes() == bad:
+                raise SolverError("injected")
+            return solve(grid, H, k, potential=potential, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigensolve", failing)
+        failed = run_optimizer(grid, objective, constraint, q0s[1], schedule, 400, cert_every=0)
+        assert (failed.stop_reason, failed.iterations, len(failed.log)) == ("solver_error", 2, 2)
+        lockstep = optimize.run_optimizers(grid, objective, constraint, q0s, schedule, 400,
+                                           cert_every=0)
+        for together, alone in zip(lockstep, [solo[0], failed, solo[2]]):
+            assert_same_result(together, alone)
 
 
 class TestNewtonMetric:

@@ -325,6 +325,20 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (2, 2)
         assert np.sqrt(spec.count) * np.max(spec.residuals) < 1e-3 * cl.tol_used
 
+    def test_accuracy_error_names_the_failed_width(self, monkeypatch):
+        # a deep narrow well on the 512-node Neumann interval: the seeded
+        # retry of 7 pairs misses eigenvalues, its count widens the request to
+        # 108 pairs, and that solve cannot resolve lambda_3's cluster edge. The
+        # error names the 108 pairs solved, not the 3 + 2 the request keeps
+        g = build_grid(Interval(np.pi), 512, BoundaryCondition.NEUMANN)
+        well = np.zeros(512)
+        well[256:258] = -1e6
+        attempts = banded_solves(monkeypatch)
+        with pytest.raises(SolverError, match="a solve of 108 pairs does not prove the "
+                                              "cluster of index 3 complete"):
+            spectrum_with_complete_cluster(g, Potential.from_values(g, well), 3)
+        assert attempts == [(5, False), (7, True), (108, True)]
+
     @pytest.mark.parametrize("length", [0.01, 0.001])
     @pytest.mark.parametrize("n", [256, 2000])
     def test_tiny_circle_clusters_proven(self, length, n):
@@ -376,6 +390,57 @@ class TestDetectCluster:
         assert (cl.first_index, cl.multiplicity) == (1, 3)
         edge = cl.value + cl.tol_used
         assert count_eigenvalues_below(assemble(g, q), edge) == 3
+
+
+class TestIndexRequests:
+    """spectra_with_complete_clusters makes each group's first attempts in
+    one batched solve, then hands each request to
+    spectrum_with_complete_cluster, whose k rule and gate it shares."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        # (stacked members or 0, whether first was given) of each banded
+        # solve and each index solve from here on
+        batched, firsts = [], []
+        solve, index_solve = banded.lowest_pairs, spectral.spectrum_with_complete_cluster
+
+        def counted(bands, *args):
+            batched.append(len(bands) if bands.ndim == 3 else 0)
+            return solve(bands, *args)
+
+        def entered(grid, q, i, start=None, first=None):
+            firsts.append(first is not None)
+            return index_solve(grid, q, i, start, first)
+
+        monkeypatch.setattr(banded, "lowest_pairs", counted)
+        monkeypatch.setattr(spectral, "spectrum_with_complete_cluster", entered)
+        return batched, firsts
+
+    def test_group_then_one_index_solve_each(self, circle_grid, monkeypatch):
+        potentials = [Potential.fourier(circle_grid, (0.1 * m,), (0.05,)) for m in range(1, 4)]
+        start = spectrum_with_complete_cluster(circle_grid, potentials[0], 2)[0]
+        requests = [(potentials[0], None), (potentials[1], start), (potentials[2], start)]
+        solo = [spectrum_with_complete_cluster(circle_grid, q, 2, s) for q, s in requests]
+        batched, firsts = self.recorded(monkeypatch)
+        together = spectral.spectra_with_complete_clusters(circle_grid, requests, 2)
+        assert (batched, firsts) == ([3], [True] * 3)
+        for (spec, cluster), (alone, alone_cluster) in zip(together, solo):
+            assert spec.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert spec.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+            assert cluster == alone_cluster
+
+    @pytest.mark.parametrize("grid_name", ["neumann_grid", "torus_grid"])
+    def test_lone_and_torus_requests_solve_alone(self, grid_name, request, monkeypatch):
+        # a group of one makes its own first attempt inside eigensolve, and
+        # so does every torus request: no batched solve, no first handed on
+        grid = request.getfixturevalue(grid_name)
+        count = 1 if grid_name == "neumann_grid" else 2
+        requests = [(Potential.constant(grid, 0.1 * m), None) for m in range(count)]
+        batched, firsts = self.recorded(monkeypatch)
+        outcomes = spectral.spectra_with_complete_clusters(grid, requests, 1)
+        assert [cluster.complete for _, cluster in outcomes] == [True] * count
+        assert all(members == 0 for members in batched)
+        assert firsts == [False] * count
 
 
 class TestTorusSparse:

@@ -89,7 +89,7 @@ def test_thm11_sweep_solves_in_groups(monkeypatch):
 
     monkeypatch.setattr(banded, "lowest_pairs", recorded)
     monkeypatch.setattr(banded, "count_below", counted)
-    monkeypatch.setattr(verify, "run_optimizer", optimizer_reached)
+    monkeypatch.setattr(verify, "run_optimizers", optimizer_reached)
     with pytest.raises(SweepDone):
         suite_thm11(7)
     size = banded.group_size(verify.N_1D, 2)
@@ -98,3 +98,31 @@ def test_thm11_sweep_solves_in_groups(monkeypatch):
     assert len(per_domain) == 7
     assert singles == []
     assert len(counts) == 102
+
+
+def test_thm11_ascents_solve_in_lockstep(monkeypatch):
+    # each grid's five ascents run in lockstep: every round's requests take
+    # one batched first attempt, 5 rounds on each grid, and no request is
+    # solved alone. One solve per request would make 49 single solves.
+    groups, singles, inside = [], [], []
+    solve, lockstep = banded.lowest_pairs, verify.run_optimizers
+
+    def recorded(bands, k, seed, start=None):
+        if inside:
+            (groups if bands.ndim == 3 else singles).append(len(bands))
+        return solve(bands, k, seed, start)
+
+    def entered(*args, **kwargs):
+        inside.append(1)
+        try:
+            return lockstep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(banded, "lowest_pairs", recorded)
+    monkeypatch.setattr(verify, "run_optimizers", entered)
+    assert suite_thm11(7)["passed"]
+    assert len(groups) == 10
+    assert max(groups) <= 5
+    assert sum(groups) == 49
+    assert singles == []
